@@ -207,7 +207,8 @@ def simulate(config: SimConfig) -> SimResult:
     u = config.u0.values.copy()
     grid = config.grid
     vols = grid.node_volumes()
-    radii = grid.radii()
+    # ascending node positions: the window |x| <= rad is one index range
+    pos = grid.positions()
     scale_exp = config.weight.scaling_exponent
 
     rc_hi = min(0.1, math.sqrt(config.tol))
@@ -255,8 +256,9 @@ def simulate(config: SimConfig) -> SimResult:
         sups.append(sup_new)
         masses.append(float(u @ vols) if finite else math.inf)
         rad = t ** (1.0 / scale_exp)
-        inside = radii <= rad
-        window.append(float(u[inside] @ vols[inside]) if finite else math.inf)
+        lo = np.searchsorted(pos, -rad, side="left")
+        hi = np.searchsorted(pos, rad, side="right")
+        window.append(float(u[lo:hi] @ vols[lo:hi]) if finite else math.inf)
 
         if sup_new >= config.blowup_threshold:
             return SimResult("blown_up", config.horizon, t, np.array(times),

@@ -5,21 +5,28 @@ no stencil ever divides by the weight at its zero.  Time marching is backward
 Euler by default (positivity preserving) with Crank-Nicolson available for
 accuracy studies; both use step-doubling error control.  Homogeneous Dirichlet
 conditions close the truncated domain.
+
+Every step solves (I - c A) x = rhs.  The adaptive marches reuse one step
+size for long runs, so each operator keeps the LAPACK ``gttrf`` LU factors of
+its two most recently factored shifts and answers repeated solves with
+``gttrs`` alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConfigError, NumericError
 from .grids import Field, Geometry, GridSpec
 from .weight import WeightCase, WeightSpec
 
 _TINY = 1e-300
+# Shifts whose factors an operator keeps: step-doubling needs dt and dt/2.
+_FACTOR_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,7 @@ class DiffusionOperator:
     sub: np.ndarray           # lower diagonal of A, length M-1
     diag: np.ndarray          # main diagonal, length M
     sup: np.ndarray           # upper diagonal, length M-1
+    _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = self.diag * values
@@ -40,16 +48,23 @@ class DiffusionOperator:
         return out
 
     def solve_shifted(self, c: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - c A) x = rhs."""
-        m = rhs.size
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -c * self.sup
-        ab[1, :] = 1.0 - c * self.diag
-        ab[2, :-1] = -c * self.sub
-        try:
-            return solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericError(f"tridiagonal solve failed: {exc}") from exc
+        """Solve (I - c A) x = rhs, factoring I - c A once per distinct c."""
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        factors = self._factors.get(c)
+        if factors is None:
+            if not math.isfinite(c):
+                raise ValueError(f"shift must be finite, got {c}")
+            *factors, info = dgttrf(-c * self.sub, 1.0 - c * self.diag, -c * self.sup)
+            if info != 0:
+                raise NumericError(f"tridiagonal factorisation failed: LAPACK gttrf info={info}")
+            if len(self._factors) == _FACTOR_CACHE_SIZE:
+                del self._factors[next(iter(self._factors))]
+            self._factors[c] = factors
+        x, info = dgttrs(*factors, rhs)
+        if info != 0:
+            raise NumericError(f"tridiagonal solve failed: LAPACK gttrs info={info}")
+        return x
 
 
 def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:
@@ -89,11 +104,10 @@ def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:
         # origin row: reflection (zero flux) at r = 0
         diag[0] = -flux[0] / vol[0]
         sup[0] = flux[0] / vol[0]
-        for i in range(1, m - 1):
-            diag[i] = -(flux[i] + flux[i - 1]) / vol[i]
-            sup[i] = flux[i] / vol[i]
-            sub[i - 1] = flux[i - 1] / vol[i]
-        sub[m - 2] = 0.0  # Dirichlet row at r = R
+        # interior rows; the Dirichlet row at r = R stays zero
+        diag[1:-1] = -(flux[1:] + flux[:-1]) / vol[1:-1]
+        sup[1:] = flux[1:] / vol[1:-1]
+        sub[:-1] = flux[:-1] / vol[1:-1]
 
     return DiffusionOperator(grid, weight, fw, sub, diag, sup)
 

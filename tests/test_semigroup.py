@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.special import j0, jn_zeros
 
-from degenheat.errors import ConfigError
+import degenheat.semigroup as semigroup
+from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Field, gaussian_field
-from degenheat.semigroup import (apply_semigroup, boundary_leak, build_operator,
-                                 kernel_column, semigroup_defect,
+from degenheat.semigroup import (DiffusionOperator, apply_semigroup, boundary_leak,
+                                 build_operator, kernel_column, semigroup_defect,
                                  smoothing_norm_check)
 
 from conftest import axis_weight, line_grid, radial_grid, radial_weight
@@ -54,6 +56,114 @@ class TestBuildOperator:
             build_operator(radial_grid(1.0, 5, 2), axis_weight(0.5, 2))
         with pytest.raises(ConfigError):
             build_operator(radial_grid(1.0, 5, 2), radial_weight(0.5, 3))
+
+
+def _radial_rows_loop(grid, weight):
+    """Row-by-row radial assembly, the reference for the vectorised one."""
+    m, dx, n = grid.nodes, grid.spacing, grid.dim
+    pos = grid.positions()
+    faces = pos[:-1] + dx / 2.0
+    fw = np.abs(faces) ** weight.alpha if weight.alpha > 0 else np.ones(m - 1)
+    flux = fw * faces ** (n - 1) / dx
+    vol = (np.minimum(pos + dx / 2.0, grid.extent) ** n
+           - np.maximum(pos - dx / 2.0, 0.0) ** n) / n
+    sub, diag, sup = np.zeros(m - 1), np.zeros(m), np.zeros(m - 1)
+    diag[0] = -flux[0] / vol[0]
+    sup[0] = flux[0] / vol[0]
+    for i in range(1, m - 1):
+        diag[i] = -(flux[i] + flux[i - 1]) / vol[i]
+        sup[i] = flux[i] / vol[i]
+        sub[i - 1] = flux[i - 1] / vol[i]
+    sub[m - 2] = 0.0
+    return sub, diag, sup
+
+
+def test_radial_assembly_matches_loop():
+    for grid, weight in ((radial_grid(2.0, 21, 2), radial_weight(0.3, 2)),
+                         (radial_grid(50.0, 401, 3), radial_weight(0.5, 3)),
+                         (radial_grid(1.0, 3, 2), radial_weight(0.0, 2))):
+        op = build_operator(grid, weight)
+        sub, diag, sup = _radial_rows_loop(grid, weight)
+        assert np.array_equal(op.sub, sub)
+        assert np.array_equal(op.diag, diag)
+        assert np.array_equal(op.sup, sup)
+
+
+def _banded_solve(op, c, rhs):
+    """Reference (I - c A) x = rhs through a freshly assembled band."""
+    ab = np.zeros((3, rhs.size))
+    ab[0, 1:] = -c * op.sup
+    ab[1, :] = 1.0 - c * op.diag
+    ab[2, :-1] = -c * op.sub
+    return solve_banded((1, 1), ab, rhs)
+
+
+class TestSolveShifted:
+    CASES = ((line_grid(10.0, 201), axis_weight(0.0)),
+             (line_grid(10.0, 201), axis_weight(0.5)),
+             (radial_grid(10.0, 151, 2), radial_weight(0.5, 2)),
+             (radial_grid(10.0, 151, 3), radial_weight(0.3, 3)))
+
+    def test_matches_banded_reference(self):
+        rng = np.random.default_rng(3)
+        for grid, weight in self.CASES:
+            op = build_operator(grid, weight)
+            for c in (0.1, 0.05, 0.1, 0.05, 2.0, 0.1, 1e-4, 2.0):
+                rhs = rng.random(grid.nodes)
+                x = op.solve_shifted(c, rhs)
+                ref = _banded_solve(op, c, rhs)
+                assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_reuses_at_most_two_factorisations(self, monkeypatch):
+        calls = []
+        factor = semigroup.dgttrf
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].size)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "dgttrf", counting)
+        g = line_grid(5.0, 51)
+        op = build_operator(g, axis_weight(0.5))
+        rhs = gaussian_field(g).values
+        for c in (0.1, 0.05, 0.1, 0.05, 0.1):
+            op.solve_shifted(c, rhs)
+        assert len(calls) == 2
+        for c in (0.2, 0.3, 0.4):
+            op.solve_shifted(c, rhs)
+            assert len(op._factors) <= 2
+        assert len(calls) == 5
+        assert set(op._factors) == {0.3, 0.4}
+
+    def test_cache_is_per_operator(self):
+        g = line_grid(10.0, 201)
+        flat = build_operator(g, axis_weight(0.0))
+        degenerate = build_operator(g, axis_weight(0.5))
+        rhs = gaussian_field(g).values
+        a = flat.solve_shifted(0.5, rhs)
+        b = degenerate.solve_shifted(0.5, rhs)
+        assert not np.allclose(a, b)
+        assert np.allclose(a, _banded_solve(flat, 0.5, rhs), rtol=0, atol=1e-13)
+        assert np.allclose(b, _banded_solve(degenerate, 0.5, rhs), rtol=0, atol=1e-13)
+
+    def test_nonfinite_input(self):
+        g = line_grid(5.0, 51)
+        op = build_operator(g, axis_weight(0.0))
+        for bad in (math.nan, math.inf):
+            rhs = gaussian_field(g).values
+            rhs[7] = bad
+            with pytest.raises(ValueError):
+                op.solve_shifted(0.1, rhs)
+            with pytest.raises(ValueError):
+                op.solve_shifted(bad, gaussian_field(g).values)
+
+    def test_singular_shift(self):
+        g = line_grid(1.0, 3)
+        op = DiffusionOperator(g, axis_weight(0.0), np.ones(2), np.zeros(2),
+                               np.ones(3), np.zeros(2))
+        with pytest.raises(NumericError):
+            op.solve_shifted(1.0, np.ones(3))
+        assert op.solve_shifted(0.5, np.ones(3)) == pytest.approx(2.0 * np.ones(3))
 
 
 class TestApplySemigroup:
