@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from . import criteria as crit
-from .dynamics import ForcingTerm, Nonlinearity, SimConfig, TimeProfile, simulate
+from .dynamics import ForcingTerm, Nonlinearity, TimeProfile, simulate
 from .errors import ConfigError, NumericError
 from .grids import Geometry, GridSpec, InitialProfile
 from .lab import (EscalationLevel, RunSpec, SweepSpec, default_escalation,
-                  points_to_csv, run_sweep, sweep_svg)
+                  point_criteria, points_to_csv, run_sweep, sweep_svg)
 from .semigroup import apply_semigroup, build_operator, kernel_column
 from .weight import WeightCase, WeightSpec
 
@@ -58,22 +58,8 @@ def parse_initial(obj: dict) -> InitialProfile:
                           float(obj.get("sigma", 1.0)), float(obj.get("rho", 0.5)))
 
 
-def parse_sim_config(obj: dict) -> SimConfig:
-    grid = parse_grid(obj["grid"])
-    return SimConfig(
-        weight=parse_weight(obj["weight"]),
-        grid=grid,
-        forcings=list(parse_forcings(obj.get("forcings", []))),
-        u0=parse_initial(obj["u0"]).realize(grid),
-        horizon=float(obj["horizon"]),
-        blowup_threshold=float(obj.get("blowup_threshold", 1e8)),
-        dt_floor=float(obj.get("dt_floor", 1e-12)),
-        tol=float(obj.get("tol", 1e-3)),
-        diffusionless=bool(obj.get("diffusionless", False)),
-    )
-
-
-def parse_run_spec(obj: dict) -> RunSpec:
+def parse_run_spec(obj: dict, tol: float = 1e-2) -> RunSpec:
+    """Run spec of a config; ``tol`` is the default when the config has none."""
     return RunSpec(
         weight=parse_weight(obj["weight"]),
         grid=parse_grid(obj["grid"]),
@@ -81,7 +67,7 @@ def parse_run_spec(obj: dict) -> RunSpec:
         profile=parse_initial(obj["u0"]),
         blowup_threshold=float(obj.get("blowup_threshold", 1e8)),
         dt_floor=float(obj.get("dt_floor", 1e-12)),
-        tol=float(obj.get("tol", 1e-2)),
+        tol=float(obj.get("tol", tol)),
         diffusionless=bool(obj.get("diffusionless", False)),
     )
 
@@ -108,8 +94,8 @@ def _load(path: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    config = parse_sim_config(_load(args.config))
-    result = simulate(config)
+    obj = _load(args.config)
+    result = simulate(parse_run_spec(obj, tol=1e-3).config(float(obj["horizon"])))
     text = result.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -134,12 +120,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_criteria(args) -> int:
     obj = _load(args.config)
-    run = parse_run_spec(obj)
-    horizon = float(obj.get("horizon", 100.0))
-    linear = parse_sim_config({**obj, "forcings": [], "horizon": horizon,
-                               "blowup_threshold": 1e300})
-    res = simulate(linear)
-    report = crit.evaluate(res.trace(), list(run.forcings), run.weight)
+    run = parse_run_spec(obj, tol=1e-3)
+    report = point_criteria(run, float(obj.get("horizon", 100.0)))
 
     def fmt(v):
         if v is None:
@@ -148,17 +130,18 @@ def cmd_criteria(args) -> int:
             return "divergent"
         return f"{v:.6g}"
 
-    print(f"{'verdict':<22}{report.verdict}")
-    print(f"{'smallness index I':<22}{fmt(report.smallness_index)}")
-    print(f"{'certificate tau':<22}{fmt(report.certificate_tau)}")
-    print(f"{'p_star':<22}{fmt(report.p_star)}")
-    print(f"{'q_star':<22}{fmt(report.q_star)}")
-    print(f"{'rho_star':<22}{fmt(report.rho_star)}")
+    # labels pad to 22 columns and always keep one space before the value
+    print(f"{'verdict':<21} {report.verdict}")
+    print(f"{'smallness index I':<21} {fmt(report.smallness_index)}")
+    print(f"{'certificate tau':<21} {fmt(report.certificate_tau)}")
+    print(f"{'p_star':<21} {fmt(report.p_star)}")
+    print(f"{'q_star':<21} {fmt(report.q_star)}")
+    print(f"{'rho_star':<21} {fmt(report.rho_star)}")
     if report.envelope:
-        print(f"{'decay theta':<22}{report.envelope.theta:.4f} "
+        print(f"{'decay theta':<21} {report.envelope.theta:.4f} "
               f"(residual {report.envelope.residual:.2e})")
     for name, tail in report.osgood_tails.items():
-        print(f"{'osgood tail ' + name:<22}{fmt(tail)}")
+        print(f"{'osgood tail ' + name:<21} {fmt(tail)}")
     for note in report.notes:
         print(f"note: {note}")
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .dynamics import ForcingTerm, Nonlinearity, TimeProfile
+from .dynamics import ForcingTerm, Nonlinearity
 from .weight import WeightSpec
 
 
@@ -51,11 +51,6 @@ def osgood_tail(nl: Nonlinearity, z: float) -> float:
     return math.log1p(z) ** (1.0 - e) / (e - 1.0)
 
 
-def forcing_primitive(profile: TimeProfile, t: float) -> float:
-    """Integral of the time profile over [0, t], in closed form."""
-    return profile.primitive(t)
-
-
 def blowup_certificate(sup_trace, forcings) -> float | None:
     """Smallest trace time at which some single term satisfies the Osgood test.
 
@@ -77,11 +72,7 @@ def blowup_certificate(sup_trace, forcings) -> float | None:
 
 
 def _as_trace(sup_trace):
-    if isinstance(sup_trace, tuple) and len(sup_trace) == 2:
-        t, s = sup_trace
-    else:
-        arr = np.asarray(sup_trace, dtype=float)
-        t, s = arr[:, 0], arr[:, 1]
+    t, s = sup_trace
     return np.asarray(t, dtype=float), np.asarray(s, dtype=float)
 
 
@@ -225,8 +216,9 @@ def evaluate(sup_trace, forcings, weight: WeightSpec, t_num: float | None = None
 
     tau = blowup_certificate((times, sups), forcings)
 
-    p = q = None
-    r = s = None
+    # an absent family is infinitely supercritical and adds 0 to rho*
+    p = q = math.inf
+    r = s = 0.0
     for term in forcings:
         e_prof = term.profile.exponent if term.profile.kind == "power" else 0.0
         if term.profile.is_zero:
@@ -236,23 +228,12 @@ def evaluate(sup_trace, forcings, weight: WeightSpec, t_num: float | None = None
         else:
             q, s = term.nonlinearity.exponent, e_prof
     p_star = q_star = rho_star = None
-    if r is not None or s is not None:
-        p_star, q_star = fujita_exponents(weight.alpha, weight.dim,
-                                          r if r is not None else 0.0,
-                                          s if s is not None else 0.0)
-        candidates = []
-        if p is not None:
-            if p <= p_star:
-                candidates = None
-            else:
-                candidates.append((2.0 - weight.alpha) * (r + 1.0) / (p - 1.0))
-        if candidates is not None and q is not None:
-            if q <= q_star:
-                candidates = None
-            else:
-                candidates.append((2.0 - weight.alpha) * (s + 1.0) / (q - 1.0))
-        if candidates:
-            rho_star = max(candidates)
+    if any(not term.profile.is_zero for term in forcings):
+        p_star, q_star = fujita_exponents(weight.alpha, weight.dim, r, s)
+        try:
+            rho_star = second_critical_exponent(weight.alpha, weight.dim, p, q, r, s)
+        except ConfigError:
+            pass
 
     tails = {}
     z_ref = float(sups[-1]) if sups[-1] > 0 else None

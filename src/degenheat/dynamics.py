@@ -5,6 +5,10 @@ the time profile integrated exactly over each step, so profiles t^r with
 r in (-1, 0) lose no accuracy on the first step.  Step size adapts on the
 relative solution change; blow-up is declared when the sup norm crosses a
 threshold or the step collapses under super-linear growth.
+
+One march, ``_imex_steps``, advances an (M,) state or an (M, k) block under
+shared step control: ``simulate`` is a one-column run of it, and
+``compare_runs`` a two-column run of the ordered pair (u, v).
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .semigroup import apply_semigroup, build_operator
 from .weight import WeightSpec
 
 _TINY = 1e-300
+# Trial steps (accepted or rejected) one march may take.
+_STEP_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -181,13 +187,13 @@ class SimResult:
         return json.dumps(payload, indent=2)
 
 
-def _source_increment(forcings, u, t, dt):
-    """Exact-in-time explicit source: sum_i [H_i(t+dt) - H_i(t)] f_i(u)."""
+def _source_increment(forcings, u, t0, t1):
+    """Exact-in-time explicit source: sum_i [H_i(t1) - H_i(t0)] f_i(u)."""
     du = np.zeros_like(u)
     for term in forcings:
         if term.profile.is_zero:
             continue
-        weight = term.profile.primitive(t + dt) - term.profile.primitive(t)
+        weight = term.profile.primitive(t1) - term.profile.primitive(t0)
         if weight != 0.0:
             du += weight * term.nonlinearity(u)
     return du
@@ -201,57 +207,69 @@ def _growth_runaway(sups) -> bool:
     return b >= 10 * a > 0 and c >= 10 * b and d >= 10 * c
 
 
+def _imex_steps(config: SimConfig, u: np.ndarray):
+    """Adaptive IMEX march of an (M,) or (M, k) state; yields (t, dt, u, finite).
+
+    All columns share one step size, set by the largest per-column relative
+    change.  A non-finite explicit update is accepted only at ``dt_floor``, for
+    the caller to judge.  The solve needs no finiteness check: I - dt A has
+    unit row sums and a non-negative inverse, so it never raises the sup norm.
+    """
+    op = None if config.diffusionless else build_operator(config.grid, config.weight)
+    rc_hi = min(0.1, math.sqrt(config.tol))
+    rc_lo = rc_hi / 10.0
+    t = 0.0
+    dt = config.horizon * 1e-4
+    scale = np.maximum(np.max(np.abs(u), axis=0), _TINY)
+    for _ in range(_STEP_CAP):
+        if t >= config.horizon * (1.0 - 1e-14):
+            return
+        dt = min(dt, config.horizon - t)
+        u_new = u + _source_increment(config.forcings, u, t, t + dt)
+        finite = bool(np.isfinite(u_new).all())
+        if finite:
+            if op is not None:
+                u_new = op.solve_shifted(dt, u_new)
+            rel = float(np.max(np.max(np.abs(u_new - u), axis=0) / scale))
+        else:
+            rel = math.inf
+        if rel > rc_hi and dt > config.dt_floor:
+            dt /= 2.0
+            continue
+        t += dt
+        u = u_new
+        yield t, dt, u, finite
+        scale = np.maximum(np.max(np.abs(u), axis=0), _TINY)
+        if rel < rc_lo:
+            dt *= 2.0
+    raise NumericError("the IMEX march exceeded the step cap")
+
+
 def simulate(config: SimConfig) -> SimResult:
     """March the semilinear problem to its horizon or to blow-up."""
-    op = None if config.diffusionless else build_operator(config.grid, config.weight)
-    u = config.u0.values.copy()
     grid = config.grid
     vols = grid.node_volumes()
     # ascending node positions: the window |x| <= rad is one index range
     pos = grid.positions()
     scale_exp = config.weight.scaling_exponent
 
-    rc_hi = min(0.1, math.sqrt(config.tol))
-    rc_lo = rc_hi / 10.0
-
-    t = 0.0
-    dt = config.horizon * 1e-4
+    u = config.u0.values
     times = [0.0]
     sups = [float(np.max(np.abs(u)))]
     masses = [float(u @ vols)]
     window = [masses[0]]
-    steps = 0
 
-    for _ in range(5_000_000):
-        if t >= config.horizon * (1.0 - 1e-14):
-            return SimResult("completed", config.horizon, None, np.array(times),
-                             np.array(sups), np.array(masses), np.array(window),
-                             steps, Field(grid, u))
-        dt = min(dt, config.horizon - t)
+    def result(status, t_star=None, final=None):
+        return SimResult(status, config.horizon, t_star, np.array(times), np.array(sups),
+                         np.array(masses), np.array(window), len(times) - 1, final)
 
-        u_star = u + _source_increment(config.forcings, u, t, dt)
-        if np.all(np.isfinite(u_star)):
-            u_new = u_star if op is None else op.solve_shifted(dt, u_star)
-        else:
-            u_new = u_star
-        scale = max(float(np.max(np.abs(u))), _TINY)
-        finite = bool(np.all(np.isfinite(u_new)))
-        rel = float(np.max(np.abs(u_new - u))) / scale if finite else math.inf
-
-        if rel > rc_hi and dt > config.dt_floor:
-            dt /= 2.0
-            continue
-
-        sup_new = float(np.max(np.abs(u_new))) if finite else math.inf
-        if not finite and sup_new == math.inf and not _growth_runaway(sups):
+    for t, dt, u, finite in _imex_steps(config, u):
+        if not finite and not _growth_runaway(sups):
             raise NumericError(
-                f"non-finite state at t={t} before the blow-up threshold; "
+                f"non-finite state at t={times[-1]} before the blow-up threshold; "
                 f"recent sups: {sups[-5:]}"
             )
-
-        t += dt
-        u = u_new
-        steps += 1
+        sup_new = float(np.max(np.abs(u))) if finite else math.inf
         times.append(t)
         sups.append(sup_new)
         masses.append(float(u @ vols) if finite else math.inf)
@@ -260,15 +278,10 @@ def simulate(config: SimConfig) -> SimResult:
         hi = np.searchsorted(pos, rad, side="right")
         window.append(float(u[lo:hi] @ vols[lo:hi]) if finite else math.inf)
 
-        if sup_new >= config.blowup_threshold:
-            return SimResult("blown_up", config.horizon, t, np.array(times),
-                             np.array(sups), np.array(masses), np.array(window), steps)
-        if dt <= config.dt_floor and _growth_runaway(sups):
-            return SimResult("blown_up", config.horizon, t, np.array(times),
-                             np.array(sups), np.array(masses), np.array(window), steps)
-        if rel < rc_lo:
-            dt *= 2.0
-    raise NumericError("simulate exceeded the step cap")
+        if sup_new >= config.blowup_threshold or (
+                dt <= config.dt_floor and _growth_runaway(sups)):
+            return result("blown_up", t)
+    return result("completed", final=Field(grid, u))
 
 
 @dataclass
@@ -336,13 +349,9 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
         overflowed = False
         for j in range(1, npts):
             dt_panel = mesh[j] - mesh[j - 1]
-            src = np.zeros(config.grid.nodes)
             with np.errstate(over="ignore"):
-                for term in config.forcings:
-                    if term.profile.is_zero:
-                        continue
-                    w = term.profile.primitive(mesh[j]) - term.profile.primitive(mesh[j - 1])
-                    src += w * term.nonlinearity(np.maximum(prev[j - 1].values, 0.0))
+                src = _source_increment(config.forcings, prev[j - 1].values,
+                                        mesh[j - 1], mesh[j])
             carried_values = cur[-1].values + src
             if not np.all(np.isfinite(carried_values)):
                 # runaway iterate: a cap violation in the making; record and stop
@@ -380,49 +389,25 @@ class ComparisonReport:
 
 
 def compare_runs(config: SimConfig, u0: Field, v0: Field) -> ComparisonReport:
-    """Co-advance ordered initial data on a shared step sequence.
+    """Co-advance ordered initial data as one two-column IMEX march.
 
     The IMEX step is order preserving (monotone sources, M-matrix solve), so
-    the positive-part defect stays at roundoff when u0 <= v0.
+    the positive-part defect stays at roundoff when u0 <= v0.  The run stops
+    at the horizon, when sup v crosses the blow-up threshold, or at the last
+    finite state when the explicit update overflows at ``dt_floor``.
     """
     if np.any(u0.values > v0.values):
         raise ConfigError("compare_runs needs u0 <= v0 nodewise")
-    op = None if config.diffusionless else build_operator(config.grid, config.weight)
-    u = u0.values.copy()
-    v = v0.values.copy()
-    rc_hi = min(0.1, math.sqrt(config.tol))
-    rc_lo = rc_hi / 10.0
-    t = 0.0
-    dt = config.horizon * 1e-4
     defect = 0.0
-    scale = max(float(np.max(np.abs(v))), _TINY)
-
-    for _ in range(2_000_000):
-        if t >= config.horizon * (1.0 - 1e-14):
+    scale = max(v0.sup(), _TINY)
+    t_end = 0.0
+    for t, _, uv, finite in _imex_steps(config, np.column_stack([u0.values, v0.values])):
+        if not finite:
             break
-        dt = min(dt, config.horizon - t)
-        nu = u + _source_increment(config.forcings, u, t, dt)
-        nv = v + _source_increment(config.forcings, v, t, dt)
-        if not (np.all(np.isfinite(nu)) and np.all(np.isfinite(nv))):
-            if dt > config.dt_floor:
-                dt /= 2.0
-                continue
-            break
-        if op is not None:
-            nu = op.solve_shifted(dt, nu)
-            nv = op.solve_shifted(dt, nv)
-        rel = max(float(np.max(np.abs(nu - u))) / max(float(np.max(np.abs(u))), _TINY),
-                  float(np.max(np.abs(nv - v))) / max(float(np.max(np.abs(v))), _TINY))
-        if rel > rc_hi and dt > config.dt_floor:
-            dt /= 2.0
-            continue
-        t += dt
-        u, v = nu, nv
-        sup_v = float(np.max(np.abs(v)))
+        t_end = t
+        sup_v = float(np.max(np.abs(uv[:, 1])))
         scale = max(scale, sup_v)
-        defect = max(defect, float(np.max(u - v)))
+        defect = max(defect, float(np.max(uv[:, 0] - uv[:, 1])))
         if sup_v >= config.blowup_threshold:
             break
-        if rel < rc_lo:
-            dt *= 2.0
-    return ComparisonReport(max(defect, 0.0), scale, t)
+    return ComparisonReport(max(defect, 0.0), scale, t_end)

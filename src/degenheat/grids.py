@@ -8,7 +8,7 @@ represents a radially symmetric function in N dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -128,7 +128,6 @@ class InitialProfile:
     amplitude: float = 1.0
     sigma: float = 1.0
     rho: float = 0.5
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "constant", "power_tail"):
@@ -137,8 +136,7 @@ class InitialProfile:
             raise ConfigError("amplitude must be nonnegative")
 
     def scaled(self, factor: float) -> "InitialProfile":
-        return InitialProfile(self.kind, self.amplitude * factor, self.sigma,
-                              self.rho, dict(self.params))
+        return replace(self, amplitude=self.amplitude * factor)
 
     def realize(self, grid: GridSpec) -> Field:
         r = grid.radii()

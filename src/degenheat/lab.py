@@ -16,7 +16,7 @@ import numpy as np
 
 from .criteria import evaluate as evaluate_criteria
 from .criteria import fujita_exponents
-from .dynamics import ForcingTerm, Nonlinearity, SimConfig, simulate
+from .dynamics import Nonlinearity, SimConfig, simulate
 from .errors import ConfigError, NumericError
 from .grids import GridSpec, InitialProfile
 from .weight import WeightSpec
@@ -133,33 +133,19 @@ def apply_axis(run: RunSpec, name: str, value: float) -> RunSpec:
         return replace(run, weight=replace(run.weight, alpha=float(value)))
     if name == "amplitude":
         return replace(run, profile=run.profile.scaled(float(value)))
-    if name in ("p", "q"):
-        kind = "power" if name == "p" else "log_power"
+    if name in ("p", "q", "r", "s"):
+        kind = "power" if name in ("p", "r") else "log_power"
+        if not any(term.nonlinearity.kind == kind for term in run.forcings):
+            raise ConfigError(f"axis {name!r} has no matching forcing term")
         terms = []
-        hit = False
         for term in run.forcings:
             if term.nonlinearity.kind == kind:
-                terms.append(ForcingTerm(term.profile, Nonlinearity(kind, float(value))))
-                hit = True
-            else:
-                terms.append(term)
-        if not hit:
-            raise ConfigError(f"axis {name!r} has no matching forcing term")
-        return replace(run, forcings=tuple(terms))
-    if name in ("r", "s"):
-        kind = "power" if name == "r" else "log_power"
-        terms = []
-        hit = False
-        for term in run.forcings:
-            if term.nonlinearity.kind == kind:
-                terms.append(ForcingTerm(replace(term.profile, kind="power",
-                                                 exponent=float(value)),
-                                         term.nonlinearity))
-                hit = True
-            else:
-                terms.append(term)
-        if not hit:
-            raise ConfigError(f"axis {name!r} has no matching forcing term")
+                if name in ("p", "q"):
+                    term = replace(term, nonlinearity=Nonlinearity(kind, float(value)))
+                else:
+                    term = replace(term, profile=replace(term.profile, kind="power",
+                                                         exponent=float(value)))
+            terms.append(term)
         return replace(run, forcings=tuple(terms))
     raise ConfigError(f"unknown sweep axis {name!r}; valid axes: {AXIS_NAMES}")
 

@@ -4,6 +4,12 @@ import csv
 import json
 
 from degenheat.cli import main
+from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig, TimeProfile,
+                                simulate)
+from degenheat.grids import InitialProfile
+from degenheat.lab import RunSpec, point_criteria
+
+from conftest import axis_weight, line_grid
 
 
 def write_json(path, obj):
@@ -21,6 +27,12 @@ SIM_CONFIG = {
     ],
     "horizon": 1.0,
 }
+LOG_FORCING = {"profile": {"kind": "constant", "value": 0.5},
+               "nonlinearity": {"kind": "log_power", "exponent": 4.0}}
+
+
+def power_forcing(p: float) -> ForcingTerm:
+    return ForcingTerm(TimeProfile.power(0.0), Nonlinearity.power(p))
 
 
 class TestSimulate:
@@ -37,6 +49,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "completed"
+
+    def test_matches_library_run(self, tmp_path, capsys):
+        # an absent "tol" means 1e-3 for a single run
+        cfg = write_json(tmp_path / "sim.json", SIM_CONFIG)
+        assert main(["simulate", "--config", cfg]) == 0
+        grid = line_grid(20.0, 201)
+        config = SimConfig(axis_weight(0.5), grid, [power_forcing(2.0)],
+                           InitialProfile("gaussian", 0.5, 1.0).realize(grid), 1.0,
+                           tol=1e-3)
+        assert capsys.readouterr().out == simulate(config).to_json() + "\n"
 
 
 class TestSweep:
@@ -69,6 +91,36 @@ class TestCriteria:
         out = capsys.readouterr().out
         assert "verdict" in out
         assert "p_star" in out
+
+    def test_reports_point_criteria(self, tmp_path, capsys):
+        obj = {**SIM_CONFIG, "horizon": 50.0,
+               "forcings": [{"profile": {"kind": "power", "exponent": 0.0},
+                             "nonlinearity": {"kind": "power", "exponent": 4.0}}]}
+        assert main(["criteria", "--config", write_json(tmp_path / "crit.json", obj)]) == 0
+        rows = {line[:22].rstrip(): line[22:]
+                for line in capsys.readouterr().out.splitlines()}
+        run = RunSpec(axis_weight(0.5), line_grid(20.0, 201), (power_forcing(4.0),),
+                      InitialProfile("gaussian", 0.5, 1.0), tol=1e-3)
+        report = point_criteria(run, 50.0)
+        assert rows["verdict"] == report.verdict
+        assert rows["smallness index I"] == f"{report.smallness_index:.6g}"
+        assert rows["certificate tau"] == "-" and report.certificate_tau is None
+        assert rows["p_star"] == f"{report.p_star:.6g}"
+        assert rows["rho_star"] == f"{report.rho_star:.6g}"
+        assert rows["decay theta"].startswith(f"{report.envelope.theta:.4f} ")
+        assert rows["osgood tail power(4)"] == f"{report.osgood_tails['power(4)']:.6g}"
+
+    def test_long_label_keeps_a_space(self, tmp_path, capsys):
+        obj = {**SIM_CONFIG, "horizon": 50.0,
+               "forcings": SIM_CONFIG["forcings"] + [LOG_FORCING]}
+        assert main(["criteria", "--config", write_json(tmp_path / "crit.json", obj)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row, = [line for line in lines if line.startswith("osgood tail log_power(4)")]
+        label, value = row.rsplit(" ", 1)
+        assert label == "osgood tail log_power(4)"
+        assert float(value) > 0.0
+        # a label that fits keeps its padding to 22 columns
+        assert any(line.startswith("osgood tail power(2)  ") for line in lines)
 
 
 class TestProbes:

@@ -9,9 +9,8 @@ from scipy.integrate import quad
 
 from degenheat.criteria import (DecayEnvelope, blowup_certificate,
                                 critical_mass_growth, decay_fit, evaluate,
-                                forcing_primitive, fujita_exponents,
-                                osgood_tail, second_critical_exponent,
-                                smallness_index)
+                                fujita_exponents, osgood_tail,
+                                second_critical_exponent, smallness_index)
 from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile
 from degenheat.errors import ConfigError
 
@@ -55,13 +54,6 @@ class TestOsgoodTail:
     def test_validation(self):
         with pytest.raises(ConfigError):
             osgood_tail(Nonlinearity.power(2.0), 0.0)
-
-
-class TestForcingPrimitive:
-    def test_values(self):
-        assert forcing_primitive(TimeProfile.power(0.0), 3.0) == 3.0
-        assert forcing_primitive(TimeProfile.power(1.0), 2.0) == 2.0
-        assert forcing_primitive(TimeProfile.power(-0.5), 4.0) == pytest.approx(4.0)
 
 
 class TestBlowupCertificate:
@@ -164,6 +156,7 @@ class TestCriticalExponents:
         # q-term dominant case: (2 - alpha)(s + 1)/(q - 1)
         assert second_critical_exponent(0.5, 1, 100.0, 5.0, 0.0, 1.0) == \
             pytest.approx(1.5 * 2.0 / 4.0)
+        assert second_critical_exponent(0.3, 1, 5.0, 4.0, 0.5, 0.0) == 0.6375
         # rho* = 2/(p-1) at alpha = 0
         for p in (4.0, 6.0):
             assert second_critical_exponent(0.0, 1, p, 50.0, 0.0, 0.0) == \
@@ -219,3 +212,16 @@ class TestEvaluate:
         assert report.verdict == "undetermined"
         assert report.smallness_index == math.inf
         assert any("diverges" in n for n in report.notes)
+
+    @pytest.mark.parametrize("forcings, alpha, rho_star", [
+        ([log_term(4.0, 0.5)], 0.3, 0.85),                    # q family only
+        # both supercritical: second_critical_exponent(0.3, 1, 5, 4, 0.5, 0)
+        ([power_term(5.0, 0.5), log_term(4.0)], 0.3, 0.6375),
+        ([power_term(5.0), log_term(2.0)], 0.0, None),        # q <= q* = 3
+        ([power_term(2.0), log_term(5.0)], 0.0, None),        # p <= p* = 3
+    ])
+    def test_rho_star(self, forcings, alpha, rho_star):
+        times = np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 300)))
+        sups = 0.05 / np.sqrt(1.0 + 2.0 * times)
+        report = evaluate((times, sups), forcings, axis_weight(alpha))
+        assert report.rho_star == rho_star

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from degenheat import dynamics
 from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig,
                                 TimeProfile, compare_runs, default_mesh,
                                 monotone_iterates, simulate)
-from degenheat.errors import ConfigError
+from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Field, constant_field, gaussian_field
 from degenheat.semigroup import apply_semigroup, build_operator
 
@@ -23,8 +24,8 @@ def power_forcing(p: float, r: float = 0.0) -> ForcingTerm:
 
 class TestTimeProfile:
     def test_values_and_primitives(self):
-        assert TimeProfile.power(0.0).primitive(3.0) == pytest.approx(3.0)
-        assert TimeProfile.power(1.0).primitive(2.0) == pytest.approx(2.0)
+        assert TimeProfile.power(0.0).primitive(3.0) == 3.0
+        assert TimeProfile.power(1.0).primitive(2.0) == 2.0
         assert TimeProfile.power(-0.5).primitive(4.0) == pytest.approx(4.0)
         assert TimeProfile.constant(2.5).primitive(2.0) == pytest.approx(5.0)
         assert TimeProfile.zero().primitive(9.0) == 0.0
@@ -178,6 +179,29 @@ class TestCompareRuns:
         cfg = SimConfig(axis_weight(0.0), g, [power_forcing(2.0)], v0, 1.0)
         report = compare_runs(cfg, Field(g, bump), v0)
         assert report.max_defect <= 1e-10 * report.scale
+
+    def test_overflow_stops_at_last_finite_state(self):
+        # u^2 overflows before sup v reaches the threshold: the run ends at
+        # the last finite step instead of raising
+        g = line_grid(15.0, 301)
+        v0 = gaussian_field(g, 3.0)
+        source = ForcingTerm(TimeProfile.constant(1.0), Nonlinearity.power(2.0))
+        cfg = SimConfig(axis_weight(0.0), g, [source], v0, 5.0, blowup_threshold=1e300)
+        report = compare_runs(cfg, Field(g, 0.5 * v0.values), v0)
+        assert 0.0 < report.t_end < cfg.horizon
+        assert 1e150 < report.scale < 1e300
+        assert report.max_defect == 0.0
+
+    def test_step_cap_raises(self, monkeypatch):
+        # both callers share the march's step cap and fail loudly at it
+        monkeypatch.setattr(dynamics, "_STEP_CAP", 5)
+        g = line_grid(10.0, 201)
+        v0 = gaussian_field(g, 0.5)
+        cfg = SimConfig(axis_weight(0.0), g, [power_forcing(2.0)], v0, 1.0)
+        with pytest.raises(NumericError):
+            compare_runs(cfg, Field(g, 0.5 * v0.values), v0)
+        with pytest.raises(NumericError):
+            simulate(cfg)
 
     def test_requires_ordering(self):
         g = line_grid(5.0, 41)

@@ -105,6 +105,8 @@ class TestInitialProfile:
         p = InitialProfile("gaussian", 2.0, 1.5)
         q = p.scaled(3.0)
         assert q.amplitude == 6.0 and q.sigma == 1.5 and q.kind == "gaussian"
+        # frozen recipes hash, so run specs built from them can key caches
+        assert hash(q) == hash(InitialProfile("gaussian", 6.0, 1.5))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
