@@ -56,6 +56,14 @@ class TestOsgoodTail:
             osgood_tail(Nonlinearity.power(2.0), 0.0)
 
 
+class TestForcingPrimitive:
+    def test_values(self):
+        # the certificate compares Osgood tails with this primitive of h
+        assert TimeProfile.power(0.0).primitive(3.0) == 3.0
+        assert TimeProfile.power(1.0).primitive(2.0) == 2.0
+        assert TimeProfile.power(-0.5).primitive(4.0) == pytest.approx(4.0)
+
+
 class TestBlowupCertificate:
     def test_equality_case(self):
         # constant trace 1, Power(2), h == 1: tail = 1 = primitive at tau = 1
