@@ -66,7 +66,6 @@ def parse_run_spec(obj: dict, tol: float = 1e-2) -> RunSpec:
         forcings=parse_forcings(obj.get("forcings", [])),
         profile=parse_initial(obj["u0"]),
         blowup_threshold=float(obj.get("blowup_threshold", 1e8)),
-        dt_floor=float(obj.get("dt_floor", 1e-12)),
         tol=float(obj.get("tol", tol)),
         diffusionless=bool(obj.get("diffusionless", False)),
     )

@@ -156,6 +156,25 @@ def fujita_exponents(alpha: float, dim: int, r: float, s: float):
     return p_star, q_star
 
 
+def family_exponents(forcings):
+    """(p, q, r, s) of the present source families, the last term of each winning.
+
+    A family whose terms are all absent or zero reads p (or q) = inf and
+    r (or s) = 0: infinitely supercritical, adding 0 to rho*.
+    """
+    p = q = math.inf
+    r = s = 0.0
+    for term in forcings:
+        if term.profile.is_zero:
+            continue
+        e_prof = term.profile.exponent if term.profile.kind == "power" else 0.0
+        if term.nonlinearity.kind == "power":
+            p, r = term.nonlinearity.exponent, e_prof
+        else:
+            q, s = term.nonlinearity.exponent, e_prof
+    return p, q, r, s
+
+
 def second_critical_exponent(alpha: float, dim: int, p: float, q: float,
                              r: float, s: float) -> float:
     """Critical initial-data decay rate rho* in the supercritical regime."""
@@ -216,17 +235,7 @@ def evaluate(sup_trace, forcings, weight: WeightSpec, t_num: float | None = None
 
     tau = blowup_certificate((times, sups), forcings)
 
-    # an absent family is infinitely supercritical and adds 0 to rho*
-    p = q = math.inf
-    r = s = 0.0
-    for term in forcings:
-        e_prof = term.profile.exponent if term.profile.kind == "power" else 0.0
-        if term.profile.is_zero:
-            continue
-        if term.nonlinearity.kind == "power":
-            p, r = term.nonlinearity.exponent, e_prof
-        else:
-            q, s = term.nonlinearity.exponent, e_prof
+    p, q, r, s = family_exponents(forcings)
     p_star = q_star = rho_star = None
     if any(not term.profile.is_zero for term in forcings):
         p_star, q_star = fujita_exponents(weight.alpha, weight.dim, r, s)

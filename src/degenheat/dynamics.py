@@ -8,7 +8,9 @@ threshold or the step collapses under super-linear growth.
 
 One march, ``_imex_steps``, advances an (M,) state or an (M, k) block under
 shared step control: ``simulate`` is a one-column run of it, and
-``compare_runs`` a two-column run of the ordered pair (u, v).
+``compare_runs`` a two-column run of the ordered pair (u, v).  It supplies the
+trial step and its error; ``semigroup.adaptive_steps`` accepts, halves and
+doubles, as it does for the linear march.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .grids import Field, GridSpec
-from .semigroup import apply_semigroup, build_operator
+from .semigroup import adaptive_steps, apply_semigroup, build_operator
 from .weight import WeightSpec
 
 _TINY = 1e-300
-# Trial steps (accepted or rejected) one march may take.
-_STEP_CAP = 5_000_000
+# Step floor: a step this small is never halved, and runaway growth at it is blow-up.
+_DT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,15 +135,12 @@ class SimConfig:
     u0: Field
     horizon: float
     blowup_threshold: float = 1e8
-    dt_floor: float = 1e-12
     tol: float = 1e-3
     diffusionless: bool = False
 
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.dt_floor <= 0.0:
-            raise ConfigError(f"dt_floor must be positive, got {self.dt_floor}")
         if self.tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         sup0 = self.u0.sup()
@@ -208,41 +207,27 @@ def _growth_runaway(sups) -> bool:
 
 
 def _imex_steps(config: SimConfig, u: np.ndarray):
-    """Adaptive IMEX march of an (M,) or (M, k) state; yields (t, dt, u, finite).
+    """Adaptive IMEX march of an (M,) or (M, k) state; yields (t, dt, u).
 
     All columns share one step size, set by the largest per-column relative
-    change.  A non-finite explicit update is accepted only at ``dt_floor``, for
-    the caller to judge.  The solve needs no finiteness check: I - dt A has
+    change.  A non-finite explicit update is accepted only at ``_DT_FLOOR``,
+    for the caller to judge.  The solve needs no finiteness check: I - dt A has
     unit row sums and a non-negative inverse, so it never raises the sup norm.
     """
     op = None if config.diffusionless else build_operator(config.grid, config.weight)
     rc_hi = min(0.1, math.sqrt(config.tol))
-    rc_lo = rc_hi / 10.0
-    t = 0.0
-    dt = config.horizon * 1e-4
-    scale = np.maximum(np.max(np.abs(u), axis=0), _TINY)
-    for _ in range(_STEP_CAP):
-        if t >= config.horizon * (1.0 - 1e-14):
-            return
-        dt = min(dt, config.horizon - t)
+
+    def trial(u, t, dt):
         u_new = u + _source_increment(config.forcings, u, t, t + dt)
-        finite = bool(np.isfinite(u_new).all())
-        if finite:
-            if op is not None:
-                u_new = op.solve_shifted(dt, u_new)
-            rel = float(np.max(np.max(np.abs(u_new - u), axis=0) / scale))
-        else:
-            rel = math.inf
-        if rel > rc_hi and dt > config.dt_floor:
-            dt /= 2.0
-            continue
-        t += dt
-        u = u_new
-        yield t, dt, u, finite
+        if not np.isfinite(u_new).all():
+            return u_new, math.inf
+        if op is not None:
+            u_new = op.solve_shifted(dt, u_new)
         scale = np.maximum(np.max(np.abs(u), axis=0), _TINY)
-        if rel < rc_lo:
-            dt *= 2.0
-    raise NumericError("the IMEX march exceeded the step cap")
+        return u_new, float(np.max(np.max(np.abs(u_new - u), axis=0) / scale))
+
+    return adaptive_steps(u, config.horizon, config.horizon * 1e-4, _DT_FLOOR,
+                          rc_hi, rc_hi / 10.0, trial)
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -263,13 +248,14 @@ def simulate(config: SimConfig) -> SimResult:
         return SimResult(status, config.horizon, t_star, np.array(times), np.array(sups),
                          np.array(masses), np.array(window), len(times) - 1, final)
 
-    for t, dt, u, finite in _imex_steps(config, u):
+    for t, dt, u in _imex_steps(config, u):
+        sup_new = float(np.max(np.abs(u)))
+        finite = math.isfinite(sup_new)
         if not finite and not _growth_runaway(sups):
             raise NumericError(
                 f"non-finite state at t={times[-1]} before the blow-up threshold; "
                 f"recent sups: {sups[-5:]}"
             )
-        sup_new = float(np.max(np.abs(u))) if finite else math.inf
         times.append(t)
         sups.append(sup_new)
         masses.append(float(u @ vols) if finite else math.inf)
@@ -279,7 +265,7 @@ def simulate(config: SimConfig) -> SimResult:
         window.append(float(u[lo:hi] @ vols[lo:hi]) if finite else math.inf)
 
         if sup_new >= config.blowup_threshold or (
-                dt <= config.dt_floor and _growth_runaway(sups)):
+                dt <= _DT_FLOOR and _growth_runaway(sups)):
             return result("blown_up", t)
     return result("completed", final=Field(grid, u))
 
@@ -394,18 +380,19 @@ def compare_runs(config: SimConfig, u0: Field, v0: Field) -> ComparisonReport:
     The IMEX step is order preserving (monotone sources, M-matrix solve), so
     the positive-part defect stays at roundoff when u0 <= v0.  The run stops
     at the horizon, when sup v crosses the blow-up threshold, or at the last
-    finite state when the explicit update overflows at ``dt_floor``.
+    finite state when the explicit update overflows at the step floor.
     """
     if np.any(u0.values > v0.values):
         raise ConfigError("compare_runs needs u0 <= v0 nodewise")
     defect = 0.0
     scale = max(v0.sup(), _TINY)
     t_end = 0.0
-    for t, _, uv, finite in _imex_steps(config, np.column_stack([u0.values, v0.values])):
-        if not finite:
+    for t, _, uv in _imex_steps(config, np.column_stack([u0.values, v0.values])):
+        sups = np.max(np.abs(uv), axis=0)
+        if not np.isfinite(sups).all():
             break
         t_end = t
-        sup_v = float(np.max(np.abs(uv[:, 1])))
+        sup_v = float(sups[1])
         scale = max(scale, sup_v)
         defect = max(defect, float(np.max(uv[:, 0] - uv[:, 1])))
         if sup_v >= config.blowup_threshold:

@@ -2,8 +2,10 @@
 
 "Global" is undecidable numerically.  A point is GlobalLike when the final
 escalation horizon completes and either the sup trace is non-increasing over
-its last decade or the analytic smallness index certifies global existence.
-Blow-up is the solver's threshold crossing.  Everything else is Undetermined.
+its last decade or the analytic smallness index certifies global existence,
+unless the data are nontrivial and a source family is at or below its Fujita
+exponent, where the theory rules global existence out.  Blow-up is the
+solver's threshold crossing.  Everything else is Undetermined.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import evaluate as evaluate_criteria
-from .criteria import fujita_exponents
+from .criteria import family_exponents, fujita_exponents
 from .dynamics import Nonlinearity, SimConfig, simulate
 from .errors import ConfigError, NumericError
 from .grids import GridSpec, InitialProfile
@@ -33,14 +35,13 @@ class RunSpec:
     forcings: tuple
     profile: InitialProfile
     blowup_threshold: float = 1e8
-    dt_floor: float = 1e-12
     tol: float = 1e-2
     diffusionless: bool = False
 
     def config(self, horizon: float, grid: GridSpec | None = None) -> SimConfig:
         g = grid or self.grid
         return SimConfig(self.weight, g, list(self.forcings), self.profile.realize(g),
-                         horizon, self.blowup_threshold, self.dt_floor, self.tol,
+                         horizon, self.blowup_threshold, self.tol,
                          self.diffusionless)
 
 
@@ -90,6 +91,19 @@ def point_criteria(run: RunSpec, horizon: float):
     return evaluate_criteria(res.trace(), list(run.forcings), run.weight)
 
 
+def _subcritical(run: RunSpec) -> str:
+    """The first source family at or below its Fujita exponent, as text, or ''.
+
+    There every nontrivial solution blows up, so GlobalLike would be wrong.
+    """
+    p, q, r, s = family_exponents(run.forcings)
+    p_star, q_star = fujita_exponents(run.weight.alpha, run.weight.dim, r, s)
+    for name, value, star in (("p", p, p_star), ("q", q, q_star)):
+        if value <= star:
+            return f"{name} = {value:g} <= {name}* = {star:g}"
+    return ""
+
+
 def classify_point(run: RunSpec, escalation, with_criteria: bool = True) -> PhasePoint:
     """Escalate horizons until blow-up or a defensible global-like completion."""
     escalation = tuple(escalation)
@@ -117,6 +131,10 @@ def classify_point(run: RunSpec, escalation, with_criteria: bool = True) -> Phas
             return PhasePoint((), "BlowUp", result.t_star, level.horizon, index, tau)
 
     final_horizon = escalation[-1].horizon
+    subcritical = _subcritical(run)
+    if subcritical and result.sup_history[0] > 0.0:
+        return PhasePoint((), "Undetermined", None, final_horizon, index, tau,
+                          f"subcritical: {subcritical}; horizon too short")
     times, sups = result.trace()
     decaying = _trace_non_increasing(times, sups, final_horizon)
     small = index is not None and index < 1.0
@@ -160,6 +178,9 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError("a sweep needs 1 or 2 axes")
+        names = [name for name, _ in self.axes]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"sweep axes must differ, got {names}")
         for name, values in self.axes:
             if name not in AXIS_NAMES:
                 raise ConfigError(f"unknown sweep axis {name!r}")
@@ -291,15 +312,9 @@ def sweep_svg(spec: SweepSpec, points) -> str:
 
 def _axis_boundary(spec: SweepSpec, name1: str, vals1):
     """Pixel x of the analytic critical value on the first axis, if crossed."""
-    if name1 not in ("p", "q"):
+    if name1 not in ("p", "q") or not vals1:
         return None
-    r = s = 0.0
-    for term in spec.base.forcings:
-        e = term.profile.exponent if term.profile.kind == "power" else 0.0
-        if term.nonlinearity.kind == "power":
-            r = e
-        else:
-            s = e
+    _, _, r, s = family_exponents(spec.base.forcings)
     p_star, q_star = fujita_exponents(spec.base.weight.alpha, spec.base.weight.dim, r, s)
     target = p_star if name1 == "p" else q_star
     if not vals1[0] <= target <= vals1[-1]:

@@ -6,6 +6,9 @@ Euler by default (positivity preserving) with Crank-Nicolson available for
 accuracy studies; both use step-doubling error control.  Homogeneous Dirichlet
 conditions close the truncated domain.
 
+``adaptive_steps`` is the one step-size controller; the linear march here and
+the IMEX march in ``dynamics`` supply only a trial step and its error.
+
 Every step solves (I - c A) x = rhs.  The adaptive marches reuse one step
 size for long runs, so each operator keeps the LAPACK ``gttrf`` LU factors of
 its two most recently factored shifts and answers repeated solves with
@@ -25,6 +28,8 @@ from .grids import Field, Geometry, GridSpec
 from .weight import WeightCase, WeightSpec
 
 _TINY = 1e-300
+# Trial steps (accepted or rejected) one adaptive march may take.
+_STEP_CAP = 5_000_000
 # Shifts whose factors an operator keeps: step-doubling needs dt and dt/2.
 _FACTOR_CACHE_SIZE = 2
 
@@ -121,28 +126,29 @@ def _step(op: DiffusionOperator, values: np.ndarray, dt: float, scheme: str) -> 
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def _march(op, values, t_total, tol, scheme):
-    """Adaptive march over [0, t_total] with step-doubling error control."""
+def adaptive_steps(state, horizon, dt0, dt_min, hi, lo, trial):
+    """March ``state`` over [0, horizon]; yield (t, dt, state) per accepted step.
+
+    ``trial(state, t, dt)`` returns a candidate and its error.  An error above
+    ``hi`` halves the step unless it is at ``dt_min``; an accepted error below
+    ``lo`` doubles the next one.  ``_STEP_CAP`` trials raise ``NumericError``.
+    """
     t = 0.0
-    dt = t_total / 8.0
-    dt_min = t_total * 1e-12
-    v = values.copy()
-    for _ in range(2_000_000):
-        if t >= t_total * (1.0 - 1e-14):
-            return v
-        dt = min(dt, t_total - t)
-        full = _step(op, v, dt, scheme)
-        half = _step(op, _step(op, v, dt / 2.0, scheme), dt / 2.0, scheme)
-        scale = max(float(np.max(np.abs(half))), _TINY)
-        err = float(np.max(np.abs(full - half))) / scale
-        if err > tol and dt > dt_min:
+    dt = dt0
+    for _ in range(_STEP_CAP):
+        if t >= horizon * (1.0 - 1e-14):
+            return
+        dt = min(dt, horizon - t)
+        candidate, err = trial(state, t, dt)
+        if err > hi and dt > dt_min:
             dt /= 2.0
             continue
-        v = half
         t += dt
-        if err < tol / 4.0:
+        state = candidate
+        yield t, dt, state
+        if err < lo:
             dt *= 2.0
-    raise NumericError("semigroup march exceeded the iteration cap")
+    raise NumericError("adaptive march exceeded the step cap")
 
 
 def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-6,
@@ -156,19 +162,29 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
         raise ConfigError("field grid does not match the operator grid")
     if t < 0.0:
         raise ConfigError(f"time must be nonnegative, got {t}")
+    if n_steps is not None and n_steps < 1:
+        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if t == 0.0:
         return u0.copy()
+    v = u0.values.copy()
     if n_steps is not None:
-        v = u0.values.copy()
         dt = t / n_steps
         for _ in range(n_steps):
             v = _step(op, v, dt, scheme)
         return Field(op.grid, v)
-    return Field(op.grid, _march(op, u0.values, t, tol, scheme))
+
+    def trial(v, _, dt):
+        full = _step(op, v, dt, scheme)
+        half = _step(op, _step(op, v, dt / 2.0, scheme), dt / 2.0, scheme)
+        scale = max(float(np.max(np.abs(half))), _TINY)
+        return half, float(np.max(np.abs(full - half))) / scale
+
+    for _, _, v in adaptive_steps(v, t, t / 8.0, t * 1e-12, tol, tol / 4.0, trial):
+        pass
+    return Field(op.grid, v)
 
 
-def kernel_column(op: DiffusionOperator, y_index: int, t: float, tol: float = 1e-6,
-                  scheme: str = "be") -> Field:
+def kernel_column(op: DiffusionOperator, y_index: int, t: float, tol: float = 1e-6) -> Field:
     """Evolve a unit-mass discrete delta at node ``y_index``: a kernel probe."""
     if t <= 0.0:
         raise ConfigError(f"kernel probe needs t > 0, got {t}")
@@ -177,7 +193,7 @@ def kernel_column(op: DiffusionOperator, y_index: int, t: float, tol: float = 1e
     vol = op.grid.node_volumes()[y_index]
     spike = np.zeros(op.grid.nodes)
     spike[y_index] = 1.0 / vol
-    return apply_semigroup(op, Field(op.grid, spike), t, tol=tol, scheme=scheme)
+    return apply_semigroup(op, Field(op.grid, spike), t, tol=tol)
 
 
 def semigroup_defect(op: DiffusionOperator, u0: Field, t: float, s: float,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from degenheat import dynamics
+from degenheat import semigroup
 from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig,
                                 TimeProfile, compare_runs, default_mesh,
                                 monotone_iterates, simulate)
@@ -193,8 +193,8 @@ class TestCompareRuns:
         assert report.max_defect == 0.0
 
     def test_step_cap_raises(self, monkeypatch):
-        # both callers share the march's step cap and fail loudly at it
-        monkeypatch.setattr(dynamics, "_STEP_CAP", 5)
+        # both callers share the controller's step cap and fail loudly at it
+        monkeypatch.setattr(semigroup, "_STEP_CAP", 5)
         g = line_grid(10.0, 201)
         v0 = gaussian_field(g, 0.5)
         cfg = SimConfig(axis_weight(0.0), g, [power_forcing(2.0)], v0, 1.0)

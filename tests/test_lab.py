@@ -54,6 +54,10 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec(run, (("p", [2.0]), ("q", [2.0]), ("r", [0.0])))
 
+    def test_duplicate_axis_names(self):
+        with pytest.raises(ConfigError):
+            SweepSpec(base_run(), (("p", [2.0, 3.0]), ("p", [4.0, 5.0])))
+
     def test_increasing_grids_and_horizons(self):
         run = base_run()
         with pytest.raises(ConfigError):
@@ -89,6 +93,18 @@ class TestClassifyPoint:
                              default_escalation((5.0, 50.0)))
         assert small.classification == "GlobalLike"
         assert big.classification == "BlowUp"
+
+    def test_subcritical_decay_is_undetermined(self):
+        # p = 2 <= p* = 3: small data decay over the horizon but must blow up later
+        run = base_run(
+            grid=line_grid(40.0, 401),
+            profile=InitialProfile("gaussian", 1e-3, 1.0),
+            diffusionless=False,
+            tol=1e-2,
+        )
+        pt = classify_point(run, default_escalation((5.0, 50.0)))
+        assert pt.classification == "Undetermined"
+        assert pt.reason == "subcritical: p = 2 <= p* = 3; horizon too short"
 
     def test_empty_escalation(self):
         with pytest.raises(ConfigError):
@@ -163,4 +179,11 @@ class TestSweepSvg:
         spec = SweepSpec(run, (("amplitude", [1.0, 2.0]),),
                          default_escalation((5.0,)), with_criteria=False)
         svg = sweep_svg(spec, run_sweep(spec, 1))
+        assert "stroke-dasharray" not in svg
+
+    def test_empty_p_axis(self):
+        spec = SweepSpec(base_run(), (("p", []), ("amplitude", [1.0, 2.0])),
+                         default_escalation((5.0,)), with_criteria=False)
+        svg = sweep_svg(spec, run_sweep(spec, 1))
+        assert svg.startswith("<svg")
         assert "stroke-dasharray" not in svg

@@ -181,6 +181,19 @@ class TestApplySemigroup:
             apply_semigroup(op, gaussian_field(g), -1.0)
         with pytest.raises(ConfigError):
             apply_semigroup(op, gaussian_field(line_grid(5.0, 51)), 1.0)
+        for n_steps in (0, -3):
+            with pytest.raises(ConfigError):
+                apply_semigroup(op, gaussian_field(g), 1.0, n_steps=n_steps)
+
+    def test_step_cap_raises(self, monkeypatch):
+        # the linear march shares the controller's trial cap with the IMEX march
+        monkeypatch.setattr(semigroup, "_STEP_CAP", 5)
+        g = line_grid(5.0, 101)
+        op = build_operator(g, axis_weight(0.5))
+        with pytest.raises(NumericError):
+            apply_semigroup(op, gaussian_field(g), 1.0)
+        with pytest.raises(NumericError):
+            kernel_column(op, g.nodes // 2, 1.0)
 
     def test_gaussian_oracle(self):
         # exact solution: amplitude shrinks by sigma/sqrt(sigma^2 + 2t)
