@@ -96,9 +96,7 @@ def decay_fit(sup_trace, window) -> DecayEnvelope:
 
 def _tail_exponents(term: ForcingTerm, theta: float):
     """Power exponents of the integrand envelope past T_num, largest first."""
-    prof = term.profile
-    r = prof.exponent if prof.kind == "power" else 0.0
-    scale = prof.value if prof.kind == "constant" else 1.0
+    r, scale = term.profile.exponent, term.profile.value
     e = term.nonlinearity.exponent
     if term.nonlinearity.kind == "power":
         return [(scale, r - theta * (e - 1.0), e - 1.0)]
@@ -167,11 +165,10 @@ def family_exponents(forcings):
     for term in forcings:
         if term.profile.is_zero:
             continue
-        e_prof = term.profile.exponent if term.profile.kind == "power" else 0.0
         if term.nonlinearity.kind == "power":
-            p, r = term.nonlinearity.exponent, e_prof
+            p, r = term.nonlinearity.exponent, term.profile.exponent
         else:
-            q, s = term.nonlinearity.exponent, e_prof
+            q, s = term.nonlinearity.exponent, term.profile.exponent
     return p, q, r, s
 
 
@@ -212,24 +209,23 @@ def critical_mass_growth(times, window_mass, window):
     return float(slope), resid
 
 
-def evaluate(sup_trace, forcings, weight: WeightSpec, t_num: float | None = None,
-             fit_window=None) -> CriteriaReport:
-    """Assemble the full report: envelope fit, index, certificate, exponents."""
+def evaluate(sup_trace, forcings, weight: WeightSpec) -> CriteriaReport:
+    """Assemble the full report: envelope fit, index, certificate, exponents.
+
+    The envelope is fitted over the trace's last decade, and the index switches
+    from the trace to the envelope at the trace's end.
+    """
     times, sups = _as_trace(sup_trace)
     if times.size < 4:
         raise ConfigError("trace too short for a criteria report")
     t_end = float(times[-1])
-    if t_num is None:
-        t_num = t_end
-    if fit_window is None:
-        fit_window = (t_end / 10.0, t_end)
 
     notes = []
     envelope = None
     index = None
     try:
-        envelope = decay_fit((times, sups), fit_window)
-        index = smallness_index((times, sups), envelope, forcings, t_num)
+        envelope = decay_fit((times, sups), (t_end / 10.0, t_end))
+        index = smallness_index((times, sups), envelope, forcings, t_end)
     except ConfigError as exc:
         notes.append(f"decay fit unavailable: {exc}")
 

@@ -29,59 +29,50 @@ from .weight import WeightSpec
 _TINY = 1e-300
 # Step floor: a step this small is never halved, and runaway growth at it is blow-up.
 _DT_FLOOR = 1e-12
+# Fixed backward-Euler substeps per mesh panel of the Picard iteration.
+_PANEL_STEPS = 8
 
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """Time dependence of a source term: t^exponent, a constant, or zero."""
+    """Time dependence of a source term: value * t^exponent."""
 
-    kind: str  # "power" | "constant" | "zero"
     exponent: float = 0.0
     value: float = 1.0
 
     def __post_init__(self):
-        if self.kind == "power":
-            if self.exponent <= -1.0:
-                raise ConfigError(f"power profile needs exponent > -1, got {self.exponent}")
-        elif self.kind == "constant":
-            if self.value < 0.0:
-                raise ConfigError(f"constant profile needs value >= 0, got {self.value}")
-        elif self.kind != "zero":
-            raise ConfigError(f"unknown time profile kind {self.kind!r}")
+        if self.exponent <= -1.0:
+            raise ConfigError(f"profile exponent must exceed -1, got {self.exponent}")
+        if self.value < 0.0:
+            raise ConfigError(f"profile value must be >= 0, got {self.value}")
 
     @classmethod
     def power(cls, exponent: float) -> "TimeProfile":
-        return cls("power", exponent=exponent)
+        return cls(exponent)
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "TimeProfile":
-        return cls("constant", value=value)
+        return cls(0.0, value)
 
     @classmethod
     def zero(cls) -> "TimeProfile":
-        return cls("zero")
+        return cls(0.0, 0.0)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind == "constant" and self.value == 0.0)
+        return self.value == 0.0
 
     def __call__(self, t: float) -> float:
-        if self.kind == "power":
-            return t ** self.exponent if t > 0 else (1.0 if self.exponent == 0 else 0.0)
-        if self.kind == "constant":
-            return self.value
-        return 0.0
+        if t > 0:
+            return self.value * t ** self.exponent
+        return self.value if self.exponent == 0 else 0.0
 
     def primitive(self, t: float) -> float:
         """Closed-form integral over [0, t]."""
         if t < 0.0:
             raise ConfigError(f"time must be nonnegative, got {t}")
-        if self.kind == "power":
-            e = self.exponent
-            return t ** (e + 1.0) / (e + 1.0)
-        if self.kind == "constant":
-            return self.value * t
-        return 0.0
+        e = self.exponent
+        return self.value * t ** (e + 1.0) / (e + 1.0)
 
 
 @dataclass(frozen=True)
@@ -283,21 +274,20 @@ class IterateReport:
     beta: float = 0.0
 
 
-def default_mesh(horizon: float, points: int = 24, start_frac: float = 1e-3) -> np.ndarray:
-    """Geometric time mesh on (0, horizon], prefixed with t = 0."""
-    inner = np.geomspace(horizon * start_frac, horizon, points)
+def default_mesh(horizon: float, points: int = 24) -> np.ndarray:
+    """Geometric time mesh on [horizon/1000, horizon], prefixed with t = 0."""
+    inner = np.geomspace(horizon * 1e-3, horizon, points)
     return np.concatenate(([0.0], inner))
 
 
 def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
-                      delta: float | None = None, mesh=None,
-                      panel_steps: int = 8) -> IterateReport:
+                      delta: float | None = None, mesh=None) -> IterateReport:
     """Run the Picard iteration u^k = S(t)u0 + Duhamel(u^{k-1}) on a time mesh.
 
     u0 = delta*v0 with delta below 1/(1+beta) unless the caller overrides it
     (deliberate violations are reported, not raised: a falsification mode).
     Checks nodewise monotonicity in k and the cap u^k <= (1+beta) S(t)u0.
-    Each mesh panel is advanced with ``panel_steps`` fixed backward-Euler
+    Each mesh panel is advanced with ``_PANEL_STEPS`` fixed backward-Euler
     substeps so the discrete semigroup is one fixed monotone matrix per panel.
     """
     if beta <= 0.0:
@@ -320,7 +310,7 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
     lin = [u0.copy()]
     for j in range(1, npts):
         lin.append(apply_semigroup(op, lin[-1], mesh[j] - mesh[j - 1],
-                                   n_steps=panel_steps))
+                                   n_steps=_PANEL_STEPS))
 
     scale = max(f.sup() for f in lin)
     slack = 1e-10 * max(scale, _TINY)
@@ -346,7 +336,7 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
                 overflowed = True
                 break
             carried = Field(config.grid, carried_values)
-            cur.append(apply_semigroup(op, carried, dt_panel, n_steps=panel_steps))
+            cur.append(apply_semigroup(op, carried, dt_panel, n_steps=_PANEL_STEPS))
         if overflowed:
             break
 

@@ -38,6 +38,10 @@ class RunSpec:
     tol: float = 1e-2
     diffusionless: bool = False
 
+    def __post_init__(self):
+        if self.tol <= 0.0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
+
     def config(self, horizon: float, grid: GridSpec | None = None) -> SimConfig:
         g = grid or self.grid
         return SimConfig(self.weight, g, list(self.forcings), self.profile.realize(g),
@@ -161,8 +165,7 @@ def apply_axis(run: RunSpec, name: str, value: float) -> RunSpec:
                 if name in ("p", "q"):
                     term = replace(term, nonlinearity=Nonlinearity(kind, float(value)))
                 else:
-                    term = replace(term, profile=replace(term.profile, kind="power",
-                                                         exponent=float(value)))
+                    term = replace(term, profile=replace(term.profile, exponent=float(value)))
             terms.append(term)
         return replace(run, forcings=tuple(terms))
     raise ConfigError(f"unknown sweep axis {name!r}; valid axes: {AXIS_NAMES}")
@@ -190,6 +193,8 @@ class SweepSpec:
         horizons = [lv.horizon for lv in self.escalation]
         if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
             raise ConfigError("escalation horizons must be strictly increasing")
+        if horizons[0] <= 0.0:
+            raise ConfigError(f"escalation horizons must be positive, got {horizons[0]}")
 
     def points(self):
         """Deterministically ordered (index, axis_values, run) triples."""

@@ -213,7 +213,7 @@ def semigroup_defect(op: DiffusionOperator, u0: Field, t: float, s: float,
 
 
 def smoothing_norm_check(op: DiffusionOperator, u0: Field, t: float,
-                         q1: float, q2: float, tol: float = 1e-6) -> float:
+                         q1: float, q2: float) -> float:
     """Ratio ||S(t)u0||_{q2} / (t^{-(N/(2-a))(1/q1-1/q2)} ||u0||_{q1}).
 
     Bounded over a time decade when the L^{q1}->L^{q2} smoothing estimate
@@ -223,7 +223,7 @@ def smoothing_norm_check(op: DiffusionOperator, u0: Field, t: float,
         raise ConfigError(f"need 1 <= q1 <= q2, got ({q1}, {q2})")
     if t <= 0.0:
         raise ConfigError(f"need t > 0, got {t}")
-    evolved = apply_semigroup(op, u0, t, tol=tol)
+    evolved = apply_semigroup(op, u0, t, tol=1e-6)
     inv_q1 = 0.0 if q1 == math.inf else 1.0 / q1
     inv_q2 = 0.0 if q2 == math.inf else 1.0 / q2
     n_over = op.weight.dim / op.weight.scaling_exponent

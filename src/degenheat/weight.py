@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericError
 
@@ -84,34 +82,21 @@ class ScaleFunction:
 
 def _ball_integral_1d(spec: WeightSpec, x: float, r: float) -> float:
     """Integral of |y|^(-alpha/2) over (x-r, x+r) in one dimension."""
-    e = -spec.alpha / 2.0
+    k = 1.0 - spec.alpha / 2.0
 
     def antiderivative(y):
-        # integral of |y|^e from 0, odd in y
-        return math.copysign(abs(y) ** (1.0 + e) / (1.0 + e), y)
+        # integral of |y|^(k-1) from 0, odd in y
+        return math.copysign(abs(y) ** k / k, y)
 
     a, b = x - r, x + r
     if spec.alpha == 0.0:
         return b - a
-    if a < 0.0 < b:
-        # symmetric core through the singularity via the antiderivative,
-        # smooth remainder via adaptive quadrature
-        c = min(-a, b)
-        core = 2.0 * c ** (1.0 + e) / (1.0 + e)
-        if b > c:
-            rest, _ = quad(lambda y: y ** e, c, b, epsrel=1e-11, epsabs=0, limit=200)
-        elif -a > c:
-            rest, _ = quad(lambda y: (-y) ** e, a, -c, epsrel=1e-11, epsabs=0, limit=200)
-        else:
-            rest = 0.0
-        return core + rest
-    if a >= 0.0:
-        if a == 0.0:
-            return antiderivative(b)
-        val, _ = quad(lambda y: y ** e, a, b, epsrel=1e-11, epsabs=0, limit=200)
-        return val
-    # b <= 0: mirror
-    return _ball_integral_1d(spec, -x, r)
+    if a > 0.0 or b < 0.0:
+        # a ball that misses 0, integrated from its end nearer 0: F(b) - F(a)
+        # would cancel when r << |x|, this form keeps full relative accuracy
+        near = min(abs(a), abs(b))
+        return near ** k * math.expm1(k * math.log1p((b - a) / near)) / k
+    return antiderivative(b) - antiderivative(a)
 
 
 def _ball_integral(spec: WeightSpec, x: float, r: float) -> float:
@@ -142,6 +127,10 @@ def h_ball(sf: ScaleFunction, r: float) -> float:
 
 def h_ball_inverse(sf: ScaleFunction, t: float) -> float:
     """Invert h_x by bracketed root finding on the strictly increasing h_x."""
+    # imported here, its only use: scipy.optimize is about a third of the
+    # package's import time, and no sweep or probe inverts h_x
+    from scipy.optimize import brentq
+
     if t <= 0.0:
         raise ConfigError(f"h_ball_inverse needs t > 0, got {t}")
     # exploit h_0(r) ~ r^(2-alpha) for the initial bracket

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from degenheat.cli import main
 from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig, TimeProfile,
                                 simulate)
@@ -26,6 +28,15 @@ SIM_CONFIG = {
          "nonlinearity": {"kind": "power", "exponent": 2.0}},
     ],
     "horizon": 1.0,
+}
+SWEEP_CONFIG = {
+    **SIM_CONFIG,
+    "u0": {"kind": "constant", "amplitude": 1.0},
+    "grid": {"geometry": "line", "extent": 2.0, "nodes": 5},
+    "diffusionless": True,
+    "axes": [{"name": "amplitude", "values": [0.5, 1.0, 2.0]}],
+    "escalation": [{"horizon": 5.0}],
+    "with_criteria": False,
 }
 LOG_FORCING = {"profile": {"kind": "constant", "value": 0.5},
                "nonlinearity": {"kind": "log_power", "exponent": 4.0}}
@@ -63,16 +74,7 @@ class TestSimulate:
 
 class TestSweep:
     def test_csv_and_svg(self, tmp_path, capsys):
-        sweep = {
-            **SIM_CONFIG,
-            "u0": {"kind": "constant", "amplitude": 1.0},
-            "grid": {"geometry": "line", "extent": 2.0, "nodes": 5},
-            "diffusionless": True,
-            "axes": [{"name": "amplitude", "values": [0.5, 1.0, 2.0]}],
-            "escalation": [{"horizon": 5.0}],
-            "with_criteria": False,
-        }
-        cfg = write_json(tmp_path / "sweep.json", sweep)
+        cfg = write_json(tmp_path / "sweep.json", SWEEP_CONFIG)
         out = tmp_path / "sweep.csv"
         svg = tmp_path / "sweep.svg"
         code = main(["sweep", "--config", cfg, "--out", str(out),
@@ -162,6 +164,17 @@ class TestExitCodes:
         bad["weight"] = {"case": "axis_power", "alpha": 1.5, "dim": 1}
         cfg = write_json(tmp_path / "bad.json", bad)
         assert main(["simulate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("fault", [
+        {"tol": -1},
+        {"escalation": [{"horizon": 0.0}, {"horizon": 5.0}]},
+    ])
+    def test_sweep_wide_config_error(self, tmp_path, fault):
+        # a fault shared by every cell exits 2 instead of writing a CSV of errors
+        cfg = write_json(tmp_path / "bad.json", {**SWEEP_CONFIG, **fault})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_bad_probe_times(self):
         assert main(["kernel-probe", "--alpha", "0", "--times=-1,2"]) == 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from degenheat import semigroup
+from degenheat.cli import parse_profile
 from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig,
                                 TimeProfile, compare_runs, default_mesh,
                                 monotone_iterates, simulate)
@@ -31,6 +32,8 @@ class TestTimeProfile:
         assert TimeProfile.zero().primitive(9.0) == 0.0
         assert TimeProfile.power(2.0)(3.0) == 9.0
         assert TimeProfile.power(0.0)(0.0) == 1.0
+        assert TimeProfile(1.0, 0.5).primitive(2.0) == 1.0
+        assert TimeProfile.power(0.0) == TimeProfile.constant(1.0)
 
     def test_is_zero(self):
         assert TimeProfile.zero().is_zero
@@ -43,7 +46,7 @@ class TestTimeProfile:
         with pytest.raises(ConfigError):
             TimeProfile.constant(-2.0)
         with pytest.raises(ConfigError):
-            TimeProfile("sinusoid")
+            parse_profile({"kind": "sinusoid"})
         with pytest.raises(ConfigError):
             TimeProfile.power(0.5).primitive(-1.0)
 

@@ -38,6 +38,14 @@ class TestApplyAxis:
         assert apply_axis(run, "alpha", 0.5).weight.alpha == 0.5
         assert apply_axis(run, "amplitude", 3.0).profile.amplitude == 3.0
 
+    def test_profile_axis_keeps_coefficient(self):
+        run = base_run(forcings=(
+            ForcingTerm(TimeProfile.zero(), Nonlinearity.power(2.0)),
+            ForcingTerm(TimeProfile.constant(0.5), Nonlinearity.log_power(2.0)),
+        ))
+        assert apply_axis(run, "s", 0.0).forcings[1].profile.primitive(2.0) == 1.0
+        assert apply_axis(run, "r", 1.0).forcings[0].profile.is_zero
+
     def test_errors(self):
         run = base_run()
         with pytest.raises(ConfigError):
@@ -65,6 +73,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec(run, (("p", [2.0, 3.0]),),
                       (EscalationLevel(10.0), EscalationLevel(5.0)))
+        with pytest.raises(ConfigError):
+            SweepSpec(run, (("p", [2.0, 3.0]),),
+                      (EscalationLevel(0.0), EscalationLevel(5.0)))
+        with pytest.raises(ConfigError):
+            base_run(tol=-1.0)
 
 
 class TestClassifyPoint:

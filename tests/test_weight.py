@@ -1,11 +1,16 @@
 """Tests for the weight module: omega evaluation, scale function, doubling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import degenheat
 from degenheat.errors import ConfigError
 from degenheat.weight import (ScaleFunction, WeightCase, WeightSpec,
                               doubling_defect, eval_weight, h_ball,
@@ -197,3 +202,27 @@ class TestQuadratureCrossCheck:
                           points=[0.0] if x - r < 0 < x + r else None,
                           epsabs=0, epsrel=1e-12, limit=300)
             assert h_ball(sf, r) == pytest.approx(val ** 2, rel=1e-8)
+
+    def test_far_off_center_balls(self):
+        # r << |x|, where F(x + r) - F(x - r) cancels; the reference integrates
+        # over the same floating-point ends x - r and x + r
+        for alpha in (0.25, 0.5, 0.9):
+            for x in (1e3, -40.0):
+                for r in (1e-6, 1e-3, 1.0):
+                    sf = ScaleFunction(axis_weight(alpha), center=x)
+                    val, _ = quad(lambda y: abs(y) ** (-alpha / 2.0), x - r, x + r,
+                                  epsabs=0, epsrel=1e-13, limit=300)
+                    assert h_ball(sf, r) == pytest.approx(val ** 2, rel=1e-12, abs=0)
+
+
+class TestImportCost:
+    def test_import_skips_integrate_and_optimize(self):
+        # scipy.optimize is loaded by h_ball_inverse on first use, not at import
+        src = Path(degenheat.__file__).resolve().parent.parent
+        code = ("import sys, degenheat; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                             timeout=60)
+        assert out.stdout.strip() == "[]"
