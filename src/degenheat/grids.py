@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .weight import _sphere_area
+from .weight import WeightCase, WeightSpec, _sphere_area
 
 
 class Geometry(Enum):
@@ -45,32 +45,43 @@ class GridSpec:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
 
     @property
+    def lower(self) -> float:
+        """Left end of the domain: -extent on a line, the center radially."""
+        return -self.extent if self.geometry is Geometry.LINE else 0.0
+
+    @property
     def spacing(self) -> float:
-        if self.geometry is Geometry.LINE:
-            return 2.0 * self.extent / (self.nodes - 1)
-        return self.extent / (self.nodes - 1)
+        return (self.extent - self.lower) / (self.nodes - 1)
 
     def positions(self) -> np.ndarray:
-        if self.geometry is Geometry.LINE:
-            return np.linspace(-self.extent, self.extent, self.nodes)
-        return np.linspace(0.0, self.extent, self.nodes)
+        return np.linspace(self.lower, self.extent, self.nodes)
 
     def radii(self) -> np.ndarray:
         """Distance of each node from the degeneracy center."""
         return np.abs(self.positions())
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(inner, outer) end of each node's cell, clipped to the domain."""
+        x, h = self.positions(), self.spacing
+        return np.maximum(x - h / 2.0, self.lower), np.minimum(x + h / 2.0, self.extent)
+
     def node_volumes(self) -> np.ndarray:
         """Quadrature weights turning nodal values into integrals over R^N."""
-        dx = self.spacing
+        inner, outer = self.cells()
         if self.geometry is Geometry.LINE:
-            vol = np.full(self.nodes, dx)
-            vol[0] = vol[-1] = dx / 2.0
-            return vol
+            return outer - inner
         n = self.dim
-        r = self.positions()
-        faces_out = np.minimum(r + dx / 2.0, self.extent)
-        faces_in = np.maximum(r - dx / 2.0, 0.0)
-        return _sphere_area(n) / n * (faces_out ** n - faces_in ** n)
+        return _sphere_area(n) / n * (outer ** n - inner ** n)
+
+    def check_weight(self, weight: WeightSpec) -> None:
+        """Raise ConfigError unless ``weight`` can be discretized on this grid."""
+        if self.geometry is Geometry.LINE:
+            if weight.dim != 1:
+                raise ConfigError("line geometry requires a one-dimensional weight")
+        elif weight.case is not WeightCase.RADIAL_POWER:
+            raise ConfigError("radial geometry requires the radial power weight")
+        elif weight.dim != self.dim:
+            raise ConfigError("grid and weight dimensions differ")
 
     def refined(self) -> "GridSpec":
         """One refinement notch: halve the spacing, keep the extent."""

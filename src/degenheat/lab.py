@@ -10,6 +10,7 @@ solver's threshold crossing.  Everything else is Undetermined.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -41,6 +42,10 @@ class RunSpec:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
+        if self.blowup_threshold <= 0.0:
+            raise ConfigError(
+                f"blowup_threshold must be positive, got {self.blowup_threshold}")
+        self.grid.check_weight(self.weight)
 
     def config(self, horizon: float, grid: GridSpec | None = None) -> SimConfig:
         g = grid or self.grid
@@ -195,43 +200,39 @@ class SweepSpec:
             raise ConfigError("escalation horizons must be strictly increasing")
         if horizons[0] <= 0.0:
             raise ConfigError(f"escalation horizons must be positive, got {horizons[0]}")
+        for level in self.escalation:
+            if level.grid is not None:
+                level.grid.check_weight(self.base.weight)
 
     def points(self):
-        """Deterministically ordered (index, axis_values, run) triples."""
-        name1, vals1 = self.axes[0]
-        if len(self.axes) == 2:
-            name2, vals2 = self.axes[1]
-            for i, v1 in enumerate(vals1):
-                for j, v2 in enumerate(vals2):
-                    run = apply_axis(apply_axis(self.base, name1, v1), name2, v2)
-                    yield (i, j), (v1, v2), run
-        else:
-            for i, v1 in enumerate(vals1):
-                yield (i,), (v1,), apply_axis(self.base, name1, v1)
+        """Deterministically ordered (axis_values, run) pairs, last axis fastest."""
+        names = [name for name, _ in self.axes]
+        for values in itertools.product(*(vals for _, vals in self.axes)):
+            run = self.base
+            for name, value in zip(names, values):
+                run = apply_axis(run, name, value)
+            yield values, run
 
 
 def _eval_point(args):
-    idx, values, run, escalation, with_criteria = args
+    values, run, escalation, with_criteria = args
     try:
         point = classify_point(run, escalation, with_criteria)
     except ConfigError as exc:
         point = PhasePoint((), "Undetermined", None,
                            escalation[-1].horizon, None, None, f"config error: {exc}")
     point.axis_values = values
-    return idx, point
+    return point
 
 
 def run_sweep(spec: SweepSpec, worker_count: int = 1):
-    """Evaluate every grid point; output order is independent of scheduling."""
-    jobs = [(idx, values, run, spec.escalation, spec.with_criteria)
-            for idx, values, run in spec.points()]
+    """Evaluate every grid point in ``points`` order, whatever the worker count."""
+    jobs = [(values, run, spec.escalation, spec.with_criteria)
+            for values, run in spec.points()]
     if worker_count <= 1:
-        results = [_eval_point(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            results = list(pool.map(_eval_point, jobs))
-    results.sort(key=lambda pair: pair[0])
-    return [point for _, point in results]
+        return list(map(_eval_point, jobs))
+    with ProcessPoolExecutor(max_workers=worker_count) as pool:
+        return list(pool.map(_eval_point, jobs))
 
 
 def _fmt(value) -> str:

@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConfigError, NumericError
 from .grids import Field, Geometry, GridSpec
-from .weight import WeightCase, WeightSpec
+from .weight import WeightSpec
 
 _TINY = 1e-300
 # Trial steps (accepted or rejected) one adaptive march may take.
@@ -73,46 +73,30 @@ class DiffusionOperator:
 
 
 def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:
-    """Assemble the flux-form operator for the given grid and weight."""
-    if grid.geometry is Geometry.LINE:
-        if weight.dim != 1:
-            raise ConfigError("line geometry requires a one-dimensional weight")
-    else:
-        if weight.case is not WeightCase.RADIAL_POWER:
-            raise ConfigError("radial geometry requires the radial power weight")
-        if weight.dim != grid.dim:
-            raise ConfigError("grid and weight dimensions differ")
+    """Assemble the flux-form operator on the cells of ``grid.cells()``.
 
-    m = grid.nodes
-    dx = grid.spacing
-    pos = grid.positions()
-    faces = pos[:-1] + dx / 2.0
+    Row i is the net flux through its cell's faces over the cell measure in
+    N dimensions; a line is the case N = 1.
+    """
+    grid.check_weight(weight)
+    m, n = grid.nodes, grid.dim
+    inner, outer = grid.cells()
+    faces = outer[:-1]
     fw = np.abs(faces) ** weight.alpha if weight.alpha > 0 else np.ones(m - 1)
+    flux = fw * faces ** (n - 1) / grid.spacing
+    vol = (outer ** n - inner ** n) / n
 
     sub = np.zeros(m - 1)
     diag = np.zeros(m)
     sup = np.zeros(m - 1)
-
-    if grid.geometry is Geometry.LINE:
-        # interior rows only; the two Dirichlet rows stay zero
-        coef = fw / dx ** 2
-        diag[1:-1] = -(coef[1:] + coef[:-1])
-        sup[1:] = coef[1:]      # row i couples to node i+1
-        sub[:-1] = coef[:-1]    # row i couples to node i-1
-        sub[-1] = 0.0
-    else:
-        n = grid.dim
-        flux = fw * faces ** (n - 1) / dx
-        outer = np.minimum(pos + dx / 2.0, grid.extent)
-        inner = np.maximum(pos - dx / 2.0, 0.0)
-        vol = (outer ** n - inner ** n) / n
+    # interior rows; the Dirichlet rows at the outer ends stay zero
+    diag[1:-1] = -(flux[1:] + flux[:-1]) / vol[1:-1]
+    sup[1:] = flux[1:] / vol[1:-1]      # row i couples to node i+1
+    sub[:-1] = flux[:-1] / vol[1:-1]    # row i couples to node i-1
+    if grid.geometry is Geometry.RADIAL:
         # origin row: reflection (zero flux) at r = 0
         diag[0] = -flux[0] / vol[0]
         sup[0] = flux[0] / vol[0]
-        # interior rows; the Dirichlet row at r = R stays zero
-        diag[1:-1] = -(flux[1:] + flux[:-1]) / vol[1:-1]
-        sup[1:] = flux[1:] / vol[1:-1]
-        sub[:-1] = flux[:-1] / vol[1:-1]
 
     return DiffusionOperator(grid, weight, fw, sub, diag, sup)
 

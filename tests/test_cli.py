@@ -168,6 +168,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("fault", [
         {"tol": -1},
         {"escalation": [{"horizon": 0.0}, {"horizon": 5.0}]},
+        {"blowup_threshold": -1},
+        # grid and weight that cannot be paired
+        {"weight": {"case": "axis_power", "alpha": 0.5, "dim": 2},
+         "grid": {"geometry": "radial", "extent": 2.0, "nodes": 5, "dim": 2}},
+        {"weight": {"case": "axis_power", "alpha": 0.5, "dim": 2}},
+        {"escalation": [{"horizon": 5.0,
+                         "grid": {"geometry": "radial", "extent": 2.0, "nodes": 5}}]},
     ])
     def test_sweep_wide_config_error(self, tmp_path, fault):
         # a fault shared by every cell exits 2 instead of writing a CSV of errors

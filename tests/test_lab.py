@@ -9,7 +9,7 @@ from degenheat.lab import (EscalationLevel, RunSpec, SweepSpec, apply_axis,
                            classify_point, default_escalation, points_to_csv,
                            points_to_json, run_sweep, sweep_svg)
 
-from conftest import axis_weight, line_grid
+from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
 
 def base_run(**kwargs) -> RunSpec:
@@ -78,6 +78,20 @@ class TestSweepSpecValidation:
                       (EscalationLevel(0.0), EscalationLevel(5.0)))
         with pytest.raises(ConfigError):
             base_run(tol=-1.0)
+
+    def test_run_wide_faults(self):
+        for bad in (dict(blowup_threshold=-1.0), dict(blowup_threshold=0.0),
+                    dict(weight=axis_weight(0.5, 2)),
+                    dict(weight=axis_weight(0.5, 2), grid=radial_grid(2.0, 5, 2)),
+                    dict(weight=radial_weight(0.5, 3), grid=radial_grid(2.0, 5, 2))):
+            with pytest.raises(ConfigError):
+                base_run(**bad)
+        run = base_run()
+        with pytest.raises(ConfigError):
+            SweepSpec(run, (("p", [2.0, 3.0]),),
+                      (EscalationLevel(5.0), EscalationLevel(50.0, radial_grid(2.0, 5, 1))))
+        # a rung grid that pairs with the weight is accepted
+        SweepSpec(run, (("p", [2.0, 3.0]),), (EscalationLevel(5.0, line_grid(4.0, 9)),))
 
 
 class TestClassifyPoint:

@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.special import j0, jn_zeros
 
 import degenheat.semigroup as semigroup
 from degenheat.errors import ConfigError, NumericError
-from degenheat.grids import Field, gaussian_field
+from degenheat.grids import Field, Geometry, GridSpec, gaussian_field
 from degenheat.semigroup import (DiffusionOperator, apply_semigroup, boundary_leak,
                                  build_operator, kernel_column, semigroup_defect,
                                  smoothing_norm_check)
+
+from degenheat.weight import WeightCase, WeightSpec
 
 from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
@@ -87,6 +91,80 @@ def test_radial_assembly_matches_loop():
         assert np.array_equal(op.sub, sub)
         assert np.array_equal(op.diag, diag)
         assert np.array_equal(op.sup, sup)
+
+
+def _line_rows_reference(grid, weight):
+    """Line rows as face weight / dx**2, the reference for the flux-form assembly."""
+    m, dx = grid.nodes, grid.spacing
+    faces = grid.positions()[:-1] + dx / 2.0
+    fw = np.abs(faces) ** weight.alpha if weight.alpha > 0 else np.ones(m - 1)
+    coef = fw / dx ** 2
+    sub, diag, sup = np.zeros(m - 1), np.zeros(m), np.zeros(m - 1)
+    diag[1:-1] = -(coef[1:] + coef[:-1])
+    sup[1:] = coef[1:]
+    sub[:-1] = coef[:-1]
+    return sub, diag, sup
+
+
+# (extent, nodes) of the criterion-6 escalation rungs: spacings 0.125, 0.25, 0.5
+CRITERION_6_RUNGS = ((100.0, 1601), (600.0, 4801), (4000.0, 16001),
+                     (1000.0, 4001), (5000.0, 20001))
+# the kernel-probe and decay-probe grids: spacings 0.04 and 2/3
+PROBE_GRIDS = ((40.0, 2001), (4000.0, 12001))
+
+
+def test_line_assembly_matches_reference():
+    for extent, nodes in CRITERION_6_RUNGS + PROBE_GRIDS:
+        grid = line_grid(extent, nodes)
+        for alpha in (0.0, 0.5):
+            op = build_operator(grid, axis_weight(alpha))
+            for band, ref in zip((op.sub, op.diag, op.sup),
+                                 _line_rows_reference(grid, axis_weight(alpha))):
+                if (extent, nodes) in CRITERION_6_RUNGS:
+                    assert np.array_equal(band, ref)
+                else:
+                    # x + h/2 - (x - h/2) is h only to roundoff here
+                    np.testing.assert_allclose(band, ref, rtol=1e-12, atol=0.0)
+        assert grid.node_volumes().sum() == pytest.approx(2.0 * extent, rel=1e-12)
+
+
+@st.composite
+def grids_and_weights(draw):
+    """A line or radial grid and any admissible weight, matching or not."""
+    extent = draw(st.floats(0.1, 1e3))
+    if draw(st.booleans()):
+        grid = GridSpec(Geometry.LINE, extent, 2 * draw(st.integers(1, 200)) + 1)
+    else:
+        grid = GridSpec(Geometry.RADIAL, extent, draw(st.integers(3, 401)),
+                        draw(st.integers(1, 3)))
+    case = draw(st.sampled_from(WeightCase))
+    dim = draw(st.integers(1, 3))
+    hi = 2.0 / dim if case is WeightCase.AXIS_POWER and dim > 2 else 1.0
+    alpha = draw(st.floats(0.0, hi, exclude_max=True))
+    return grid, WeightSpec(case, alpha, dim)
+
+
+@settings(deadline=None, derandomize=True)
+@given(grids_and_weights())
+def test_one_assembly_properties(pair):
+    grid, weight = pair
+    try:
+        grid.check_weight(weight)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            build_operator(grid, weight)
+        return
+    op = build_operator(grid, weight)
+    assert np.all(op.sub >= 0.0) and np.all(op.sup >= 0.0)
+    assert np.all(op.diag <= 0.0)
+    row_sums = op.apply(np.ones(grid.nodes))
+    assert np.all(np.abs(row_sums[1:-1]) <= 1e-12 * np.abs(op.diag[1:-1]))
+    vol = grid.node_volumes()
+    assert np.all(vol > 0.0)
+    n = grid.dim
+    ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * grid.extent ** n
+    total = 2.0 * grid.extent if grid.geometry is Geometry.LINE else ball
+    assert vol.sum() == pytest.approx(total, rel=1e-12)
 
 
 def _banded_solve(op, c, rhs):
