@@ -132,8 +132,12 @@ class SimConfig:
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.tol <= 0.0:
+        # "not > 0" so that NaN is rejected too
+        if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not self.blowup_threshold > 0.0:
+            raise ConfigError(
+                f"blowup_threshold must be positive, got {self.blowup_threshold}")
         sup0 = self.u0.sup()
         if sup0 > 0.0 and self.blowup_threshold < 1e3 * sup0:
             raise ConfigError(

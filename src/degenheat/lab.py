@@ -40,9 +40,10 @@ class RunSpec:
     diffusionless: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        # "not > 0" so that NaN is rejected too
+        if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.blowup_threshold <= 0.0:
+        if not self.blowup_threshold > 0.0:
             raise ConfigError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}")
         self.grid.check_weight(self.weight)

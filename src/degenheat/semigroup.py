@@ -1,18 +1,22 @@
 """Discrete semigroup of the linear weighted heat flow v_t = div(omega grad v).
 
 The operator is assembled in flux form with omega evaluated at cell faces, so
-no stencil ever divides by the weight at its zero.  Time marching is backward
-Euler by default (positivity preserving) with Crank-Nicolson available for
-accuracy studies; both use step-doubling error control.  Homogeneous Dirichlet
+no stencil ever divides by the weight at its zero.  Homogeneous Dirichlet
 conditions close the truncated domain.
 
-``adaptive_steps`` is the one step-size controller; the linear march here and
-the IMEX march in ``dynamics`` supply only a trial step and its error.
+``apply_semigroup`` has two paths.  Given a tolerance it computes exp(tA) u0
+from a shift-and-invert Krylov basis of (I - gamma A)^{-1} (van den Eshof &
+Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44, 2004).
+Given ``n_steps`` it marches that many uniform backward-Euler (positivity
+preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
+``scheme`` governs only this path.
 
-Every step solves (I - c A) x = rhs.  The adaptive marches reuse one step
-size for long runs, so each operator keeps the LAPACK ``gttrf`` LU factors of
-its two most recently factored shifts and answers repeated solves with
-``gttrs`` alone.
+``adaptive_steps`` is the one step-size controller, used by the IMEX march in
+``dynamics``, which supplies only a trial step and its error.
+
+Every Krylov vector and every step solves (I - c A) x = rhs.  Each operator
+keeps the LAPACK ``gttrf`` LU factors of its two most recently factored
+shifts and answers repeated solves with ``gttrs`` alone.
 """
 
 from __future__ import annotations
@@ -30,8 +34,13 @@ from .weight import WeightSpec
 _TINY = 1e-300
 # Trial steps (accepted or rejected) one adaptive march may take.
 _STEP_CAP = 5_000_000
-# Shifts whose factors an operator keeps: step-doubling needs dt and dt/2.
+# Shifts whose factors an operator keeps: an adaptive march halves and doubles
+# its step, so it moves between two sizes.
 _FACTOR_CACHE_SIZE = 2
+# Krylov path: the shift is gamma = _SHIFT_FRACTION * t, and a basis may grow
+# to _KRYLOV_CAP vectors before the call gives up.
+_SHIFT_FRACTION = 0.1
+_KRYLOV_CAP = 80
 
 
 @dataclass(frozen=True)
@@ -104,10 +113,92 @@ def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:
 def _step(op: DiffusionOperator, values: np.ndarray, dt: float, scheme: str) -> np.ndarray:
     if scheme == "be":
         return op.solve_shifted(dt, values)
-    if scheme == "cn":
-        rhs = values + (dt / 2.0) * op.apply(values)
-        return op.solve_shifted(dt / 2.0, rhs)
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    rhs = values + (dt / 2.0) * op.apply(values)
+    return op.solve_shifted(dt / 2.0, rhs)
+
+
+def _norm(v: np.ndarray) -> float:
+    # einsum, not BLAS: a threaded BLAS call on an M-vector costs more than it does
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
+def _dirichlet_steady_state(op: DiffusionOperator, u: np.ndarray) -> np.ndarray:
+    """The vector h with A h = 0 that equals u at the Dirichlet nodes.
+
+    Radially it is the constant u[-1].  On a line the flux fw (h_{i+1} - h_i)
+    / dx is the same through every face, so h climbs in steps 1/fw.
+    """
+    if op.grid.geometry is Geometry.RADIAL:
+        return np.full_like(u, u[-1])
+    steps = np.concatenate(([0.0], np.cumsum(1.0 / op.face_weights)))
+    h = u[0] + (u[-1] - u[0]) * (steps / steps[-1])
+    h[-1] = u[-1]
+    return h
+
+
+def _krylov_semigroup(op: DiffusionOperator, u0: np.ndarray, t: float,
+                      tol: float) -> np.ndarray:
+    """exp(tA) u0 as h + exp(tA)(u0 - h), h the Dirichlet steady state.
+
+    u0 - h vanishes at the Dirichlet nodes (the zero rows of A), and so does
+    every vector of its Krylov basis V of B = (I - gamma A)^{-1}; each solve's
+    roundoff there is dropped, since B keeps it while it damps the rest.  On
+    the other nodes A is symmetric in the volume-weighted inner product, so
+    for the scaled vectors sqrt(vol) * u the basis is a Lanczos basis, kept
+    orthonormal by full Gram-Schmidt, and H = V^T B V is symmetric
+    tridiagonal with eigenpairs (theta, q) in (0, 1].  A acts on the basis as
+    A_m = (I - H^{-1}) / gamma, so exp(tA)(u0 - h) ~ beta V q
+    exp(t (1 - 1/theta) / gamma) q^T e1; a symmetric eigendecomposition is
+    well conditioned.  Every second vector the result is formed and compared
+    with the previous one; it is accepted once the two agree to ``tol``
+    relative in the sup norm, which the probes read, or at once when the
+    basis spans an invariant subspace.
+    """
+    gamma = _SHIFT_FRACTION * t
+    steady = _dirichlet_steady_state(op, u0)
+    unscale = 1.0 / np.sqrt(op.grid.node_volumes())
+    scale = 1.0 / unscale
+    scale[op.diag == 0.0] = 0.0
+    y0 = scale * (u0 - steady)
+    beta = _norm(y0)
+    if beta == 0.0:
+        return steady
+    y0 /= beta
+    basis = [y0]
+    hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
+    prev = None
+    for j in range(_KRYLOV_CAP):
+        w = scale * op.solve_shifted(gamma, unscale * basis[j])
+        size = before = _norm(w)
+        for _ in range(2):
+            # modified Gram-Schmidt, repeated when w lost most of its norm
+            for i, v in enumerate(basis):
+                dot = np.einsum("i,i->", v, w)
+                hess[i, j] += dot
+                w -= dot * v
+            rest = _norm(w)
+            if rest > 0.5 * size:
+                break
+            size = rest
+        hess[j + 1, j] = rest
+        m = j + 1
+        invariant = rest <= 1e-12 * before     # nothing left but roundoff
+        if m % 2 == 0 or invariant:
+            # eigh reads only the lower triangle: the tridiagonal part of H
+            theta, q = np.linalg.eigh(hess[:m, :m])
+            coef = beta * (q @ (np.exp((t / gamma) * (1.0 - 1.0 / theta)) * q[0]))
+            out = coef[0] * basis[0]
+            for c, v in zip(coef[1:], basis[1:]):
+                out += c * v
+            out *= unscale
+            out += steady
+            if invariant or (prev is not None and np.max(np.abs(out - prev))
+                             <= tol * np.max(np.abs(out))):
+                return out
+            prev = out
+        w /= rest
+        basis.append(w)
+    raise NumericError(f"Krylov basis reached {_KRYLOV_CAP} vectors without converging")
 
 
 def adaptive_steps(state, horizon, dt0, dt_min, hi, lo, trial):
@@ -139,32 +230,36 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
                     scheme: str = "be", n_steps: int | None = None) -> Field:
     """Evolve u0 under the linear flow for time t.
 
-    With ``n_steps`` the march uses that many uniform steps and no error
-    control, which is what refinement studies want.
+    Without ``n_steps`` the result is exp(tA) u0 from a shift-and-invert
+    Krylov basis, grown until two successive results agree to ``tol``
+    relative in the sup norm.  Krylov roundoff can dip
+    below the data's lower bound, which the exact flow keeps (exp(tA) has
+    nonnegative entries and unit row sums), so the result is clipped below at
+    min(0, min u0): nonnegative data give a nonnegative result.
+
+    With ``n_steps`` the march uses that many uniform ``scheme`` steps
+    ("be" or "cn") and no error control, which is what refinement studies
+    and fixed monotone panels want.
     """
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    if scheme not in ("be", "cn"):
+        raise ConfigError(f"unknown scheme {scheme!r}")
     if u0.grid != op.grid:
         raise ConfigError("field grid does not match the operator grid")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ConfigError(f"time must be nonnegative, got {t}")
     if n_steps is not None and n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if t == 0.0:
         return u0.copy()
-    v = u0.values.copy()
-    if n_steps is not None:
-        dt = t / n_steps
-        for _ in range(n_steps):
-            v = _step(op, v, dt, scheme)
-        return Field(op.grid, v)
-
-    def trial(v, _, dt):
-        full = _step(op, v, dt, scheme)
-        half = _step(op, _step(op, v, dt / 2.0, scheme), dt / 2.0, scheme)
-        scale = max(float(np.max(np.abs(half))), _TINY)
-        return half, float(np.max(np.abs(full - half))) / scale
-
-    for _, _, v in adaptive_steps(v, t, t / 8.0, t * 1e-12, tol, tol / 4.0, trial):
-        pass
+    v = u0.values
+    if n_steps is None:
+        out = _krylov_semigroup(op, v, t, tol)
+        return Field(op.grid, np.maximum(out, min(0.0, float(v.min())), out=out))
+    dt = t / n_steps
+    for _ in range(n_steps):
+        v = _step(op, v, dt, scheme)
     return Field(op.grid, v)
 
 

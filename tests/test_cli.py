@@ -175,6 +175,9 @@ class TestExitCodes:
         {"weight": {"case": "axis_power", "alpha": 0.5, "dim": 2}},
         {"escalation": [{"horizon": 5.0,
                          "grid": {"geometry": "radial", "extent": 2.0, "nodes": 5}}]},
+        # NaN passes a "<= 0" test
+        {"tol": float("nan")},
+        {"blowup_threshold": float("nan")},
     ])
     def test_sweep_wide_config_error(self, tmp_path, fault):
         # a fault shared by every cell exits 2 instead of writing a CSV of errors
@@ -185,6 +188,14 @@ class TestExitCodes:
 
     def test_bad_probe_times(self):
         assert main(["kernel-probe", "--alpha", "0", "--times=-1,2"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
+    def test_bad_probe_tol(self, tol, capsys):
+        assert main(["kernel-probe", "--alpha", "0.5", "--times", "0.5,1",
+                     "--nodes", "101", f"--tol={tol}"]) == 2
+        assert main(["decay-probe", "--rho", "0.5", "--alpha", "0.5", "--nodes", "101",
+                     "--samples", "3", f"--tol={tol}"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_numeric_failure(self, tmp_path):
         # first explicit source step overflows with no runaway history: exit 3

@@ -90,6 +90,14 @@ class TestSimConfigValidation:
             SimConfig(axis_weight(0.0), g, [], constant_field(g, 1.0), -1.0)
         with pytest.raises(ConfigError):
             SimConfig(axis_weight(0.0), g, [], constant_field(g, 1.0), 1.0, tol=0.0)
+        # NaN passes a "<= 0" test; zero data skips the 1e3 * sup(u0) floor
+        for data in (1.0, 0.0):
+            with pytest.raises(ConfigError):
+                SimConfig(axis_weight(0.0), g, [], constant_field(g, data), 1.0,
+                          tol=math.nan)
+            with pytest.raises(ConfigError):
+                SimConfig(axis_weight(0.0), g, [], constant_field(g, data), 1.0,
+                          blowup_threshold=math.nan)
 
 
 class TestSimulate:

@@ -1,5 +1,7 @@
 """Tests for sweep orchestration, classification, and artifact emission."""
 
+import math
+
 import pytest
 
 from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile
@@ -81,6 +83,7 @@ class TestSweepSpecValidation:
 
     def test_run_wide_faults(self):
         for bad in (dict(blowup_threshold=-1.0), dict(blowup_threshold=0.0),
+                    dict(blowup_threshold=math.nan), dict(tol=math.nan),
                     dict(weight=axis_weight(0.5, 2)),
                     dict(weight=axis_weight(0.5, 2), grid=radial_grid(2.0, 5, 2)),
                     dict(weight=radial_weight(0.5, 3), grid=radial_grid(2.0, 5, 2))):

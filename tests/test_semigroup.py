@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import expm, solve_banded
 from scipy.special import j0, jn_zeros
 
 import degenheat.semigroup as semigroup
 from degenheat.errors import ConfigError, NumericError
-from degenheat.grids import Field, Geometry, GridSpec, gaussian_field
+from degenheat.grids import Field, Geometry, GridSpec, InitialProfile, gaussian_field
 from degenheat.semigroup import (DiffusionOperator, apply_semigroup, boundary_leak,
                                  build_operator, kernel_column, semigroup_defect,
                                  smoothing_norm_check)
@@ -263,9 +263,30 @@ class TestApplySemigroup:
             with pytest.raises(ConfigError):
                 apply_semigroup(op, gaussian_field(g), 1.0, n_steps=n_steps)
 
+    def test_tol_scheme_and_time_validation(self):
+        # checked before either path: a NaN tol would never converge
+        g = line_grid(5.0, 101)
+        op = build_operator(g, axis_weight(0.5))
+        u0 = gaussian_field(g)
+        for tol in (math.nan, 0.0, -1e-6):
+            for n_steps in (None, 8):
+                with pytest.raises(ConfigError):
+                    apply_semigroup(op, u0, 1.0, tol=tol, n_steps=n_steps)
+            with pytest.raises(ConfigError):
+                kernel_column(op, g.nodes // 2, 1.0, tol=tol)
+        for n_steps in (None, 8):
+            with pytest.raises(ConfigError):
+                apply_semigroup(op, u0, 1.0, scheme="rk4", n_steps=n_steps)
+        with pytest.raises(ConfigError):
+            apply_semigroup(op, u0, math.nan)
+        with pytest.raises(ConfigError):
+            kernel_column(op, g.nodes // 2, math.nan)
+        with pytest.raises(ConfigError):
+            smoothing_norm_check(op, u0, math.nan, 1.0, 2.0)
+
     def test_step_cap_raises(self, monkeypatch):
-        # the linear march shares the controller's trial cap with the IMEX march
-        monkeypatch.setattr(semigroup, "_STEP_CAP", 5)
+        # a Krylov basis that reaches its cap raises instead of returning
+        monkeypatch.setattr(semigroup, "_KRYLOV_CAP", 2)
         g = line_grid(5.0, 101)
         op = build_operator(g, axis_weight(0.5))
         with pytest.raises(NumericError):
@@ -308,6 +329,85 @@ class TestApplySemigroup:
         a = apply_semigroup(op, small, 1.0, n_steps=64)
         b = apply_semigroup(op, big, 1.0, n_steps=64)
         assert np.all(a.values <= b.values + 1e-14)
+
+
+def _dense_oracle(op, u0, t):
+    """exp(tA) u0 with A assembled densely from the operator's bands."""
+    a = np.diag(op.diag) + np.diag(op.sup, 1) + np.diag(op.sub, -1)
+    return expm(t * a) @ u0.values
+
+
+def _check_krylov(op, u0, t, tol):
+    """The tol path against the dense oracle: error, sign and repeatability."""
+    out = apply_semigroup(op, u0, t, tol=tol)
+    exact = _dense_oracle(op, u0, t)
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(out.values - exact)) <= 10.0 * tol * scale
+    assert out.values.min() >= 0.0
+    again = apply_semigroup(op, u0, t, tol=tol)
+    assert np.array_equal(out.values, again.values)
+
+
+class TestKrylovOracle:
+    CASES = (
+        (line_grid(10.0, 201), axis_weight(0.0), "gaussian"),
+        (line_grid(10.0, 201), axis_weight(0.5), "gaussian"),
+        (radial_grid(10.0, 151, 2), radial_weight(0.5, 2), "gaussian"),
+        (radial_grid(10.0, 151, 3), radial_weight(0.5, 3), "gaussian"),
+        # nonzero Dirichlet end values: the steady state carries them
+        (line_grid(50.0, 201), axis_weight(0.5), "power_tail"),
+        (radial_grid(50.0, 151, 3), radial_weight(0.5, 3), "power_tail"),
+    )
+
+    @pytest.mark.parametrize("grid,weight,kind", CASES)
+    def test_matches_dense_expm(self, grid, weight, kind):
+        op = build_operator(grid, weight)
+        u0 = InitialProfile(kind, 1.0, sigma=0.5).realize(grid)
+        for t in (1e-3, 0.5, 5.0, 200.0):
+            for tol in (1e-4, 1e-6, 1e-9):
+                _check_krylov(op, u0, t, tol)
+
+    def test_unequal_dirichlet_values(self):
+        g = line_grid(20.0, 201)
+        op = build_operator(g, axis_weight(0.5))
+        tail = InitialProfile("power_tail", 1.0, rho=0.5).realize(g).values
+        u0 = Field(g, tail * np.linspace(0.5, 2.0, g.nodes))
+        for t in (0.5, 50.0, 1e4):
+            _check_krylov(op, u0, t, 1e-6)
+        # the Dirichlet nodes keep their values exactly
+        out = apply_semigroup(op, u0, 50.0, tol=1e-6)
+        assert out.values[0] == u0.values[0] and out.values[-1] == u0.values[-1]
+
+    def test_signed_data_keeps_its_lower_bound(self):
+        # exp(tA) averages, so signed data are clipped at their minimum, not at 0
+        g = line_grid(10.0, 201)
+        op = build_operator(g, axis_weight(0.5))
+        u0 = Field(g, np.sin(g.positions()) * np.exp(-g.positions() ** 2 / 8.0))
+        out = apply_semigroup(op, u0, 0.5, tol=1e-8)
+        exact = _dense_oracle(op, u0, 0.5)
+        assert np.max(np.abs(out.values - exact)) <= 1e-7 * np.max(np.abs(exact))
+        assert out.values.min() < 0.0
+
+    def test_invariant_subspace(self):
+        # a 5-node line holds a 2-dimensional even subspace: the basis stops there
+        g = line_grid(1.0, 5)
+        op = build_operator(g, axis_weight(0.5))
+        for t in (1e-4, 0.5, 200.0):
+            _check_krylov(op, gaussian_field(g), t, 1e-9)
+        constant = Field(g, np.full(g.nodes, 0.25))
+        assert np.array_equal(apply_semigroup(op, constant, 3.0).values, constant.values)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(alpha=st.floats(0.0, 1.0, exclude_max=True),
+       t=st.floats(1e-3, 1e3),
+       half=st.integers(1, 100),
+       kind=st.sampled_from(("gaussian", "power_tail")),
+       tol=st.sampled_from((1e-4, 1e-6, 1e-9)))
+def test_krylov_properties(alpha, t, half, kind, tol):
+    g = line_grid(10.0, 2 * half + 1)
+    op = build_operator(g, axis_weight(alpha))
+    _check_krylov(op, InitialProfile(kind, 1.0).realize(g), t, tol)
 
 
 class TestKernelColumn:
