@@ -4,13 +4,11 @@ The march is IMEX: diffusion implicit (backward Euler), sources explicit with
 the time profile integrated exactly over each step, so profiles t^r with
 r in (-1, 0) lose no accuracy on the first step.  Step size adapts on the
 relative solution change; blow-up is declared when the sup norm crosses a
-threshold or the step collapses under super-linear growth.
+threshold or the step collapses to its floor under super-linear growth.
 
 One march, ``_imex_steps``, advances an (M,) state or an (M, k) block under
 shared step control: ``simulate`` is a one-column run of it, and
-``compare_runs`` a two-column run of the ordered pair (u, v).  It supplies the
-trial step and its error; ``semigroup.adaptive_steps`` accepts, halves and
-doubles, as it does for the linear march.
+``compare_runs`` a two-column run of the ordered pair (u, v).
 """
 
 from __future__ import annotations
@@ -23,12 +21,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .grids import Field, GridSpec
-from .semigroup import adaptive_steps, apply_semigroup, build_operator
+from .semigroup import apply_semigroup, build_operator
 from .weight import WeightSpec
 
 _TINY = 1e-300
-# Step floor: a step this small is never halved, and runaway growth at it is blow-up.
+# Step floor: a step this small is never halved, and runaway growth at it is
+# blow-up.  Past t ~ 1e3 the floor is 8 ulp(t) instead, so the clock still moves.
 _DT_FLOOR = 1e-12
+# Trial steps (accepted or rejected) one IMEX march may take.
+_STEP_CAP = 5_000_000
 # Fixed backward-Euler substeps per mesh panel of the Picard iteration.
 _PANEL_STEPS = 8
 
@@ -41,10 +42,12 @@ class TimeProfile:
     value: float = 1.0
 
     def __post_init__(self):
-        if self.exponent <= -1.0:
-            raise ConfigError(f"profile exponent must exceed -1, got {self.exponent}")
-        if self.value < 0.0:
-            raise ConfigError(f"profile value must be >= 0, got {self.value}")
+        # "not" tests, so that NaN is rejected too
+        if not -1.0 < self.exponent < math.inf:
+            raise ConfigError(f"profile exponent must be finite and exceed -1, "
+                              f"got {self.exponent}")
+        if not 0.0 <= self.value < math.inf:
+            raise ConfigError(f"profile value must be finite and >= 0, got {self.value}")
 
     @classmethod
     def power(cls, exponent: float) -> "TimeProfile":
@@ -85,8 +88,9 @@ class Nonlinearity:
     def __post_init__(self):
         if self.kind not in ("power", "log_power"):
             raise ConfigError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.exponent <= 1.0:
-            raise ConfigError(f"nonlinearity exponent must exceed 1, got {self.exponent}")
+        if not 1.0 < self.exponent < math.inf:
+            raise ConfigError(
+                f"nonlinearity exponent must be finite and exceed 1, got {self.exponent}")
 
     @classmethod
     def power(cls, p: float) -> "Nonlinearity":
@@ -130,9 +134,9 @@ class SimConfig:
     diffusionless: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        # "not > 0" so that NaN is rejected too
+        # "not" tests, so that NaN is rejected too
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be finite and positive, got {self.horizon}")
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if not self.blowup_threshold > 0.0:
@@ -202,27 +206,43 @@ def _growth_runaway(sups) -> bool:
 
 
 def _imex_steps(config: SimConfig, u: np.ndarray):
-    """Adaptive IMEX march of an (M,) or (M, k) state; yields (t, dt, u).
+    """Adaptive IMEX march of an (M,) or (M, k) state; yields (t, floored, u).
 
-    All columns share one step size, set by the largest per-column relative
-    change.  A non-finite explicit update is accepted only at ``_DT_FLOOR``,
-    for the caller to judge.  The solve needs no finiteness check: I - dt A has
-    unit row sums and a non-negative inverse, so it never raises the sup norm.
+    All columns share one step size.  A trial whose largest per-column
+    relative change exceeds ``rc_hi`` is halved and retried unless its step is
+    at the floor, max(_DT_FLOOR, 8 ulp(t)); a change below rc_hi / 10 doubles
+    the next step.  ``floored`` marks a step taken at the floor, where even a
+    non-finite explicit update is accepted, for the caller to judge.  The solve
+    needs no finiteness check: I - dt A has unit row sums and a non-negative
+    inverse, so it never raises the sup norm.  ``_STEP_CAP`` trials raise
+    ``NumericError``.
     """
     op = None if config.diffusionless else build_operator(config.grid, config.weight)
+    horizon = config.horizon
     rc_hi = min(0.1, math.sqrt(config.tol))
-
-    def trial(u, t, dt):
+    t = 0.0
+    dt = horizon * 1e-4
+    for _ in range(_STEP_CAP):
+        if t >= horizon * (1.0 - 1e-14):
+            return
+        dt = min(dt, horizon - t)
+        floored = dt <= max(_DT_FLOOR, 8.0 * math.ulp(t))
         u_new = u + _source_increment(config.forcings, u, t, t + dt)
-        if not np.isfinite(u_new).all():
-            return u_new, math.inf
-        if op is not None:
-            u_new = op.solve_shifted(dt, u_new)
-        scale = np.maximum(np.max(np.abs(u), axis=0), _TINY)
-        return u_new, float(np.max(np.max(np.abs(u_new - u), axis=0) / scale))
-
-    return adaptive_steps(u, config.horizon, config.horizon * 1e-4, _DT_FLOOR,
-                          rc_hi, rc_hi / 10.0, trial)
+        err = math.inf
+        if np.isfinite(u_new).all():
+            if op is not None:
+                u_new = op.solve_shifted(dt, u_new)
+            scale = np.maximum(np.max(np.abs(u), axis=0), _TINY)
+            err = float(np.max(np.max(np.abs(u_new - u), axis=0) / scale))
+        if err > rc_hi and not floored:
+            dt /= 2.0
+            continue
+        t += dt
+        u = u_new
+        yield t, floored, u
+        if err < rc_hi / 10.0:
+            dt *= 2.0
+    raise NumericError("IMEX march exceeded the step cap")
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -243,7 +263,7 @@ def simulate(config: SimConfig) -> SimResult:
         return SimResult(status, config.horizon, t_star, np.array(times), np.array(sups),
                          np.array(masses), np.array(window), len(times) - 1, final)
 
-    for t, dt, u in _imex_steps(config, u):
+    for t, floored, u in _imex_steps(config, u):
         sup_new = float(np.max(np.abs(u)))
         finite = math.isfinite(sup_new)
         if not finite and not _growth_runaway(sups):
@@ -259,8 +279,7 @@ def simulate(config: SimConfig) -> SimResult:
         hi = np.searchsorted(pos, rad, side="right")
         window.append(float(u[lo:hi] @ vols[lo:hi]) if finite else math.inf)
 
-        if sup_new >= config.blowup_threshold or (
-                dt <= _DT_FLOOR and _growth_runaway(sups)):
+        if sup_new >= config.blowup_threshold or (floored and _growth_runaway(sups)):
             return result("blown_up", t)
     return result("completed", final=Field(grid, u))
 

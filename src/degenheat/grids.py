@@ -32,8 +32,8 @@ class GridSpec:
     dim: int = 1
 
     def __post_init__(self):
-        if self.extent <= 0.0:
-            raise ConfigError(f"extent must be positive, got {self.extent}")
+        if not 0.0 < self.extent < math.inf:
+            raise ConfigError(f"extent must be finite and positive, got {self.extent}")
         if self.nodes < 3:
             raise ConfigError(f"need at least 3 nodes, got {self.nodes}")
         if self.geometry is Geometry.LINE:

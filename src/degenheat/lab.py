@@ -194,13 +194,16 @@ class SweepSpec:
             if name not in AXIS_NAMES:
                 raise ConfigError(f"unknown sweep axis {name!r}")
             vals = list(values)
+            if not all(map(math.isfinite, vals)):
+                raise ConfigError(f"axis {name!r} values must be finite")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ConfigError(f"axis {name!r} grid must be strictly increasing")
         horizons = [lv.horizon for lv in self.escalation]
         if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
             raise ConfigError("escalation horizons must be strictly increasing")
-        if horizons[0] <= 0.0:
-            raise ConfigError(f"escalation horizons must be positive, got {horizons[0]}")
+        for h in horizons:
+            if not 0.0 < h < math.inf:
+                raise ConfigError(f"escalation horizons must be finite and positive, got {h}")
         for level in self.escalation:
             if level.grid is not None:
                 level.grid.check_weight(self.base.weight)
@@ -272,6 +275,9 @@ def points_to_json(points) -> list:
 
 
 _CLASS_COLORS = {"BlowUp": "#c0392b", "GlobalLike": "#2d72b8", "Undetermined": "#95a5a6"}
+# SVG layout in pixels: the side of one sweep cell, and the margin around the map
+_CELL = 40
+_PAD = 60
 
 
 def sweep_svg(spec: SweepSpec, points) -> str:
@@ -283,8 +289,7 @@ def sweep_svg(spec: SweepSpec, points) -> str:
         vals2 = list(vals2)
     else:
         name2, vals2 = "", [0.0]
-    cell = 40
-    pad = 60
+    cell, pad = _CELL, _PAD
     width = pad * 2 + cell * len(vals1)
     height = pad * 2 + cell * len(vals2)
     rows = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
@@ -326,6 +331,5 @@ def _axis_boundary(spec: SweepSpec, name1: str, vals1):
     target = p_star if name1 == "p" else q_star
     if not vals1[0] <= target <= vals1[-1]:
         return None
-    cell, pad = 40, 60
-    centers = [pad + i * cell + cell / 2 for i in range(len(vals1))]
+    centers = [_PAD + i * _CELL + _CELL / 2 for i in range(len(vals1))]
     return float(np.interp(target, vals1, centers))

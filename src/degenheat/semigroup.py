@@ -11,9 +11,6 @@ Given ``n_steps`` it marches that many uniform backward-Euler (positivity
 preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
 ``scheme`` governs only this path.
 
-``adaptive_steps`` is the one step-size controller, used by the IMEX march in
-``dynamics``, which supplies only a trial step and its error.
-
 Every Krylov vector and every step solves (I - c A) x = rhs.  Each operator
 keeps the LAPACK ``gttrf`` LU factors of its two most recently factored
 shifts and answers repeated solves with ``gttrs`` alone.
@@ -32,10 +29,8 @@ from .grids import Field, Geometry, GridSpec
 from .weight import WeightSpec
 
 _TINY = 1e-300
-# Trial steps (accepted or rejected) one adaptive march may take.
-_STEP_CAP = 5_000_000
-# Shifts whose factors an operator keeps: an adaptive march halves and doubles
-# its step, so it moves between two sizes.
+# Shifts whose factors an operator keeps: the IMEX march in ``dynamics`` halves
+# and doubles its step, so it moves between two sizes.
 _FACTOR_CACHE_SIZE = 2
 # Krylov path: the shift is gamma = _SHIFT_FRACTION * t, and a basis may grow
 # to _KRYLOV_CAP vectors before the call gives up.
@@ -199,31 +194,6 @@ def _krylov_semigroup(op: DiffusionOperator, u0: np.ndarray, t: float,
         w /= rest
         basis.append(w)
     raise NumericError(f"Krylov basis reached {_KRYLOV_CAP} vectors without converging")
-
-
-def adaptive_steps(state, horizon, dt0, dt_min, hi, lo, trial):
-    """March ``state`` over [0, horizon]; yield (t, dt, state) per accepted step.
-
-    ``trial(state, t, dt)`` returns a candidate and its error.  An error above
-    ``hi`` halves the step unless it is at ``dt_min``; an accepted error below
-    ``lo`` doubles the next one.  ``_STEP_CAP`` trials raise ``NumericError``.
-    """
-    t = 0.0
-    dt = dt0
-    for _ in range(_STEP_CAP):
-        if t >= horizon * (1.0 - 1e-14):
-            return
-        dt = min(dt, horizon - t)
-        candidate, err = trial(state, t, dt)
-        if err > hi and dt > dt_min:
-            dt /= 2.0
-            continue
-        t += dt
-        state = candidate
-        yield t, dt, state
-        if err < lo:
-            dt *= 2.0
-    raise NumericError("adaptive march exceeded the step cap")
 
 
 def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-6,

@@ -225,6 +225,57 @@ def test_criterion_6_fujita_dichotomy(fujita_sweeps):
            f"alpha 0.5: {sorted(cls[0.5].items())}")
 
 
+# Serial criterion-6 CSVs, recorded once: a change to step control or to the
+# source arithmetic moves t_star, index_I or certificate_tau here first.
+FUJITA_CSV = {
+    0.0: """\
+axis1,axis2,classification,t_star,horizon,index_I,certificate_tau
+2,0.001,BlowUp,31972.78088,100000,inf,
+2,0.1,BlowUp,13.98235981,1000,inf,
+2,1,BlowUp,1.079950311,10,inf,1.535
+2,10,BlowUp,0.1050198822,10,inf,0.127
+2,1000,BlowUp,0.001072520256,10,inf,0.003
+4,0.001,GlobalLike,,100000,inf,
+4,0.1,GlobalLike,,100000,inf,
+4,1,BlowUp,0.3749340888,10,inf,0.511
+4,10,BlowUp,0.0003840773664,10,inf,0.001
+4,1000,BlowUp,3.846362233e-10,10,inf,0.001
+""",
+    0.5: """\
+axis1,axis2,classification,t_star,horizon,index_I,certificate_tau
+2.2,0.001,Undetermined,,100000,inf,
+2.2,0.1,BlowUp,35.12601664,1000,inf,
+2.2,1,BlowUp,0.90458746,10,inf,1.023
+2.2,10,BlowUp,0.05491516934,10,inf,0.063
+2.2,1000,BlowUp,0.0002259146273,10,inf,0.001
+3.5,0.001,GlobalLike,,100000,inf,
+3.5,0.1,GlobalLike,,100000,inf,
+3.5,1,BlowUp,0.4422845363,10,inf,0.511
+3.5,10,BlowUp,0.001436208114,10,inf,0.003
+3.5,1000,BlowUp,1.424085349e-08,10,inf,0.001
+""",
+}
+
+
+def test_criterion_6_recorded_values(fujita_sweeps):
+    """Axes, verdicts, empty and inf fields exact; numbers to 1e-9 relative."""
+    mismatches = []
+    for alpha, recorded in FUJITA_CSV.items():
+        got = [line.split(",") for line in fujita_sweeps[alpha]["csv1"].splitlines()]
+        want = [line.split(",") for line in recorded.splitlines()]
+        if len(got) != len(want) or got[0] != want[0]:
+            mismatches.append(f"alpha {alpha}: rows or header differ")
+            continue
+        for g, w in zip(got[1:], want[1:]):
+            same = g[:3] == w[:3] and all(
+                a == b if b in ("", "inf") else a not in ("", "inf")
+                and math.isclose(float(a), float(b), rel_tol=1e-9)
+                for a, b in zip(g[3:], w[3:]))
+            if not same:
+                mismatches.append(f"alpha {alpha}: {','.join(g)} vs {','.join(w)}")
+    report(6, "recorded sweep values", not mismatches, "; ".join(mismatches))
+
+
 def test_criterion_7_monotone_iteration_consistency():
     """I < 1 for delta*v0 implies GlobalLike at every horizon plus a clean
     monotone iteration with geometric contraction."""

@@ -178,6 +178,15 @@ class TestExitCodes:
         # NaN passes a "<= 0" test
         {"tol": float("nan")},
         {"blowup_threshold": float("nan")},
+        # an infinite horizon never ends; NaN anywhere else runs to a CSV of errors
+        {"escalation": [{"horizon": float("inf")}]},
+        {"escalation": [{"horizon": 5.0}, {"horizon": float("nan")}]},
+        {"forcings": [{"profile": {"kind": "power", "exponent": float("nan")},
+                       "nonlinearity": {"kind": "power", "exponent": 2.0}}]},
+        {"forcings": [{"profile": {"kind": "power", "exponent": 0.0},
+                       "nonlinearity": {"kind": "power", "exponent": float("nan")}}]},
+        {"grid": {"geometry": "line", "extent": float("nan"), "nodes": 5}},
+        {"axes": [{"name": "amplitude", "values": [0.5, float("nan")]}]},
     ])
     def test_sweep_wide_config_error(self, tmp_path, fault):
         # a fault shared by every cell exits 2 instead of writing a CSV of errors

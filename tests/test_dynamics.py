@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from degenheat import semigroup
+from degenheat import dynamics
 from degenheat.cli import parse_profile
 from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig,
                                 TimeProfile, compare_runs, default_mesh,
@@ -45,6 +45,11 @@ class TestTimeProfile:
             TimeProfile.power(-1.0)
         with pytest.raises(ConfigError):
             TimeProfile.constant(-2.0)
+        # NaN passes a "<= -1" or "< 0" test
+        for exponent, value in ((math.nan, 1.0), (math.inf, 1.0),
+                                (0.0, math.nan), (0.0, math.inf)):
+            with pytest.raises(ConfigError):
+                TimeProfile(exponent, value)
         with pytest.raises(ConfigError):
             parse_profile({"kind": "sinusoid"})
         with pytest.raises(ConfigError):
@@ -78,6 +83,11 @@ class TestNonlinearity:
             Nonlinearity.power(1.0)
         with pytest.raises(ConfigError):
             Nonlinearity("exp", 2.0)
+        for exponent in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                Nonlinearity.power(exponent)
+            with pytest.raises(ConfigError):
+                Nonlinearity.log_power(exponent)
 
 
 class TestSimConfigValidation:
@@ -98,6 +108,9 @@ class TestSimConfigValidation:
             with pytest.raises(ConfigError):
                 SimConfig(axis_weight(0.0), g, [], constant_field(g, data), 1.0,
                           blowup_threshold=math.nan)
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                SimConfig(axis_weight(0.0), g, [], constant_field(g, 1.0), horizon)
 
 
 class TestSimulate:
@@ -166,6 +179,20 @@ class TestSimulate:
         assert {"t", "sup", "mass"} <= set(payload["history"][0])
         assert "t_star" not in payload
 
+    @pytest.mark.parametrize("t_star", [2e2, 2e4, 2e6])
+    def test_clock_moves_at_large_t(self, monkeypatch, t_star):
+        # u' = u^2 blows up at 1/u0; past t ~ 1e3 an absolute 1e-12 floor is
+        # below ulp(t), where a step at the floor would not advance the clock
+        monkeypatch.setattr(dynamics, "_STEP_CAP", 20_000)
+        g = line_grid(1.0, 5)
+        cfg = SimConfig(axis_weight(0.0), g, [power_forcing(2.0)],
+                        constant_field(g, 1.0 / t_star), 10.0 * t_star,
+                        blowup_threshold=1e300, diffusionless=True)
+        res = simulate(cfg)
+        assert res.blew_up
+        assert res.t_star == pytest.approx(t_star, rel=0.02)
+        assert np.all(np.diff(res.times) > 0.0)
+
 
 class TestCompareRuns:
     def test_equal_data_zero_defect(self):
@@ -204,8 +231,8 @@ class TestCompareRuns:
         assert report.max_defect == 0.0
 
     def test_step_cap_raises(self, monkeypatch):
-        # both callers share the controller's step cap and fail loudly at it
-        monkeypatch.setattr(semigroup, "_STEP_CAP", 5)
+        # both callers share the march's step cap and fail loudly at it
+        monkeypatch.setattr(dynamics, "_STEP_CAP", 5)
         g = line_grid(10.0, 201)
         v0 = gaussian_field(g, 0.5)
         cfg = SimConfig(axis_weight(0.0), g, [power_forcing(2.0)], v0, 1.0)

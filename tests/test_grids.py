@@ -30,8 +30,9 @@ class TestGridSpec:
             GridSpec(Geometry.LINE, 1.0, 10)  # even node count
         with pytest.raises(ConfigError):
             GridSpec(Geometry.LINE, 1.0, 11, dim=2)
-        with pytest.raises(ConfigError):
-            GridSpec(Geometry.LINE, -1.0, 11)
+        for extent in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                GridSpec(Geometry.LINE, extent, 11)
         with pytest.raises(ConfigError):
             GridSpec(Geometry.RADIAL, 1.0, 2)
         with pytest.raises(ConfigError):

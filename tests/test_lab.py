@@ -80,6 +80,15 @@ class TestSweepSpecValidation:
                       (EscalationLevel(0.0), EscalationLevel(5.0)))
         with pytest.raises(ConfigError):
             base_run(tol=-1.0)
+        # NaN passes every "<=" comparison; an infinite horizon never ends
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                SweepSpec(run, (("p", [2.0, bad]),))
+            with pytest.raises(ConfigError):
+                SweepSpec(run, (("p", [2.0, 3.0]),), (EscalationLevel(bad),))
+            with pytest.raises(ConfigError):
+                SweepSpec(run, (("p", [2.0, 3.0]),),
+                          (EscalationLevel(5.0), EscalationLevel(bad)))
 
     def test_run_wide_faults(self):
         for bad in (dict(blowup_threshold=-1.0), dict(blowup_threshold=0.0),
