@@ -143,8 +143,13 @@ class InitialProfile:
     def __post_init__(self):
         if self.kind not in ("gaussian", "constant", "power_tail"):
             raise ConfigError(f"unknown profile kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ConfigError("amplitude must be nonnegative")
+        # "not" tests, so that NaN is rejected too
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ConfigError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
+        if not math.isfinite(self.rho):
+            raise ConfigError(f"rho must be finite, got {self.rho}")
 
     def scaled(self, factor: float) -> "InitialProfile":
         return replace(self, amplitude=self.amplitude * factor)

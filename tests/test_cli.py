@@ -187,6 +187,12 @@ class TestExitCodes:
                        "nonlinearity": {"kind": "power", "exponent": float("nan")}}]},
         {"grid": {"geometry": "line", "extent": float("nan"), "nodes": 5}},
         {"axes": [{"name": "amplitude", "values": [0.5, float("nan")]}]},
+        {"u0": {"kind": "constant", "amplitude": float("nan")}},
+        {"u0": {"kind": "constant", "amplitude": float("inf")}},
+        {"u0": {"kind": "gaussian", "sigma": float("nan")}},
+        # sigma = 0 divides by zero when each cell realizes its data
+        {"u0": {"kind": "gaussian", "sigma": 0.0}},
+        {"u0": {"kind": "power_tail", "rho": float("nan")}},
     ])
     def test_sweep_wide_config_error(self, tmp_path, fault):
         # a fault shared by every cell exits 2 instead of writing a CSV of errors

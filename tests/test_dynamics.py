@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenheat import dynamics
 from degenheat.cli import parse_profile
@@ -13,7 +15,7 @@ from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig,
                                 TimeProfile, compare_runs, default_mesh,
                                 monotone_iterates, simulate)
 from degenheat.errors import ConfigError, NumericError
-from degenheat.grids import Field, constant_field, gaussian_field
+from degenheat.grids import Field, InitialProfile, constant_field, gaussian_field
 from degenheat.semigroup import apply_semigroup, build_operator
 
 from conftest import axis_weight, line_grid
@@ -88,6 +90,74 @@ class TestNonlinearity:
                 Nonlinearity.power(exponent)
             with pytest.raises(ConfigError):
                 Nonlinearity.log_power(exponent)
+
+
+def exact_update(forcings, u, t0, t1):
+    return u + dynamics._source_increment(forcings, u, t0, t1)
+
+
+@st.composite
+def source_steps(draw):
+    """(forcings, u, t0, t1): one to three terms, a state of (M,) or (M, 2)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t0 = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e4]))
+    t1 = t0 + 10.0 ** rng.uniform(-10.0, 2.0)
+    forcings = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.sampled_from([-0.5, 0.0, 1.5]))
+        kind = draw(st.sampled_from(["power", "log_power"]))
+        p = draw(st.sampled_from([1.01, 1.05, 1.5, 2.2, 4.0]))
+        if draw(st.integers(0, 4)) == 0:
+            forcings.append(ForcingTerm(TimeProfile.zero(), Nonlinearity(kind, p)))
+            continue
+        unit = TimeProfile.power(r).primitive(t1) - TimeProfile.power(r).primitive(t0)
+        value = 10.0 ** rng.uniform(-14.0, 6.0) / unit
+        forcings.append(ForcingTerm(TimeProfile(r, value), Nonlinearity(kind, p)))
+    # the band where one term's increment is near half an ulp of u:
+    # w u^(p-1) in [2^-60, 2^-50]
+    band = []
+    for term in forcings:
+        w = term.profile.primitive(t1) - term.profile.primitive(t0)
+        if w > 0.0:
+            e = 1.0 / (term.nonlinearity.exponent - 1.0)
+            band.append((2.0 ** rng.uniform(-60.0, -50.0, 200) / w) ** e)
+    n = rng.integers(1, 40, 5)
+    values = np.concatenate([
+        np.zeros(n[0]), -np.zeros(n[0]),
+        rng.integers(1, 2 ** 52, n[1]) * math.ulp(0.0),          # subnormal
+        10.0 ** rng.uniform(-300.0, -140.0, n[2]),               # Gaussian tail
+        -(10.0 ** rng.uniform(-18.0, -14.0, n[3])),              # roundoff
+        rng.uniform(0.01, 3.0, n[4]),                            # bulk
+        10.0 ** rng.uniform(-40.0, 0.0, 100), *band,
+    ])
+    values = values[np.isfinite(values) & (values < 1e3)]
+    # a bell: the bulk in the middle rows, tails at both ends
+    ranked = np.sort(values)
+    u = np.concatenate([ranked[::2], ranked[1::2][::-1]])
+    if draw(st.booleans()):
+        u = np.column_stack([u, np.roll(u, rng.integers(0, u.size))])
+    return forcings, u, t0, t1
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(source_steps())
+def test_explicit_update_is_exact(step):
+    forcings, u, t0, t1 = step
+    with np.errstate(over="ignore", under="ignore"):
+        exact = exact_update(forcings, u, t0, t1)
+        fast = dynamics._explicit_update(forcings, u, t0, t1)
+    assert fast.shape == exact.shape
+    assert np.array_equal(fast, exact)
+    assert np.array_equal(fast.view(np.int64), exact.view(np.int64))
+
+
+def test_explicit_update_skips_tail():
+    # one step of the criterion-6 alpha=0.5 top rung's start: a 1e-3 Gaussian
+    g = line_grid(5000.0, 20001)
+    u = InitialProfile("gaussian", 1e-3, 5.0).realize(g).values
+    live = [(0.5, Nonlinearity.power(2.2))]
+    rows = dynamics._source_rows(live, u)
+    assert 0 < rows.stop - rows.start < 200
 
 
 class TestSimConfigValidation:
@@ -192,6 +262,29 @@ class TestSimulate:
         assert res.blew_up
         assert res.t_star == pytest.approx(t_star, rel=0.02)
         assert np.all(np.diff(res.times) > 0.0)
+
+    @pytest.mark.parametrize("forcings", [
+        [ForcingTerm(TimeProfile.constant(0.5), Nonlinearity.log_power(2.5)),
+         power_forcing(2.2, r=-0.5)],
+        [power_forcing(1.05)],
+    ], ids=["log_power+power", "p1.05"])
+    def test_histories_match_exact_update(self, monkeypatch, forcings):
+        # tail-heavy start: most nodes of the 1e-3 Gaussian are below 1e-150
+        g = line_grid(400.0, 1601)
+        cfg = SimConfig(axis_weight(0.5), g, forcings,
+                        InitialProfile("gaussian", 1e-3, 5.0).realize(g), 200.0,
+                        tol=1e-2)
+        below = Field(g, 0.5 * cfg.u0.values)
+        fast = simulate(cfg)
+        fast_pair = compare_runs(cfg, below, cfg.u0)
+        monkeypatch.setattr(dynamics, "_explicit_update", exact_update)
+        exact = simulate(cfg)
+        assert compare_runs(cfg, below, cfg.u0) == fast_pair
+        for name in ("times", "sup_history", "mass_history", "window_mass_history"):
+            assert np.array_equal(getattr(fast, name), getattr(exact, name)), name
+        assert fast.status == exact.status
+        if exact.final is not None:
+            assert np.array_equal(fast.final.values, exact.final.values)
 
 
 class TestCompareRuns:

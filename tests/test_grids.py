@@ -114,3 +114,9 @@ class TestInitialProfile:
             InitialProfile("wavelet")
         with pytest.raises(ConfigError):
             InitialProfile("gaussian", amplitude=-1.0)
+        # NaN passes a "< 0" test; sigma = 0 divides by zero in realize
+        for kwargs in ({"amplitude": math.nan}, {"amplitude": math.inf},
+                       {"sigma": math.nan}, {"sigma": 0.0}, {"sigma": -1.0},
+                       {"sigma": math.inf}, {"rho": math.nan}, {"rho": math.inf}):
+            with pytest.raises(ConfigError):
+                InitialProfile("power_tail", **kwargs)
