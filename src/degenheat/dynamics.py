@@ -247,15 +247,21 @@ def _source_rows(live, u) -> slice:
         if not 0.0 < weight < math.inf:
             return slice(None)
         share = _HALF_ULP_SHARE / (len(live) * weight)
-        theta = min(theta, share ** (1.0 / (nonlinearity.exponent - 1.0)))
+        # a share >= 1 has a root >= 1 > _SKIP_CAP; a float power of it may overflow
+        if share < 1.0:
+            theta = min(theta, share ** (1.0 / (nonlinearity.exponent - 1.0)))
     if not theta >= _NORMAL_MIN:
         return slice(None)
-    # a NaN node is evaluated, as it is in the exact sum
-    moved = np.flatnonzero(~(u.reshape(-1) <= theta))
-    if moved.size == 0:
+    # "not <=" tests, so that a NaN node is evaluated, as in the exact sum
+    if not (u[0] <= theta).all() and not (u[-1] <= theta).all():
+        return slice(None)  # both end rows move: a filled state needs no scan
+    moved = ~(u.reshape(-1) <= theta)
+    first = int(np.argmax(moved))
+    if not moved[first]:
         return slice(0, 0)
+    last = moved.size - 1 - int(np.argmax(moved[::-1]))
     width = u.size // len(u)
-    return slice(moved[0] // width, moved[-1] // width + 1)
+    return slice(first // width, last // width + 1)
 
 
 def _growth_runaway(sups) -> bool:

@@ -146,9 +146,10 @@ class InitialProfile:
         # "not" tests, so that NaN is rejected too
         if not 0.0 <= self.amplitude < math.inf:
             raise ConfigError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not 0.0 < self.sigma < math.inf:
+        # each kind checks only the parameters it reads
+        if self.kind == "gaussian" and not 0.0 < self.sigma < math.inf:
             raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
-        if not math.isfinite(self.rho):
+        if self.kind == "power_tail" and not math.isfinite(self.rho):
             raise ConfigError(f"rho must be finite, got {self.rho}")
 
     def scaled(self, factor: float) -> "InitialProfile":

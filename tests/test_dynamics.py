@@ -111,7 +111,7 @@ def source_steps(draw):
             forcings.append(ForcingTerm(TimeProfile.zero(), Nonlinearity(kind, p)))
             continue
         unit = TimeProfile.power(r).primitive(t1) - TimeProfile.power(r).primitive(t0)
-        value = 10.0 ** rng.uniform(-14.0, 6.0) / unit
+        value = 10.0 ** rng.uniform(-40.0, 6.0) / unit
         forcings.append(ForcingTerm(TimeProfile(r, value), Nonlinearity(kind, p)))
     # the band where one term's increment is near half an ulp of u:
     # w u^(p-1) in [2^-60, 2^-50]
@@ -120,7 +120,8 @@ def source_steps(draw):
         w = term.profile.primitive(t1) - term.profile.primitive(t0)
         if w > 0.0:
             e = 1.0 / (term.nonlinearity.exponent - 1.0)
-            band.append((2.0 ** rng.uniform(-60.0, -50.0, 200) / w) ** e)
+            with np.errstate(over="ignore"):
+                band.append((2.0 ** rng.uniform(-60.0, -50.0, 200) / w) ** e)
     n = rng.integers(1, 40, 5)
     values = np.concatenate([
         np.zeros(n[0]), -np.zeros(n[0]),
@@ -149,6 +150,15 @@ def test_explicit_update_is_exact(step):
     assert fast.shape == exact.shape
     assert np.array_equal(fast, exact)
     assert np.array_equal(fast.view(np.int64), exact.view(np.int64))
+
+
+@pytest.mark.parametrize("p, weight", [(1.01, 1e-30), (1.01, 2e-27), (1.05, 1e-40)])
+def test_explicit_update_tiny_weight(p, weight):
+    # 2^-56 / w >= 1: the root that would bound theta overflows a float power
+    u = np.concatenate([np.full(5, 1e-25), np.linspace(0.0, 2.0, 7)])
+    forcings = [ForcingTerm(TimeProfile.constant(weight), Nonlinearity.power(p))]
+    fast = dynamics._explicit_update(forcings, u, 0.0, 1.0)
+    assert np.array_equal(fast.view(np.int64), exact_update(forcings, u, 0.0, 1.0).view(np.int64))
 
 
 def test_explicit_update_skips_tail():
@@ -285,6 +295,20 @@ class TestSimulate:
         assert fast.status == exact.status
         if exact.final is not None:
             assert np.array_equal(fast.final.values, exact.final.values)
+
+    @pytest.mark.parametrize("forcing, horizon", [
+        (ForcingTerm(TimeProfile(0.0, 1e-20), Nonlinearity.power(1.01)), 200.0),
+        (power_forcing(1.05, r=9.0), 1.0),
+    ], ids=["p1.01", "r9-p1.05"])
+    def test_tiny_data_small_weights(self, monkeypatch, forcing, horizon):
+        # 1e-25 data: the first steps have 2^-56 / w > 1
+        g = line_grid(20.0, 201)
+        cfg = SimConfig(axis_weight(0.5), g, [forcing], constant_field(g, 1e-25), horizon)
+        fast = simulate(cfg)
+        monkeypatch.setattr(dynamics, "_explicit_update", exact_update)
+        exact = simulate(cfg)
+        assert fast.status == exact.status
+        assert np.array_equal(fast.sup_history, exact.sup_history)
 
 
 class TestCompareRuns:

@@ -115,8 +115,15 @@ class TestInitialProfile:
         with pytest.raises(ConfigError):
             InitialProfile("gaussian", amplitude=-1.0)
         # NaN passes a "< 0" test; sigma = 0 divides by zero in realize
-        for kwargs in ({"amplitude": math.nan}, {"amplitude": math.inf},
-                       {"sigma": math.nan}, {"sigma": 0.0}, {"sigma": -1.0},
-                       {"sigma": math.inf}, {"rho": math.nan}, {"rho": math.inf}):
+        for kind, kwargs in (("constant", {"amplitude": math.nan}),
+                             ("constant", {"amplitude": math.inf}),
+                             ("gaussian", {"sigma": math.nan}), ("gaussian", {"sigma": 0.0}),
+                             ("gaussian", {"sigma": -1.0}), ("gaussian", {"sigma": math.inf}),
+                             ("power_tail", {"rho": math.nan}),
+                             ("power_tail", {"rho": math.inf})):
             with pytest.raises(ConfigError):
-                InitialProfile("power_tail", **kwargs)
+                InitialProfile(kind, **kwargs)
+        # a parameter the kind does not read is not checked
+        InitialProfile("constant", sigma=0.0, rho=math.nan)
+        InitialProfile("power_tail", sigma=0.0)
+        InitialProfile("gaussian", rho=math.inf)
