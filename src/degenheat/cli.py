@@ -147,13 +147,15 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_kernel_probe(args) -> int:
+    times = sorted(float(v) for v in args.times.split(","))
+    # "not <" tests, so that NaN fails; equal times would make the slope fit singular
+    if not all(0.0 < t < math.inf for t in times) or len(set(times)) < len(times):
+        raise ConfigError(f"kernel-probe needs finite, positive, distinct probe times, "
+                          f"got {args.times}")
     weight = WeightSpec(WeightCase.AXIS_POWER, args.alpha, 1)
     grid = GridSpec(Geometry.LINE, args.extent, args.nodes)
     op = build_operator(grid, weight)
     center = grid.nodes // 2
-    times = sorted(float(v) for v in args.times.split(","))
-    if not times or times[0] <= 0:
-        raise ConfigError("kernel-probe needs positive probe times")
     rows = []
     for t in times:
         probe = kernel_column(op, center, t, tol=args.tol)

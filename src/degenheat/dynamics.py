@@ -279,10 +279,11 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
     relative change exceeds ``rc_hi`` is halved and retried unless its step is
     at the floor, max(_DT_FLOOR, 8 ulp(t)); a change below rc_hi / 10 doubles
     the next step.  ``floored`` marks a step taken at the floor, where even a
-    non-finite explicit update is accepted, for the caller to judge.  The solve
-    needs no finiteness check: I - dt A has unit row sums and a non-negative
-    inverse, so it never raises the sup norm.  ``_STEP_CAP`` trials raise
-    ``NumericError``.
+    non-finite explicit update is accepted, unsolved, for the caller to judge.
+    A trial scans its update for non-finite values once: ``solve_shifted``
+    makes that scan and raises ValueError.  The solved state needs no scan:
+    I - dt A has unit row sums and a non-negative inverse, so it never raises
+    the sup norm.  ``_STEP_CAP`` trials raise ``NumericError``.
     """
     op = None if config.diffusionless else build_operator(config.grid, config.weight)
     horizon = config.horizon
@@ -296,9 +297,15 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
         floored = dt <= max(_DT_FLOOR, 8.0 * math.ulp(t))
         u_new = _explicit_update(config.forcings, u, t, t + dt)
         err = math.inf
-        if np.isfinite(u_new).all():
-            if op is not None:
+        if op is None:
+            finite = np.isfinite(u_new).all()
+        else:
+            try:
                 u_new = op.solve_shifted(dt, u_new)
+                finite = True
+            except ValueError:  # a non-finite update; dt is finite
+                finite = False
+        if finite:
             scale = np.maximum(np.max(np.abs(u), axis=0), _TINY)
             err = float(np.max(np.max(np.abs(u_new - u), axis=0) / scale))
         if err > rc_hi and not floored:

@@ -11,9 +11,22 @@ Given ``n_steps`` it marches that many uniform backward-Euler (positivity
 preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
 ``scheme`` governs only this path.
 
-Every Krylov vector and every step solves (I - c A) x = rhs.  Each operator
-keeps the LAPACK ``gttrf`` LU factors of its two most recently factored
-shifts and answers repeated solves with ``gttrs`` alone.
+Every Krylov vector and every step solves (I - c A) x = rhs.  With V the
+diagonal of node volumes, V A is symmetric on the free rows (the flux through
+the face between nodes i and i+1 is V_i A_{i,i+1} = V_{i+1} A_{i+1,i}), and
+the Dirichlet rows of A are zero.  So the solve is of the symmetric positive
+definite system
+
+    V (I - c A) x = V rhs,
+
+in which a Dirichlet row is the identity row x_b = rhs_b and its coupling
+c V_i A_{i,b} rhs_b moves to the right-hand side of the free neighbour i.  Each
+operator keeps the LAPACK ``pttrf`` factors L D L^T of its two most recently
+factored shifts and answers repeated solves with ``pttrs`` alone.  For c > 0
+the off-diagonals -c V_i A_{i,i+1} are <= 0 and D > 0, so every multiplier of
+L is <= 0 and both sweeps of ``pttrs`` only add non-negative multiples and
+divide by positive pivots: non-negative data give a non-negative solution and
+ordered data an ordered one, exactly in floating point, with no clipping.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigError, NumericError
 from .grids import Field, Geometry, GridSpec
@@ -36,11 +49,19 @@ _FACTOR_CACHE_SIZE = 2
 # to _KRYLOV_CAP vectors before the call gives up.
 _SHIFT_FRACTION = 0.1
 _KRYLOV_CAP = 80
+# V_i A_{i,i+1} and V_{i+1} A_{i+1,i} are the same face flux, each rounded
+# through a division and a product: they agree to a few ulps
+_SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class DiffusionOperator:
-    """Tridiagonal flux-form discretization of div(omega grad .)."""
+    """Tridiagonal flux-form discretization of div(omega grad .).
+
+    A row with a zero diagonal is a Dirichlet row and must be zero; the other
+    rows must be symmetric in the volume-weighted inner product, or
+    construction raises ConfigError.
+    """
 
     grid: GridSpec
     weight: WeightSpec
@@ -49,6 +70,34 @@ class DiffusionOperator:
     diag: np.ndarray          # main diagonal, length M
     sup: np.ndarray           # upper diagonal, length M-1
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the symmetric form read by solve_shifted, derived once in __post_init__:
+    # row scale (V, 1 on Dirichlet rows), V diag, V A between two free rows,
+    # and (free row, Dirichlet row, V_i A_{i,b}) for each coupling moved to the rhs
+    _scale: np.ndarray = field(init=False, compare=False, repr=False)
+    _scaled_diag: np.ndarray = field(init=False, compare=False, repr=False)
+    _coupling: np.ndarray = field(init=False, compare=False, repr=False)
+    _links: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        vol = self.grid.node_volumes()
+        free = self.diag != 0.0
+        upper = vol[:-1] * self.sup     # V_i A_{i,i+1}
+        lower = vol[1:] * self.sub      # V_{i+1} A_{i+1,i}
+        both = free[:-1] & free[1:]
+        bad = both & ~(np.abs(upper - lower) <= _SYMMETRY_RTOL * np.abs(upper))
+        bad |= ~free[:-1] & (self.sup != 0.0)
+        bad |= ~free[1:] & (self.sub != 0.0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ConfigError(f"operator is not volume-symmetric between rows {row} "
+                              f"and {row + 1}")
+        links = [(i, i + 1, upper[i]) for i in np.flatnonzero(free[:-1] & ~free[1:])]
+        links += [(i + 1, i, lower[i]) for i in np.flatnonzero(~free[:-1] & free[1:])]
+        object.__setattr__(self, "_scale", np.where(free, vol, 1.0))
+        object.__setattr__(self, "_scaled_diag", vol * self.diag)
+        object.__setattr__(self, "_coupling", np.where(both, upper, 0.0))
+        object.__setattr__(self, "_links", tuple((int(i), int(b), float(a))
+                                                 for i, b, a in links if a != 0.0))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = self.diag * values
@@ -57,22 +106,26 @@ class DiffusionOperator:
         return out
 
     def solve_shifted(self, c: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - c A) x = rhs, factoring I - c A once per distinct c."""
+        """Solve (I - c A) x = rhs, factoring V (I - c A) once per distinct c."""
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
         factors = self._factors.get(c)
         if factors is None:
             if not math.isfinite(c):
                 raise ValueError(f"shift must be finite, got {c}")
-            *factors, info = dgttrf(-c * self.sub, 1.0 - c * self.diag, -c * self.sup)
+            *factors, info = dpttrf(self._scale - c * self._scaled_diag, -c * self._coupling,
+                                    overwrite_d=1, overwrite_e=1)
             if info != 0:
-                raise NumericError(f"tridiagonal factorisation failed: LAPACK gttrf info={info}")
+                raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
             if len(self._factors) == _FACTOR_CACHE_SIZE:
                 del self._factors[next(iter(self._factors))]
             self._factors[c] = factors
-        x, info = dgttrs(*factors, rhs)
+        b = rhs * (self._scale if rhs.ndim == 1 else self._scale[:, None])
+        for row, col, a in self._links:
+            b[row] += (c * a) * rhs[col]
+        x, info = dpttrs(*factors, b, overwrite_b=1)
         if info != 0:
-            raise NumericError(f"tridiagonal solve failed: LAPACK gttrs info={info}")
+            raise NumericError(f"tridiagonal solve failed: LAPACK pttrs info={info}")
         return x
 
 

@@ -201,8 +201,15 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_bad_probe_times(self):
-        assert main(["kernel-probe", "--alpha", "0", "--times=-1,2"]) == 2
+    def test_bad_probe_times(self, capfd):
+        # checked before any probe runs: no LAPACK message, no rows, the times named
+        for times in ("-1,2", "1,1,1", "0.5,1,1,2", "inf", "nan,1"):
+            assert main(["kernel-probe", "--alpha", "0", "--nodes", "101",
+                         f"--times={times}"]) == 2
+            out, err = capfd.readouterr()
+            assert out == ""
+            assert err == ("config error: kernel-probe needs finite, positive, distinct "
+                           f"probe times, got {times}\n")
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
     def test_bad_probe_tol(self, tol, capsys):

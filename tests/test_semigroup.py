@@ -2,6 +2,7 @@
 kernel probes, smoothing, and the kernel-bound invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,34 @@ def _banded_solve(op, c, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
+def _exact_solve(op, c, rhs):
+    """(I - c A) x = rhs for the stored band, solved exactly in rationals.
+
+    Every entry is a rational; scaled by their common denominator the band and
+    rhs are integers.  The Thomas sweep then runs fraction-free on the leading
+    minors theta_k: the eliminated rhs times theta_i is y_i, and by Cramer's
+    rule x_i = z_i / theta_n with integer z_i, so each division is exact.  The
+    one rounding is the final, correctly rounded z_i / theta_n.
+    """
+    c = Fraction(c)
+    rows = ([-c * Fraction(v) for v in op.sub], [1 - c * Fraction(v) for v in op.diag],
+            [-c * Fraction(v) for v in op.sup], [Fraction(v) for v in rhs])
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    lo, mid, up, r = ([v.numerator * (den // v.denominator) for v in row] for row in rows)
+    n = len(mid)
+    theta = [1, mid[0]]
+    y = [r[0]]
+    for i in range(1, n):
+        theta.append(mid[i] * theta[i] - lo[i - 1] * up[i - 1] * theta[i - 1])
+        y.append(r[i] * theta[i] - lo[i - 1] * y[i - 1])
+    z = [0] * n
+    z[-1] = y[-1]
+    for i in range(n - 2, -1, -1):
+        z[i], rest = divmod(y[i] * theta[n] - up[i] * theta[i] * z[i + 1], theta[i + 1])
+        assert rest == 0
+    return np.array([v / theta[n] for v in z])
+
+
 class TestSolveShifted:
     CASES = ((line_grid(10.0, 201), axis_weight(0.0)),
              (line_grid(10.0, 201), axis_weight(0.5)),
@@ -186,21 +215,25 @@ class TestSolveShifted:
         rng = np.random.default_rng(3)
         for grid, weight in self.CASES:
             op = build_operator(grid, weight)
+            # one exact reference per shift; the repeats hit the factor cache
+            refs = {}
             for c in (0.1, 0.05, 0.1, 0.05, 2.0, 0.1, 1e-4, 2.0):
-                rhs = rng.random(grid.nodes)
+                if c not in refs:
+                    rhs = rng.random(grid.nodes)
+                    refs[c] = rhs, _exact_solve(op, c, rhs)
+                rhs, ref = refs[c]
                 x = op.solve_shifted(c, rhs)
-                ref = _banded_solve(op, c, rhs)
                 assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_reuses_at_most_two_factorisations(self, monkeypatch):
         calls = []
-        factor = semigroup.dgttrf
+        factor = semigroup.dpttrf
 
         def counting(*args, **kwargs):
             calls.append(args[1].size)
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(semigroup, "dgttrf", counting)
+        monkeypatch.setattr(semigroup, "dpttrf", counting)
         g = line_grid(5.0, 51)
         op = build_operator(g, axis_weight(0.5))
         rhs = gaussian_field(g).values
@@ -242,6 +275,64 @@ class TestSolveShifted:
         with pytest.raises(NumericError):
             op.solve_shifted(1.0, np.ones(3))
         assert op.solve_shifted(0.5, np.ones(3)) == pytest.approx(2.0 * np.ones(3))
+
+
+@st.composite
+def shifted_systems(draw):
+    """An operator, a shift in [1e-6, 1e4] and ordered data 0 <= lo <= hi.
+
+    The data span zeros, subnormals and O(100) values at every node, the
+    Dirichlet ends included.
+    """
+    kind = draw(st.sampled_from(["line0", "line0.5", "radial2", "radial3"]))
+    extent = draw(st.floats(0.5, 50.0))
+    if kind.startswith("line"):
+        nodes = 2 * draw(st.integers(2, 60)) + 1
+        op = build_operator(line_grid(extent, nodes), axis_weight(float(kind[4:])))
+    else:
+        dim = int(kind[-1])
+        nodes = draw(st.integers(3, 120))
+        op = build_operator(radial_grid(extent, nodes, dim),
+                            radial_weight(draw(st.sampled_from([0.0, 0.5])), dim))
+    c = 10.0 ** draw(st.floats(-6.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def data():
+        v = rng.random(nodes) * 10.0 ** rng.uniform(-320.0, 2.0, nodes)
+        v[rng.random(nodes) < 0.2] = 0.0
+        return v
+
+    lo = data()
+    return op, c, lo, lo + data()
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(shifted_systems())
+def test_solve_shifted_properties(system):
+    op, c, lo, hi = system
+    x_lo = op.solve_shifted(c, lo)
+    x_hi = op.solve_shifted(c, hi)
+    assert np.all(x_lo >= 0.0)
+    assert np.all(x_lo <= x_hi)
+    dirichlet = op.diag == 0.0
+    assert np.array_equal(x_lo[dirichlet], lo[dirichlet])
+    assert np.array_equal(x_hi[dirichlet], hi[dirichlet])
+    block = op.solve_shifted(c, np.column_stack([lo, hi]))
+    assert np.array_equal(block, np.column_stack([x_lo, x_hi]))
+    ref = _banded_solve(op, c, hi)
+    assert np.max(np.abs(x_hi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # the same entries with one coupling between free rows no longer volume-symmetric
+    i = int(np.argmax((op.diag[:-1] != 0.0) & (op.diag[1:] != 0.0)))
+    sub = op.sub.copy()
+    sub[i] *= 1.0 + 1e-9
+    with pytest.raises(ConfigError):
+        DiffusionOperator(op.grid, op.weight, op.face_weights, sub, op.diag, op.sup)
+    # a Dirichlet row that couples to its neighbour
+    sub = op.sub.copy()
+    sub[-1] = 1.0
+    with pytest.raises(ConfigError):
+        DiffusionOperator(op.grid, op.weight, op.face_weights, sub, op.diag, op.sup)
 
 
 class TestApplySemigroup:
