@@ -179,6 +179,12 @@ def cmd_kernel_probe(args) -> int:
 
 
 def cmd_decay_probe(args) -> int:
+    # "not <" tests, so that NaN fails
+    if not 0.0 < args.t_min < args.t_max < math.inf:
+        raise ConfigError(f"decay-probe needs 0 < --t-min < --t-max < inf, "
+                          f"got --t-min {args.t_min} --t-max {args.t_max}")
+    if args.samples < 3:
+        raise ConfigError(f"decay-probe needs --samples >= 3, got {args.samples}")
     weight = WeightSpec(WeightCase.AXIS_POWER, args.alpha, 1)
     grid = GridSpec(Geometry.LINE, args.extent, args.nodes)
     op = build_operator(grid, weight)

@@ -1,8 +1,17 @@
 """Discrete semigroup of the linear weighted heat flow v_t = div(omega grad v).
 
-The operator is assembled in flux form with omega evaluated at cell faces, so
-no stencil ever divides by the weight at its zero.  Homogeneous Dirichlet
-conditions close the truncated domain.
+The operator is stored in finite-volume form: one measure V_i per node (its
+cell's volume in R^N, ``GridSpec.node_volumes``) and one conductance K_i per
+face between nodes i and i+1 (omega at the face, times the face's measure,
+over the distance between the two nodes).  No stencil ever divides by the
+weight at its zero.  The flux from node i+1 into node i is K_i (v_{i+1} - v_i),
+and on a free row
+
+    V_i (A v)_i = K_i (v_{i+1} - v_i) - K_{i-1} (v_i - v_{i-1}),
+
+with K_{-1} = 0 at the reflecting centre of a radial grid.  Homogeneous
+Dirichlet conditions close the truncated domain: both ends of a line and the
+outer end of a radial grid are Dirichlet rows, where A is zero.
 
 ``apply_semigroup`` has two paths.  Given a tolerance it computes exp(tA) u0
 from a shift-and-invert Krylov basis of (I - gamma A)^{-1} (van den Eshof &
@@ -11,21 +20,19 @@ Given ``n_steps`` it marches that many uniform backward-Euler (positivity
 preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
 ``scheme`` governs only this path.
 
-Every Krylov vector and every step solves (I - c A) x = rhs.  With V the
-diagonal of node volumes, V A is symmetric on the free rows (the flux through
-the face between nodes i and i+1 is V_i A_{i,i+1} = V_{i+1} A_{i+1,i}), and
-the Dirichlet rows of A are zero.  So the solve is of the symmetric positive
-definite system
+Every Krylov vector and every step solves (I - c A) x = rhs as the symmetric
+positive definite system
 
     V (I - c A) x = V rhs,
 
-in which a Dirichlet row is the identity row x_b = rhs_b and its coupling
-c V_i A_{i,b} rhs_b moves to the right-hand side of the free neighbour i.  Each
-operator keeps the LAPACK ``pttrf`` factors L D L^T of its two most recently
-factored shifts and answers repeated solves with ``pttrs`` alone.  For c > 0
-the off-diagonals -c V_i A_{i,i+1} are <= 0 and D > 0, so every multiplier of
-L is <= 0 and both sweeps of ``pttrs`` only add non-negative multiples and
-divide by positive pivots: non-negative data give a non-negative solution and
+whose free rows have the diagonal V_i + c (K_{i-1} + K_i) and the
+off-diagonals -c K_i.  A Dirichlet row is the identity row x_b = rhs_b, and
+its coupling c K rhs_b moves to the right-hand side of the free neighbour.
+Each operator keeps the LAPACK ``pttrf`` factors L D L^T of its two most
+recently factored shifts and answers repeated solves with ``pttrs`` alone.
+For c > 0 the off-diagonals are <= 0 and D > 0, so every multiplier of L is
+<= 0 and both sweeps of ``pttrs`` only add non-negative multiples and divide
+by positive pivots: non-negative data give a non-negative solution and
 ordered data an ordered one, exactly in floating point, with no clipping.
 """
 
@@ -39,7 +46,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigError, NumericError
 from .grids import Field, Geometry, GridSpec
-from .weight import WeightSpec
+from .weight import WeightSpec, _sphere_area
 
 _TINY = 1e-300
 # Shifts whose factors an operator keeps: the IMEX march in ``dynamics`` halves
@@ -49,60 +56,33 @@ _FACTOR_CACHE_SIZE = 2
 # to _KRYLOV_CAP vectors before the call gives up.
 _SHIFT_FRACTION = 0.1
 _KRYLOV_CAP = 80
-# V_i A_{i,i+1} and V_{i+1} A_{i+1,i} are the same face flux, each rounded
-# through a division and a product: they agree to a few ulps
-_SYMMETRY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionOperator:
-    """Tridiagonal flux-form discretization of div(omega grad .).
+    """Finite-volume form of div(omega grad .): node volumes, face conductances.
 
-    A row with a zero diagonal is a Dirichlet row and must be zero; the other
-    rows must be symmetric in the volume-weighted inner product, or
-    construction raises ConfigError.
+    Equality and hashing go by identity: each operator owns its factor cache.
     """
 
     grid: GridSpec
     weight: WeightSpec
-    face_weights: np.ndarray  # omega at the M-1 cell faces
-    sub: np.ndarray           # lower diagonal of A, length M-1
-    diag: np.ndarray          # main diagonal, length M
-    sup: np.ndarray           # upper diagonal, length M-1
-    _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # the symmetric form read by solve_shifted, derived once in __post_init__:
-    # row scale (V, 1 on Dirichlet rows), V diag, V A between two free rows,
-    # and (free row, Dirichlet row, V_i A_{i,b}) for each coupling moved to the rhs
-    _scale: np.ndarray = field(init=False, compare=False, repr=False)
-    _scaled_diag: np.ndarray = field(init=False, compare=False, repr=False)
-    _coupling: np.ndarray = field(init=False, compare=False, repr=False)
-    _links: tuple = field(init=False, compare=False, repr=False)
+    volumes: np.ndarray       # V, the grid's node volumes, length M
+    conductances: np.ndarray  # K, one per face between nodes i and i+1, length M-1
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        vol = self.grid.node_volumes()
-        free = self.diag != 0.0
-        upper = vol[:-1] * self.sup     # V_i A_{i,i+1}
-        lower = vol[1:] * self.sub      # V_{i+1} A_{i+1,i}
-        both = free[:-1] & free[1:]
-        bad = both & ~(np.abs(upper - lower) <= _SYMMETRY_RTOL * np.abs(upper))
-        bad |= ~free[:-1] & (self.sup != 0.0)
-        bad |= ~free[1:] & (self.sub != 0.0)
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ConfigError(f"operator is not volume-symmetric between rows {row} "
-                              f"and {row + 1}")
-        links = [(i, i + 1, upper[i]) for i in np.flatnonzero(free[:-1] & ~free[1:])]
-        links += [(i + 1, i, lower[i]) for i in np.flatnonzero(~free[:-1] & free[1:])]
-        object.__setattr__(self, "_scale", np.where(free, vol, 1.0))
-        object.__setattr__(self, "_scaled_diag", vol * self.diag)
-        object.__setattr__(self, "_coupling", np.where(both, upper, 0.0))
-        object.__setattr__(self, "_links", tuple((int(i), int(b), float(a))
-                                                 for i, b, a in links if a != 0.0))
+    @property
+    def free(self) -> slice:
+        """The rows that are not Dirichlet rows: all but the outer end radially,
+        all but both ends on a line."""
+        return slice(0 if self.grid.geometry is Geometry.RADIAL else 1, -1)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out = self.diag * values
-        out[:-1] += self.sup * values[1:]
-        out[1:] += self.sub * values[:-1]
+        flux = np.zeros(values.size + 1)
+        flux[1:-1] = self.conductances * np.diff(values)
+        out = np.zeros_like(values)
+        rows = self.free
+        out[rows] = np.diff(flux)[rows] / self.volumes[rows]
         return out
 
     def solve_shifted(self, c: float, rhs: np.ndarray) -> np.ndarray:
@@ -113,49 +93,52 @@ class DiffusionOperator:
         if factors is None:
             if not math.isfinite(c):
                 raise ValueError(f"shift must be finite, got {c}")
-            *factors, info = dpttrf(self._scale - c * self._scaled_diag, -c * self._coupling,
-                                    overwrite_d=1, overwrite_e=1)
+            k = self.conductances
+            # V + c (K_{i-1} + K_i): summing the faces before scaling rounds once
+            # less than adding c K face by face
+            d = np.empty_like(self.volumes)
+            np.add(k[:-1], k[1:], out=d[1:-1])
+            d[0] = k[0]
+            d *= c
+            d += self.volumes
+            e = -c * k
+            # (Dirichlet row, its free neighbour, c K on the face between them)
+            d[-1], e[-1] = 1.0, 0.0
+            ends = [(-1, -2, float(c * k[-1]))]
+            if self.grid.geometry is Geometry.LINE:
+                d[0], e[0] = 1.0, 0.0
+                ends.append((0, 1, float(c * k[0])))
+            d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
             if info != 0:
                 raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
             if len(self._factors) == _FACTOR_CACHE_SIZE:
                 del self._factors[next(iter(self._factors))]
-            self._factors[c] = factors
-        b = rhs * (self._scale if rhs.ndim == 1 else self._scale[:, None])
-        for row, col, a in self._links:
-            b[row] += (c * a) * rhs[col]
-        x, info = dpttrs(*factors, b, overwrite_b=1)
+            self._factors[c] = factors = d, e, ends
+        d, e, ends = factors
+        b = rhs * (self.volumes if rhs.ndim == 1 else self.volumes[:, None])
+        for row, inner, ck in ends:
+            end = rhs[row]
+            b[row] = end
+            b[inner] += ck * end
+        x, info = dpttrs(d, e, b, overwrite_b=1)
         if info != 0:
             raise NumericError(f"tridiagonal solve failed: LAPACK pttrs info={info}")
         return x
 
 
 def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:
-    """Assemble the flux-form operator on the cells of ``grid.cells()``.
+    """Node volumes and face conductances on the cells of ``grid.cells()``.
 
-    Row i is the net flux through its cell's faces over the cell measure in
-    N dimensions; a line is the case N = 1.
+    A face between nodes sits at the outer end of the inner node's cell; its
+    measure is 1 on a line and |S^{N-1}| r^{N-1} radially.
     """
     grid.check_weight(weight)
-    m, n = grid.nodes, grid.dim
-    inner, outer = grid.cells()
-    faces = outer[:-1]
-    fw = np.abs(faces) ** weight.alpha if weight.alpha > 0 else np.ones(m - 1)
-    flux = fw * faces ** (n - 1) / grid.spacing
-    vol = (outer ** n - inner ** n) / n
-
-    sub = np.zeros(m - 1)
-    diag = np.zeros(m)
-    sup = np.zeros(m - 1)
-    # interior rows; the Dirichlet rows at the outer ends stay zero
-    diag[1:-1] = -(flux[1:] + flux[:-1]) / vol[1:-1]
-    sup[1:] = flux[1:] / vol[1:-1]      # row i couples to node i+1
-    sub[:-1] = flux[:-1] / vol[1:-1]    # row i couples to node i-1
-    if grid.geometry is Geometry.RADIAL:
-        # origin row: reflection (zero flux) at r = 0
-        diag[0] = -flux[0] / vol[0]
-        sup[0] = flux[0] / vol[0]
-
-    return DiffusionOperator(grid, weight, fw, sub, diag, sup)
+    n = grid.dim
+    faces = grid.cells()[1][:-1]
+    fw = np.abs(faces) ** weight.alpha if weight.alpha > 0 else np.ones(grid.nodes - 1)
+    area = _sphere_area(n) if grid.geometry is Geometry.RADIAL else 1.0
+    return DiffusionOperator(grid, weight, grid.node_volumes(),
+                             area * fw * faces ** (n - 1) / grid.spacing)
 
 
 def _step(op: DiffusionOperator, values: np.ndarray, dt: float, scheme: str) -> np.ndarray:
@@ -173,12 +156,12 @@ def _norm(v: np.ndarray) -> float:
 def _dirichlet_steady_state(op: DiffusionOperator, u: np.ndarray) -> np.ndarray:
     """The vector h with A h = 0 that equals u at the Dirichlet nodes.
 
-    Radially it is the constant u[-1].  On a line the flux fw (h_{i+1} - h_i)
-    / dx is the same through every face, so h climbs in steps 1/fw.
+    Radially it is the constant u[-1].  On a line the flux K_i (h_{i+1} - h_i)
+    is the same through every face, so h climbs in steps 1/K_i.
     """
     if op.grid.geometry is Geometry.RADIAL:
         return np.full_like(u, u[-1])
-    steps = np.concatenate(([0.0], np.cumsum(1.0 / op.face_weights)))
+    steps = np.concatenate(([0.0], np.cumsum(1.0 / op.conductances)))
     h = u[0] + (u[-1] - u[0]) * (steps / steps[-1])
     h[-1] = u[-1]
     return h
@@ -204,9 +187,9 @@ def _krylov_semigroup(op: DiffusionOperator, u0: np.ndarray, t: float,
     """
     gamma = _SHIFT_FRACTION * t
     steady = _dirichlet_steady_state(op, u0)
-    unscale = 1.0 / np.sqrt(op.grid.node_volumes())
-    scale = 1.0 / unscale
-    scale[op.diag == 0.0] = 0.0
+    unscale = 1.0 / np.sqrt(op.volumes)
+    scale = np.zeros_like(unscale)
+    scale[op.free] = 1.0 / unscale[op.free]
     y0 = scale * (u0 - steady)
     beta = _norm(y0)
     if beta == 0.0:
@@ -292,9 +275,8 @@ def kernel_column(op: DiffusionOperator, y_index: int, t: float, tol: float = 1e
         raise ConfigError(f"kernel probe needs t > 0, got {t}")
     if not 0 <= y_index < op.grid.nodes:
         raise ConfigError(f"node index {y_index} out of range")
-    vol = op.grid.node_volumes()[y_index]
     spike = np.zeros(op.grid.nodes)
-    spike[y_index] = 1.0 / vol
+    spike[y_index] = 1.0 / op.volumes[y_index]
     return apply_semigroup(op, Field(op.grid, spike), t, tol=tol)
 
 

@@ -211,6 +211,22 @@ class TestExitCodes:
             assert err == ("config error: kernel-probe needs finite, positive, distinct "
                            f"probe times, got {times}\n")
 
+    def test_bad_decay_window(self, capfd):
+        # checked before any probe runs: no numpy warning, the arguments named
+        base = ["decay-probe", "--rho", "0.5", "--alpha", "0.5", "--nodes", "101"]
+        for t_min, t_max in (("80", "5"), ("5", "5"), ("0", "80"), ("-1", "80"),
+                             ("5", "inf"), ("nan", "80"), ("5", "nan")):
+            assert main(base + [f"--t-min={t_min}", f"--t-max={t_max}"]) == 2
+            out, err = capfd.readouterr()
+            assert out == ""
+            assert err == ("config error: decay-probe needs 0 < --t-min < --t-max < inf, "
+                           f"got --t-min {float(t_min)} --t-max {float(t_max)}\n")
+        for samples in ("2", "0", "-4"):
+            assert main(base + [f"--samples={samples}"]) == 2
+            out, err = capfd.readouterr()
+            assert out == ""
+            assert err == f"config error: decay-probe needs --samples >= 3, got {samples}\n"
+
     @pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
     def test_bad_probe_tol(self, tol, capsys):
         assert main(["kernel-probe", "--alpha", "0.5", "--times", "0.5,1",

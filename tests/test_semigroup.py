@@ -14,25 +14,49 @@ from scipy.special import j0, jn_zeros
 import degenheat.semigroup as semigroup
 from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Field, Geometry, GridSpec, InitialProfile, gaussian_field
-from degenheat.semigroup import (DiffusionOperator, apply_semigroup, boundary_leak,
-                                 build_operator, kernel_column, semigroup_defect,
-                                 smoothing_norm_check)
+from degenheat.semigroup import (apply_semigroup, boundary_leak, build_operator,
+                                 kernel_column, semigroup_defect, smoothing_norm_check)
 
 from degenheat.weight import WeightCase, WeightSpec
 
 from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
 
+def _dirichlet(op):
+    """Mask of the Dirichlet rows, the rows outside ``op.free``."""
+    mask = np.ones(op.grid.nodes, dtype=bool)
+    mask[op.free] = False
+    return mask
+
+
+def _bands(op):
+    """(sub, diag, sup) of A, assembled from the stored volumes and conductances.
+
+    Row i of V A is K_{i-1} v_{i-1} - (K_{i-1} + K_i) v_i + K_i v_{i+1} on a
+    free row (K_{-1} = 0 at a radial centre) and zero on a Dirichlet row.
+    """
+    k, vol = op.conductances, op.volumes
+    free = ~_dirichlet(op)
+    padded = np.concatenate(([0.0], k, [0.0]))
+    diag = np.where(free, -(padded[:-1] + padded[1:]) / vol, 0.0)
+    sup = np.where(free[:-1], k / vol[:-1], 0.0)
+    sub = np.where(free[1:], k / vol[1:], 0.0)
+    return sub, diag, sup
+
+
 class TestBuildOperator:
     def test_classical_second_difference(self):
         g = line_grid(2.0, 9)
         op = build_operator(g, axis_weight(0.0))
+        assert np.array_equal(op.conductances, np.full(g.nodes - 1, 1.0 / g.spacing))
+        sub, diag, sup = _bands(op)
         inv_dx2 = 1.0 / g.spacing ** 2
-        assert np.allclose(op.diag[1:-1], -2.0 * inv_dx2)
-        assert np.allclose(op.sup[1:], inv_dx2)
-        assert np.allclose(op.sub[:-1][op.sub[:-1] != 0], inv_dx2)
+        assert np.allclose(diag[1:-1], -2.0 * inv_dx2)
+        assert np.allclose(sup[1:], inv_dx2)
+        assert np.allclose(sub[:-1][sub[:-1] != 0], inv_dx2)
         # Dirichlet rows are zero
-        assert op.diag[0] == op.diag[-1] == 0.0
+        assert diag[0] == diag[-1] == 0.0
+        assert np.array_equal(op.apply(g.positions() ** 2)[[0, -1]], [0.0, 0.0])
 
     def test_faces_straddle_degeneracy(self):
         g = line_grid(1.0, 9)
@@ -40,16 +64,18 @@ class TestBuildOperator:
         # both faces adjacent to x = 0 carry omega = (dx/2)^0.5 > 0
         expected = (g.spacing / 2.0) ** 0.5
         mid = g.nodes // 2
-        assert op.face_weights[mid - 1] == pytest.approx(expected, rel=1e-12)
-        assert op.face_weights[mid] == pytest.approx(expected, rel=1e-12)
-        assert np.all(op.face_weights > 0.0)
+        face_weights = op.conductances * g.spacing
+        assert face_weights[mid - 1] == pytest.approx(expected, rel=1e-12)
+        assert face_weights[mid] == pytest.approx(expected, rel=1e-12)
+        assert np.all(face_weights > 0.0)
 
     def test_sign_pattern_and_row_sums(self):
         for grid, weight in ((line_grid(2.0, 21), axis_weight(0.5)),
                              (radial_grid(2.0, 21, 2), radial_weight(0.3, 2))):
             op = build_operator(grid, weight)
-            assert np.all(op.diag <= 0.0)
-            assert np.all(op.sup >= 0.0) and np.all(op.sub >= 0.0)
+            sub, diag, sup = _bands(op)
+            assert np.all(diag <= 0.0)
+            assert np.all(sup >= 0.0) and np.all(sub >= 0.0)
             # interior row sums vanish (conservation in flux form)
             row_sums = op.apply(np.ones(grid.nodes))
             assert np.allclose(row_sums[1:-1], 0.0, atol=1e-10)
@@ -62,25 +88,32 @@ class TestBuildOperator:
         with pytest.raises(ConfigError):
             build_operator(radial_grid(1.0, 5, 2), radial_weight(0.5, 3))
 
+    def test_equality_and_hash_by_identity(self):
+        g = line_grid(2.0, 9)
+        op = build_operator(g, axis_weight(0.5))
+        twin = build_operator(g, axis_weight(0.5))
+        assert op == op and op != twin
+        assert hash(op) == hash(op)
+        assert len({op, twin}) == 2
+
 
 def _radial_rows_loop(grid, weight):
-    """Row-by-row radial assembly, the reference for the vectorised one."""
+    """Node-by-node radial volumes and face-by-face conductances, the
+    reference for the vectorised assembly."""
     m, dx, n = grid.nodes, grid.spacing, grid.dim
     pos = grid.positions()
     faces = pos[:-1] + dx / 2.0
     fw = np.abs(faces) ** weight.alpha if weight.alpha > 0 else np.ones(m - 1)
-    flux = fw * faces ** (n - 1) / dx
-    vol = (np.minimum(pos + dx / 2.0, grid.extent) ** n
-           - np.maximum(pos - dx / 2.0, 0.0) ** n) / n
-    sub, diag, sup = np.zeros(m - 1), np.zeros(m), np.zeros(m - 1)
-    diag[0] = -flux[0] / vol[0]
-    sup[0] = flux[0] / vol[0]
-    for i in range(1, m - 1):
-        diag[i] = -(flux[i] + flux[i - 1]) / vol[i]
-        sup[i] = flux[i] / vol[i]
-        sub[i - 1] = flux[i - 1] / vol[i]
-    sub[m - 2] = 0.0
-    return sub, diag, sup
+    measure = faces ** (n - 1)
+    outer = np.minimum(pos + dx / 2.0, grid.extent) ** n
+    inner = np.maximum(pos - dx / 2.0, 0.0) ** n
+    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)   # |S^{n-1}|
+    vol, cond = np.zeros(m), np.zeros(m - 1)
+    for i in range(m):
+        vol[i] = area / n * (outer[i] - inner[i])
+    for i in range(m - 1):
+        cond[i] = area * fw[i] * measure[i] / dx
+    return vol, cond
 
 
 def test_radial_assembly_matches_loop():
@@ -88,10 +121,14 @@ def test_radial_assembly_matches_loop():
                          (radial_grid(50.0, 401, 3), radial_weight(0.5, 3)),
                          (radial_grid(1.0, 3, 2), radial_weight(0.0, 2))):
         op = build_operator(grid, weight)
-        sub, diag, sup = _radial_rows_loop(grid, weight)
-        assert np.array_equal(op.sub, sub)
-        assert np.array_equal(op.diag, diag)
-        assert np.array_equal(op.sup, sup)
+        vol, cond = _radial_rows_loop(grid, weight)
+        assert np.array_equal(op.volumes, vol)
+        assert np.array_equal(op.volumes, grid.node_volumes())
+        assert np.array_equal(op.conductances, cond)
+        # the origin row reflects, and the outer Dirichlet row is zero
+        sub, diag, sup = _bands(op)
+        assert diag[0] == -sup[0] < 0.0
+        assert diag[-1] == sub[-1] == 0.0
 
 
 def _line_rows_reference(grid, weight):
@@ -119,7 +156,8 @@ def test_line_assembly_matches_reference():
         grid = line_grid(extent, nodes)
         for alpha in (0.0, 0.5):
             op = build_operator(grid, axis_weight(alpha))
-            for band, ref in zip((op.sub, op.diag, op.sup),
+            assert np.array_equal(op.volumes, grid.node_volumes())
+            for band, ref in zip(_bands(op),
                                  _line_rows_reference(grid, axis_weight(alpha))):
                 if (extent, nodes) in CRITERION_6_RUNGS:
                     assert np.array_equal(band, ref)
@@ -156,11 +194,14 @@ def test_one_assembly_properties(pair):
             build_operator(grid, weight)
         return
     op = build_operator(grid, weight)
-    assert np.all(op.sub >= 0.0) and np.all(op.sup >= 0.0)
-    assert np.all(op.diag <= 0.0)
+    assert np.all(op.conductances > 0.0)
+    sub, diag, sup = _bands(op)
+    assert np.all(sub >= 0.0) and np.all(sup >= 0.0)
+    assert np.all(diag <= 0.0)
     row_sums = op.apply(np.ones(grid.nodes))
-    assert np.all(np.abs(row_sums[1:-1]) <= 1e-12 * np.abs(op.diag[1:-1]))
-    vol = grid.node_volumes()
+    assert np.all(np.abs(row_sums[1:-1]) <= 1e-12 * np.abs(diag[1:-1]))
+    vol = op.volumes
+    assert np.array_equal(vol, grid.node_volumes())
     assert np.all(vol > 0.0)
     n = grid.dim
     ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * grid.extent ** n
@@ -170,25 +211,37 @@ def test_one_assembly_properties(pair):
 
 def _banded_solve(op, c, rhs):
     """Reference (I - c A) x = rhs through a freshly assembled band."""
+    sub, diag, sup = _bands(op)
     ab = np.zeros((3, rhs.size))
-    ab[0, 1:] = -c * op.sup
-    ab[1, :] = 1.0 - c * op.diag
-    ab[2, :-1] = -c * op.sub
+    ab[0, 1:] = -c * sup
+    ab[1, :] = 1.0 - c * diag
+    ab[2, :-1] = -c * sub
     return solve_banded((1, 1), ab, rhs)
 
 
 def _exact_solve(op, c, rhs):
-    """(I - c A) x = rhs for the stored band, solved exactly in rationals.
+    """V (I - c A) x = V rhs for the stored volumes and conductances, solved
+    exactly in rationals.
 
-    Every entry is a rational; scaled by their common denominator the band and
-    rhs are integers.  The Thomas sweep then runs fraction-free on the leading
-    minors theta_k: the eliminated rhs times theta_i is y_i, and by Cramer's
-    rule x_i = z_i / theta_n with integer z_i, so each division is exact.  The
-    one rounding is the final, correctly rounded z_i / theta_n.
+    A free row is -c K_{i-1} x_{i-1} + (V_i + c (K_{i-1} + K_i)) x_i - c K_i
+    x_{i+1} = V_i rhs_i, and a Dirichlet row is x_b = rhs_b.  Every entry is a
+    rational; scaled by their common denominator the band and rhs are
+    integers.  The Thomas sweep then runs fraction-free on the leading minors
+    theta_k: the eliminated rhs times theta_i is y_i, and by Cramer's rule
+    x_i = z_i / theta_n with integer z_i, so each division is exact.  The one
+    rounding is the final, correctly rounded z_i / theta_n.
     """
     c = Fraction(c)
-    rows = ([-c * Fraction(v) for v in op.sub], [1 - c * Fraction(v) for v in op.diag],
-            [-c * Fraction(v) for v in op.sup], [Fraction(v) for v in rhs])
+    free = ~_dirichlet(op)
+    vol = [Fraction(v) for v in op.volumes]
+    k = [Fraction(v) for v in op.conductances]
+    padded = [Fraction(0)] + k + [Fraction(0)]
+    n = len(vol)
+    rows = ([-c * k[i] if free[i + 1] else Fraction(0) for i in range(n - 1)],
+            [vol[i] + c * (padded[i] + padded[i + 1]) if free[i] else Fraction(1)
+             for i in range(n)],
+            [-c * k[i] if free[i] else Fraction(0) for i in range(n - 1)],
+            [vol[i] * Fraction(v) if free[i] else Fraction(v) for i, v in enumerate(rhs)])
     den = math.lcm(*(v.denominator for row in rows for v in row))
     lo, mid, up, r = ([v.numerator * (den // v.denominator) for v in row] for row in rows)
     n = len(mid)
@@ -269,12 +322,16 @@ class TestSolveShifted:
                 op.solve_shifted(bad, gaussian_field(g).values)
 
     def test_singular_shift(self):
+        # one free row, V = 1 and K = 1 on both faces: its pivot is 1 + 2c
         g = line_grid(1.0, 3)
-        op = DiffusionOperator(g, axis_weight(0.0), np.ones(2), np.zeros(2),
-                               np.ones(3), np.zeros(2))
+        op = build_operator(g, axis_weight(0.0))
         with pytest.raises(NumericError):
-            op.solve_shifted(1.0, np.ones(3))
-        assert op.solve_shifted(0.5, np.ones(3)) == pytest.approx(2.0 * np.ones(3))
+            op.solve_shifted(-0.5, np.ones(3))
+        assert not op._factors
+        # pivot 1/2: (x1 - x0) + (x1 - x2) = 4 (x1 - rhs1) gives x1 = 3
+        assert np.array_equal(op.solve_shifted(-0.25, np.array([1.0, 2.0, 1.0])),
+                              [1.0, 3.0, 1.0])
+        assert op.solve_shifted(0.5, np.ones(3)) == pytest.approx(np.ones(3))
 
 
 @st.composite
@@ -314,7 +371,7 @@ def test_solve_shifted_properties(system):
     x_hi = op.solve_shifted(c, hi)
     assert np.all(x_lo >= 0.0)
     assert np.all(x_lo <= x_hi)
-    dirichlet = op.diag == 0.0
+    dirichlet = _dirichlet(op)
     assert np.array_equal(x_lo[dirichlet], lo[dirichlet])
     assert np.array_equal(x_hi[dirichlet], hi[dirichlet])
     block = op.solve_shifted(c, np.column_stack([lo, hi]))
@@ -322,17 +379,45 @@ def test_solve_shifted_properties(system):
     ref = _banded_solve(op, c, hi)
     assert np.max(np.abs(x_hi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    # the same entries with one coupling between free rows no longer volume-symmetric
-    i = int(np.argmax((op.diag[:-1] != 0.0) & (op.diag[1:] != 0.0)))
-    sub = op.sub.copy()
-    sub[i] *= 1.0 + 1e-9
-    with pytest.raises(ConfigError):
-        DiffusionOperator(op.grid, op.weight, op.face_weights, sub, op.diag, op.sup)
-    # a Dirichlet row that couples to its neighbour
-    sub = op.sub.copy()
-    sub[-1] = 1.0
-    with pytest.raises(ConfigError):
-        DiffusionOperator(op.grid, op.weight, op.face_weights, sub, op.diag, op.sup)
+
+@st.composite
+def operators_and_data(draw):
+    """A line or radial operator (alpha 0 or 0.5, N = 1-3) and signed data."""
+    kind = draw(st.sampled_from(["line", "radial1", "radial2", "radial3"]))
+    alpha = draw(st.sampled_from([0.0, 0.5]))
+    extent = draw(st.floats(0.5, 50.0))
+    if kind == "line":
+        op = build_operator(line_grid(extent, 2 * draw(st.integers(1, 60)) + 1),
+                            axis_weight(alpha))
+    else:
+        dim = int(kind[-1])
+        op = build_operator(radial_grid(extent, draw(st.integers(3, 120)), dim),
+                            radial_weight(alpha, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return op, rng.uniform(-10.0, 10.0, op.grid.nodes)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(operators_and_data())
+def test_flux_balance_and_steady_state(system):
+    op, v = system
+    k, free = op.conductances, op.free
+    # the free cells exchange flux only with each other and the Dirichlet nodes
+    flux = k * np.diff(v)
+    outer = flux[-1]
+    if op.grid.geometry is Geometry.LINE:
+        outer -= flux[0]
+    net = op.volumes[free] @ op.apply(v)[free]
+    assert abs(net - outer) <= 1e-12 * np.abs(flux).sum()
+
+    # the steady state keeps the Dirichlet values, unequal on a line
+    h = semigroup._dirichlet_steady_state(op, v)
+    assert h[-1] == v[-1]
+    if op.grid.geometry is Geometry.LINE:
+        assert h[0] == v[0]
+    padded = np.concatenate(([0.0], k, [0.0]))
+    diag = (padded[:-1] + padded[1:]) / op.volumes
+    assert np.all(np.abs(op.apply(h)[free]) <= 1e-12 * diag[free] * np.max(np.abs(h)))
 
 
 class TestApplySemigroup:
@@ -424,7 +509,8 @@ class TestApplySemigroup:
 
 def _dense_oracle(op, u0, t):
     """exp(tA) u0 with A assembled densely from the operator's bands."""
-    a = np.diag(op.diag) + np.diag(op.sup, 1) + np.diag(op.sub, -1)
+    sub, diag, sup = _bands(op)
+    a = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
     return expm(t * a) @ u0.values
 
 
