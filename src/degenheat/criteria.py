@@ -42,13 +42,20 @@ class CriteriaReport:
 
 
 def osgood_tail(nl: Nonlinearity, z: float) -> float:
-    """Closed-form tail integral int_z^inf d(sigma)/f(sigma)."""
+    """Closed-form tail integral int_z^inf d(sigma)/f(sigma).
+
+    A tail beyond the float range, as small data with a large exponent give,
+    is ``math.inf``: divergent.
+    """
     if z <= 0.0:
         raise ConfigError(f"osgood tail needs z > 0, got {z}")
     e = nl.exponent
-    if nl.kind == "power":
-        return z ** (1.0 - e) / (e - 1.0)
-    return math.log1p(z) ** (1.0 - e) / (e - 1.0)
+    # a Python float, so that an overflow raises for a numpy scalar too
+    base = float(z) if nl.kind == "power" else math.log1p(z)
+    try:
+        return base ** (1.0 - e) / (e - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def blowup_certificate(sup_trace, forcings) -> float | None:

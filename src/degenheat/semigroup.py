@@ -34,6 +34,29 @@ For c > 0 the off-diagonals are <= 0 and D > 0, so every multiplier of L is
 <= 0 and both sweeps of ``pttrs`` only add non-negative multiples and divide
 by positive pivots: non-negative data give a non-negative solution and
 ordered data an ordered one, exactly in floating point, with no clipping.
+
+For c > 0, ``pttrs`` runs only over a window of rows lo..hi outside which the
+exact solution is provably below the smallest normal number, 2^-1022; those
+rows come back as exact zeros, a flush to zero of values that can only be
+subnormal.  The entries of L^{-1} are products of the multipliers l_k of L,
+|L^{-1}_{ij}| <= r^(i-j) for i >= j with r = max |l_k| < 1, so beyond the
+support [s, t] of b = V rhs, with rho = -log r,
+
+    log|x_i| <= log(n Q) + max_{s<=j<=t} (log|b_j| - rho (i - j)),    i > t,
+
+and mirrored for i < s, where n = t - s + 1 and Q = min(M, 1 / (1 - r^2)) /
+min D bounds sum_{k>=i} |L^{-1}_{ki}|^2 / D_k.  Entries of rhs below 2^-1022
+outside the support count as zero: I - cA has a non-negative inverse with
+row sums <= 1, so they move x by less than 2^-1022.  When both end free rows
+hold normal values the window is the whole grid and the solve is one
+``pttrs``.  The bound grows with |b|, so data 0 <= lo <= hi get nested
+windows, and positivity, order and x_b = rhs_b stay exact.  One rate per
+factorisation suffices where the tails live: on a uniform grid |l_k| is the
+same on every row away from the ends, while a prefix sum of log|l_k| per
+factorisation would cost about one more solve.  Flushing only the output
+would not do: a sweep whose tail goes subnormal keeps it there, since a
+multiplier above 1/2 rounds 2^-1074 back to 2^-1074, and it runs subnormal
+arithmetic out to the Dirichlet row.
 """
 
 from __future__ import annotations
@@ -49,6 +72,13 @@ from .grids import Field, Geometry, GridSpec
 from .weight import WeightSpec, _sphere_area
 
 _TINY = 1e-300
+# The smallest normal float 2^-1022 and the smallest subnormal 2^-1074; the
+# window bound of ``solve_shifted`` keeps _LOG_SLACK in hand for the rounding
+# of its logarithms and products.
+_NORMAL = float(np.finfo(float).tiny)
+_SMALLEST = math.ulp(0.0)
+_LOG_NORMAL = math.log(_NORMAL)
+_LOG_SLACK = 0.25
 # Shifts whose factors an operator keeps: the IMEX march in ``dynamics`` halves
 # and doubles its step, so it moves between two sizes.
 _FACTOR_CACHE_SIZE = 2
@@ -86,7 +116,10 @@ class DiffusionOperator:
         return out
 
     def solve_shifted(self, c: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - c A) x = rhs, factoring V (I - c A) once per distinct c."""
+        """Solve (I - c A) x = rhs, factoring V (I - c A) once per distinct c.
+
+        An (M, k) block is solved column by column, each column as if alone.
+        """
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
         factors = self._factors.get(c)
@@ -113,17 +146,110 @@ class DiffusionOperator:
                 raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
             if len(self._factors) == _FACTOR_CACHE_SIZE:
                 del self._factors[next(iter(self._factors))]
-            self._factors[c] = factors = d, e, ends
-        d, e, ends = factors
+            self._factors[c] = factors = _Factors(d, e, ends, c > 0.0, self.free.start)
         b = rhs * (self.volumes if rhs.ndim == 1 else self.volumes[:, None])
-        for row, inner, ck in ends:
+        for row, inner, ck in factors.ends:
             end = rhs[row]
             b[row] = end
             b[inner] += ck * end
-        x, info = dpttrs(d, e, b, overwrite_b=1)
+        if rhs.ndim == 1:
+            return self._solve_column(factors, rhs, b)
+        x = np.empty_like(b)
+        for j in range(b.shape[1]):
+            x[:, j] = self._solve_column(factors, rhs[:, j], b[:, j])
+        return x
+
+    def _solve_column(self, factors: "_Factors", rhs: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One column: pttrs over the whole grid when both end free rows hold
+        normal values, else over the window rows only."""
+        if factors.positive and not (abs(rhs[factors.first]) >= _NORMAL
+                                     and abs(rhs[-2]) >= _NORMAL):
+            x = self._solve_window(factors, rhs, b)
+            if x is not None:
+                return x
+        x, info = dpttrs(factors.d, factors.e, b, overwrite_b=1)
         if info != 0:
             raise NumericError(f"tridiagonal solve failed: LAPACK pttrs info={info}")
         return x
+
+    def _solve_window(self, factors: "_Factors", rhs: np.ndarray,
+                      b: np.ndarray) -> np.ndarray | None:
+        """pttrs over the window rows lo..hi, in place of b; None when the
+        window is the whole grid.  The free rows outside the window come back
+        as exact zeros and the Dirichlet rows as x_b = rhs_b."""
+        lo, hi = factors.window(b, self.volumes)
+        if lo <= factors.first and hi >= b.size - 2:
+            return None
+        if lo <= hi:
+            b[lo:hi + 1], info = dpttrs(factors.d[lo:hi + 1], factors.e[lo:hi],
+                                        b[lo:hi + 1], overwrite_b=1)
+            if info != 0:
+                raise NumericError(f"tridiagonal solve failed: LAPACK pttrs info={info}")
+        b[:lo] = 0.0
+        b[hi + 1:] = 0.0
+        for row, _, _ in factors.ends:
+            b[row] = rhs[row]
+        return b
+
+
+class _Factors:
+    """The ``pttrf`` factors L D L^T of V (I - c A) for one shift c.
+
+    ``d`` holds the pivots D, ``e`` the multipliers l_i = L[i+1, i], ``ends``
+    the Dirichlet couplings.  The window bound's three scalars are computed
+    on the first call of ``window`` and kept with the factors.
+    """
+
+    __slots__ = ("d", "e", "ends", "positive", "first", "_bound")
+
+    def __init__(self, d: np.ndarray, e: np.ndarray, ends: list, positive: bool, first: int):
+        self.d, self.e, self.ends = d, e, ends
+        self.positive = positive   # c > 0: the window applies
+        self.first = first         # the first free row
+        self._bound = None
+
+    def window(self, b: np.ndarray, volumes: np.ndarray) -> tuple[int, int]:
+        """(lo, hi) such that the solution is below 2^-1022 off rows lo..hi.
+
+        ``b`` is V rhs with the Dirichlet coupling and ``volumes`` is V.
+        Entries below 2^-1022 min V, so |rhs_j| < 2^-1022, count as zero
+        beyond the support [s, t] of the rest; an empty support gives (M, -1).
+        """
+        if self._bound is None:
+            # Every multiplier lies in [-r, 0] with r < 1, so |L^{-1}_{ij}| <= r^(i-j);
+            # decoupled rows (r = 0) bound like the smallest subnormal.
+            r = max(-float(self.e.min()), _SMALLEST)
+            terms = self.d.size if r * r >= 1.0 - 1.0 / self.d.size else 1.0 / (1.0 - r * r)
+            rows = slice(self.first, -1)
+            floor = max(_NORMAL * float(volumes[rows].min()), _SMALLEST)
+            self._bound = -math.log(r), math.log(terms / float(self.d[rows].min())), floor
+        rate, log_q, floor = self._bound
+        if not rate > 0.0:      # r rounds to 1 or just above: no decay to bound
+            return 0, b.size - 1
+        size = np.abs(b)
+        # find and rfind scan the mask's bytes in C
+        normal = (size >= floor).tobytes()
+        s, t = normal.find(1), normal.rfind(1)
+        if s < 0:
+            return b.size, -1
+        reach = _LOG_SLACK + log_q + math.log(t - s + 1) - _LOG_NORMAL
+        # The terms of s and t alone bound the maxima below: when they reach both
+        # ends, so does the window, with no logarithm per row.
+        if ((reach + math.log(size[s])) / rate >= s
+                and (reach + math.log(size[t])) / rate >= b.size - 1 - t):
+            return 0, b.size - 1
+        # in place on the scratch array; entries raised to the floor never raise
+        # a maximum, since the terms at s and t bound them
+        logs = size[s:t + 1]
+        np.log(np.maximum(logs, floor, out=logs), out=logs)
+        ramp = np.arange(t - s + 1, dtype=float)
+        ramp *= rate
+        # the window reaches rate * (hi - s) <= right and rate * (s - lo) <= left
+        right = (reach + float((logs + ramp).max())) / rate
+        left = (reach + float(np.subtract(logs, ramp, out=ramp).max())) / rate
+        lo = s - math.floor(left) if left < b.size else 0
+        hi = s + math.floor(right) if right < b.size else b.size - 1
+        return max(min(lo, s), 0), min(max(hi, t), b.size - 1)
 
 
 def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:

@@ -125,6 +125,30 @@ class TestCriteria:
         assert any(line.startswith("osgood tail power(2)  ") for line in lines)
 
 
+class TestDivergentTail:
+    """Small data with a large exponent: the Osgood tail exceeds the float range."""
+
+    CONFIG = {**SIM_CONFIG,
+              "u0": {"kind": "gaussian", "amplitude": 1e-80, "sigma": 1.0},
+              "forcings": [{"profile": {"kind": "power", "exponent": 0.0},
+                            "nonlinearity": {"kind": "power", "exponent": 5.0}}]}
+
+    def test_criteria_prints_divergent(self, tmp_path, capsys):
+        assert main(["criteria", "--config", write_json(tmp_path / "crit.json", self.CONFIG)]) == 0
+        rows = {line[:22].rstrip(): line[22:]
+                for line in capsys.readouterr().out.splitlines()}
+        assert rows["osgood tail power(5)"] == "divergent"
+
+    def test_sweep_writes_csv(self, tmp_path, capsys):
+        obj = {**self.CONFIG, "axes": [{"name": "amplitude", "values": [1e-80]}],
+               "escalation": [{"horizon": 1.0}], "with_criteria": True}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", obj),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["axis1"] for row in rows] == ["1e-80"]
+
+
 class TestProbes:
     def test_kernel_probe(self, tmp_path):
         out = tmp_path / "kernel.csv"

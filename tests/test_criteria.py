@@ -2,6 +2,7 @@
 index, critical exponents, and decay fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ class TestOsgoodTail:
     def test_validation(self):
         with pytest.raises(ConfigError):
             osgood_tail(Nonlinearity.power(2.0), 0.0)
+
+    def test_overflow_is_divergent(self):
+        # 1e-80 ** -4 = 1e320 is past the float range: a Python float used to
+        # raise OverflowError and a numpy scalar to warn
+        for z in (1e-80, np.float64(1e-80), 5e-324):
+            for nl in (Nonlinearity.power(5.0), Nonlinearity.log_power(5.0)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert osgood_tail(nl, z) == math.inf
+        # just inside the range the closed form still holds
+        assert osgood_tail(Nonlinearity.power(5.0), 1e-77) == pytest.approx(0.25e308)
 
 
 class TestForcingPrimitive:

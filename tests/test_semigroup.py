@@ -380,6 +380,89 @@ def test_solve_shifted_properties(system):
     assert np.max(np.abs(x_hi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+_NORMAL = np.finfo(float).tiny   # 2^-1022
+
+
+@st.composite
+def tailed_systems(draw):
+    """An operator, a shift in [1e-6, 1e4] and a signed bump anywhere on the
+    grid whose tails are exact zeros or subnormal numbers."""
+    kind = draw(st.sampled_from(["line0", "line0.5", "radial2", "radial3"]))
+    extent = draw(st.floats(10.0, 1000.0))
+    if kind.startswith("line"):
+        op = build_operator(line_grid(extent, 2 * draw(st.integers(50, 1000)) + 1),
+                            axis_weight(float(kind[4:])))
+    else:
+        dim = int(kind[-1])
+        op = build_operator(radial_grid(extent, draw(st.integers(100, 2000)), dim),
+                            radial_weight(draw(st.sampled_from([0.0, 0.5])), dim))
+    c = 10.0 ** draw(st.floats(-6.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = op.grid.positions()
+    centre = op.grid.lower + draw(st.floats(0.0, 1.0)) * (extent - op.grid.lower)
+    width = extent * 10.0 ** draw(st.floats(-3.0, -0.5))
+    amplitude = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, 3.0))
+    v = amplitude * rng.uniform(0.5, 1.5, x.size) * np.exp(-((x - centre) / width) ** 2)
+    if draw(st.booleans()):
+        tail = np.abs(v) < _NORMAL
+        v[tail] = _NORMAL * rng.uniform(-1.0, 1.0, tail.sum())
+    return op, c, v
+
+
+def _scaled_rhs(op, factors, rhs):
+    """V rhs with the Dirichlet coupling, as ``solve_shifted`` builds it."""
+    b = rhs * op.volumes
+    for row, inner, ck in factors.ends:
+        b[row] = rhs[row]
+        b[inner] += ck * rhs[row]
+    return b
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(tailed_systems())
+def test_windowed_solve_matches_full_pttrs(system):
+    op, c, rhs = system
+    x = op.solve_shifted(c, rhs)
+    factors = op._factors[c]
+    b = _scaled_rhs(op, factors, rhs)
+    lo, hi = factors.window(b.copy(), op.volumes)
+    full, info = semigroup.dpttrs(factors.d, factors.e, b)
+    assert info == 0
+    outside = ~_dirichlet(op)
+    outside[max(lo, 0):hi + 1] = False
+    if not outside.any():
+        assert np.array_equal(x, full)    # the whole grid: one pttrs
+    assert np.all(x[outside] == 0.0)
+    assert np.all(np.abs(full[outside]) < _NORMAL)
+    assert np.array_equal(x[_dirichlet(op)], rhs[_dirichlet(op)])
+    assert np.max(np.abs(x - full)) <= 4.0 * _NORMAL
+
+
+def test_window_of_a_huge_shift_is_the_whole_grid():
+    # At c = 1e14 the largest multiplier of L rounds to just above 1, so the
+    # bound knows no decay: the window must cover every row.
+    op = build_operator(radial_grid(10.0, 200, 3), radial_weight(0.5, 3))
+    rhs = np.zeros(200)
+    rhs[50] = 1.0
+    x = op.solve_shifted(1e14, rhs)
+    factors = op._factors[1e14]
+    full, info = semigroup.dpttrs(factors.d, factors.e, _scaled_rhs(op, factors, rhs))
+    assert info == 0 and np.count_nonzero(full) == 199
+    assert np.array_equal(x, full)
+
+
+def test_window_skips_the_subnormal_tail():
+    # The alpha = 0 top rung of criterion 6: 16001 nodes on [-4000, 4000], a
+    # zero-tailed sigma = 5 Gaussian and one step dt = 10.  A pttrs over the
+    # whole grid returns 3725 subnormal entries here, its sweeps running the
+    # tail at 2^-1074 out to both Dirichlet rows.
+    g = line_grid(4000.0, 16001)
+    op = build_operator(g, axis_weight(0.0))
+    x = op.solve_shifted(10.0, gaussian_field(g, 1.0, 5.0).values)
+    assert np.count_nonzero((x != 0.0) & (np.abs(x) < _NORMAL)) <= 48
+    assert np.count_nonzero(x) < 10000
+
+
 @st.composite
 def operators_and_data(draw):
     """A line or radial operator (alpha 0 or 0.5, N = 1-3) and signed data."""
