@@ -4,7 +4,9 @@ The march is IMEX: diffusion implicit (backward Euler), sources explicit with
 the time profile integrated exactly over each step, so profiles t^r with
 r in (-1, 0) lose no accuracy on the first step.  Step size adapts on the
 relative solution change; blow-up is declared when the sup norm crosses a
-threshold or the step collapses to its floor under super-linear growth.
+threshold or the step collapses to its floor under super-linear growth.  The
+source acts on the free rows only: the Dirichlet rows, those outside
+``DiffusionOperator.free``, keep the data's values, as the linear flow does.
 
 One march, ``_imex_steps``, advances an (M,) state or an (M, k) block under
 shared step control: ``simulate`` is a one-column run of it, and
@@ -286,6 +288,7 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
     the sup norm.  ``_STEP_CAP`` trials raise ``NumericError``.
     """
     op = None if config.diffusionless else build_operator(config.grid, config.weight)
+    rows = None if op is None else op.free
     horizon = config.horizon
     rc_hi = min(0.1, math.sqrt(config.tol))
     t = 0.0
@@ -300,6 +303,8 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
         if op is None:
             finite = np.isfinite(u_new).all()
         else:
+            u_new[:rows.start] = u[:rows.start]    # the Dirichlet rows hold
+            u_new[rows.stop:] = u[rows.stop:]
             try:
                 u_new = op.solve_shifted(dt, u_new)
                 finite = True
@@ -400,6 +405,7 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
         raise ConfigError("mesh must start at 0 and increase strictly")
 
     op = build_operator(config.grid, config.weight)
+    rows = op.free
     u0 = Field(config.grid, delta * v0.values)
     npts = mesh.size
 
@@ -425,6 +431,8 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
             with np.errstate(over="ignore"):
                 src = _source_increment(config.forcings, prev[j - 1].values,
                                         mesh[j - 1], mesh[j])
+            src[:rows.start] = 0.0    # the Dirichlet rows hold
+            src[rows.stop:] = 0.0
             carried_values = cur[-1].values + src
             if not np.all(np.isfinite(carried_values)):
                 # runaway iterate: a cap violation in the making; record and stop

@@ -9,9 +9,10 @@ and on a free row
 
     V_i (A v)_i = K_i (v_{i+1} - v_i) - K_{i-1} (v_i - v_{i-1}),
 
-with K_{-1} = 0 at the reflecting centre of a radial grid.  Homogeneous
-Dirichlet conditions close the truncated domain: both ends of a line and the
-outer end of a radial grid are Dirichlet rows, where A is zero.
+with K_{-1} = 0 at the reflecting centre of a radial grid.  Dirichlet
+conditions close the truncated domain: both ends of a line and the outer end
+of a radial grid are Dirichlet rows, where A is zero, so both flows below keep
+the data's values there.
 
 ``apply_semigroup`` has two paths.  Given a tolerance it computes exp(tA) u0
 from a shift-and-invert Krylov basis of (I - gamma A)^{-1} (van den Eshof &
@@ -20,43 +21,43 @@ Given ``n_steps`` it marches that many uniform backward-Euler (positivity
 preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
 ``scheme`` governs only this path.
 
-Every Krylov vector and every step solves (I - c A) x = rhs as the symmetric
-positive definite system
+Every Krylov vector and every step solves (I - c A) x = rhs.  A Dirichlet
+row passes through, x_b = rhs_b; the free rows form the symmetric positive
+definite system
 
     V (I - c A) x = V rhs,
 
-whose free rows have the diagonal V_i + c (K_{i-1} + K_i) and the
-off-diagonals -c K_i.  A Dirichlet row is the identity row x_b = rhs_b, and
-its coupling c K rhs_b moves to the right-hand side of the free neighbour.
-Each operator keeps the LAPACK ``pttrf`` factors L D L^T of its two most
-recently factored shifts and answers repeated solves with ``pttrs`` alone.
-For c > 0 the off-diagonals are <= 0 and D > 0, so every multiplier of L is
-<= 0 and both sweeps of ``pttrs`` only add non-negative multiples and divide
-by positive pivots: non-negative data give a non-negative solution and
-ordered data an ordered one, exactly in floating point, with no clipping.
+with the diagonal V_i + c (K_{i-1} + K_i) and the off-diagonals -c K_i on
+the faces between free rows, and the coupling c K rhs_b of a Dirichlet row
+moves to the right-hand side of its free neighbour.  Each operator keeps the
+LAPACK ``pttrf`` factors L D L^T of its two most recently factored shifts and
+answers repeated solves with ``pttrs`` alone.  For c > 0 the off-diagonals
+are <= 0 and D > 0, so every multiplier of L is <= 0 and both sweeps of
+``pttrs`` only add non-negative multiples and divide by positive pivots:
+non-negative data give a non-negative solution and ordered data an ordered
+one, exactly in floating point, with no clipping.
 
-For c > 0, ``pttrs`` runs only over a window of rows lo..hi outside which the
-exact solution is provably below the smallest normal number, 2^-1022; those
-rows come back as exact zeros, a flush to zero of values that can only be
-subnormal.  The entries of L^{-1} are products of the multipliers l_k of L,
-|L^{-1}_{ij}| <= r^(i-j) for i >= j with r = max |l_k| < 1, so beyond the
-support [s, t] of b = V rhs, with rho = -log r,
+For c > 0, ``pttrs`` runs only over a window of free rows lo..hi outside
+which the exact solution is provably below the smallest normal number,
+2^-1022; those rows come back as exact zeros, a flush to zero of values that
+can only be subnormal.  The entries of L^{-1} are products of the multipliers
+l_k of L, |L^{-1}_{ij}| <= r^(i-j) for i >= j with r = max |l_k| < 1, so
+beyond the support [s, t] of the free rows b of V rhs, with rho = -log r,
 
     log|x_i| <= log(n Q) + max_{s<=j<=t} (log|b_j| - rho (i - j)),    i > t,
 
-and mirrored for i < s, where n = t - s + 1 and Q = min(M, 1 / (1 - r^2)) /
-min D bounds sum_{k>=i} |L^{-1}_{ki}|^2 / D_k.  Entries of rhs below 2^-1022
-outside the support count as zero: I - cA has a non-negative inverse with
-row sums <= 1, so they move x by less than 2^-1022.  When both end free rows
-hold normal values the window is the whole grid and the solve is one
-``pttrs``.  The bound grows with |b|, so data 0 <= lo <= hi get nested
-windows, and positivity, order and x_b = rhs_b stay exact.  One rate per
-factorisation suffices where the tails live: on a uniform grid |l_k| is the
-same on every row away from the ends, while a prefix sum of log|l_k| per
-factorisation would cost about one more solve.  Flushing only the output
-would not do: a sweep whose tail goes subnormal keeps it there, since a
-multiplier above 1/2 rounds 2^-1074 back to 2^-1074, and it runs subnormal
-arithmetic out to the Dirichlet row.
+and mirrored for i < s, where n = t - s + 1 and Q = min(F, 1 / (1 - r^2)) /
+min D, F the number of free rows, bounds sum_{k>=i} |L^{-1}_{ki}|^2 / D_k.
+Entries of rhs below 2^-1022 outside the support count as zero: I - cA has a
+non-negative inverse with row sums <= 1, so they move x by less than 2^-1022.
+When both end free rows hold normal values the window is every free row.  The
+bound grows with |b|, so data 0 <= lo <= hi get nested windows, and
+positivity and order stay exact.  One rate per factorisation suffices where
+the tails live: on a uniform grid |l_k| is the same on every row away from
+the ends, while a prefix sum of log|l_k| per factorisation would cost about
+one more solve.  Flushing only the output would not do: a sweep whose tail
+goes subnormal keeps it there, since a multiplier above 1/2 rounds 2^-1074
+back to 2^-1074, and it runs subnormal arithmetic out to the last free row.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class DiffusionOperator:
         return out
 
     def solve_shifted(self, c: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - c A) x = rhs, factoring V (I - c A) once per distinct c.
+        """Solve (I - c A) x = rhs, factoring the free rows of V (I - c A) once
+        per distinct c; the Dirichlet rows pass through, x_b = rhs_b.
 
         An (M, k) block is solved column by column, each column as if alone.
         """
@@ -124,120 +126,107 @@ class DiffusionOperator:
             raise ValueError("right-hand side must not contain infs or NaNs")
         factors = self._factors.get(c)
         if factors is None:
-            if not math.isfinite(c):
-                raise ValueError(f"shift must be finite, got {c}")
-            k = self.conductances
-            # V + c (K_{i-1} + K_i): summing the faces before scaling rounds once
-            # less than adding c K face by face
-            d = np.empty_like(self.volumes)
-            np.add(k[:-1], k[1:], out=d[1:-1])
-            d[0] = k[0]
-            d *= c
-            d += self.volumes
-            e = -c * k
-            # (Dirichlet row, its free neighbour, c K on the face between them)
-            d[-1], e[-1] = 1.0, 0.0
-            ends = [(-1, -2, float(c * k[-1]))]
-            if self.grid.geometry is Geometry.LINE:
-                d[0], e[0] = 1.0, 0.0
-                ends.append((0, 1, float(c * k[0])))
-            d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-            if info != 0:
-                raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
-            if len(self._factors) == _FACTOR_CACHE_SIZE:
-                del self._factors[next(iter(self._factors))]
-            self._factors[c] = factors = _Factors(d, e, ends, c > 0.0, self.free.start)
-        b = rhs * (self.volumes if rhs.ndim == 1 else self.volumes[:, None])
-        for row, inner, ck in factors.ends:
-            end = rhs[row]
-            b[row] = end
-            b[inner] += ck * end
-        if rhs.ndim == 1:
-            return self._solve_column(factors, rhs, b)
-        x = np.empty_like(b)
-        for j in range(b.shape[1]):
-            x[:, j] = self._solve_column(factors, rhs[:, j], b[:, j])
+            factors = self._factor(c)
+        k, rows = self.conductances, self.free
+        x = rhs * (self.volumes if rhs.ndim == 1 else self.volumes[:, None])
+        # x_b = rhs_b, and c K rhs_b moves to the right-hand side of b's free neighbour
+        x[-1] = rhs[-1]
+        x[-2] += c * k[-1] * rhs[-1]
+        if rows.start:
+            x[0] = rhs[0]
+            x[1] += c * k[0] * rhs[0]
+        free = x[rows]
+        for b in (free.T if free.ndim == 2 else (free,)):
+            lo, hi = factors.window(b)
+            if lo <= hi:
+                # pttrs reads the multipliers e[lo:hi] but wants at least one entry
+                b[lo:hi + 1], info = dpttrs(factors.d[lo:hi + 1],
+                                            factors.e[lo:max(hi, lo + 1)],
+                                            b[lo:hi + 1], overwrite_b=1)
+                if info != 0:
+                    raise NumericError(f"tridiagonal solve failed: LAPACK pttrs info={info}")
+            if hi - lo + 1 < b.size:    # skips two empty assignments, ~1 us
+                b[:lo] = 0.0
+                b[hi + 1:] = 0.0
         return x
 
-    def _solve_column(self, factors: "_Factors", rhs: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """One column: pttrs over the whole grid when both end free rows hold
-        normal values, else over the window rows only."""
-        if factors.positive and not (abs(rhs[factors.first]) >= _NORMAL
-                                     and abs(rhs[-2]) >= _NORMAL):
-            x = self._solve_window(factors, rhs, b)
-            if x is not None:
-                return x
-        x, info = dpttrs(factors.d, factors.e, b, overwrite_b=1)
+    def _factor(self, c: float) -> "_Factors":
+        """``pttrf`` of the free rows of V (I - c A), kept in the factor cache."""
+        if not math.isfinite(c):
+            raise ValueError(f"shift must be finite, got {c}")
+        k, rows = self.conductances, self.free
+        # V + c (K_{i-1} + K_i): summing the faces before scaling rounds once
+        # less than adding c K face by face
+        d = np.zeros_like(self.volumes)
+        np.add(k[:-1], k[1:], out=d[1:-1])
+        d[0] = k[0]
+        d *= c
+        d += self.volumes
+        d = d[rows]
+        # K[rows] are the faces between free rows.  The LAPACK wrappers want n - 1
+        # off-diagonals but at least one, so e keeps a spare 0 at its end.
+        e = np.zeros_like(d)
+        np.multiply(k[rows], -c, out=e[:-1])
+        m = max(d.size - 1, 1)
+        d, e[:m], info = dpttrf(d, e[:m], overwrite_d=1, overwrite_e=1)
         if info != 0:
-            raise NumericError(f"tridiagonal solve failed: LAPACK pttrs info={info}")
-        return x
-
-    def _solve_window(self, factors: "_Factors", rhs: np.ndarray,
-                      b: np.ndarray) -> np.ndarray | None:
-        """pttrs over the window rows lo..hi, in place of b; None when the
-        window is the whole grid.  The free rows outside the window come back
-        as exact zeros and the Dirichlet rows as x_b = rhs_b."""
-        lo, hi = factors.window(b, self.volumes)
-        if lo <= factors.first and hi >= b.size - 2:
-            return None
-        if lo <= hi:
-            b[lo:hi + 1], info = dpttrs(factors.d[lo:hi + 1], factors.e[lo:hi],
-                                        b[lo:hi + 1], overwrite_b=1)
-            if info != 0:
-                raise NumericError(f"tridiagonal solve failed: LAPACK pttrs info={info}")
-        b[:lo] = 0.0
-        b[hi + 1:] = 0.0
-        for row, _, _ in factors.ends:
-            b[row] = rhs[row]
-        return b
+            raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
+        if len(self._factors) == _FACTOR_CACHE_SIZE:
+            del self._factors[next(iter(self._factors))]
+        self._factors[c] = factors = _Factors(d, e, c > 0.0, self.volumes[rows])
+        return factors
 
 
 class _Factors:
-    """The ``pttrf`` factors L D L^T of V (I - c A) for one shift c.
+    """The ``pttrf`` factors L D L^T of the free rows of V (I - c A), one shift c.
 
-    ``d`` holds the pivots D, ``e`` the multipliers l_i = L[i+1, i], ``ends``
-    the Dirichlet couplings.  The window bound's three scalars are computed
-    on the first call of ``window`` and kept with the factors.
+    ``d`` holds the pivots D and ``e`` the multipliers l_i = L[i+1, i], then
+    a spare 0.  The window bound's three scalars are computed on the first
+    window that needs them and kept with the factors.
     """
 
-    __slots__ = ("d", "e", "ends", "positive", "first", "_bound")
+    __slots__ = ("d", "e", "positive", "volumes", "_bound")
 
-    def __init__(self, d: np.ndarray, e: np.ndarray, ends: list, positive: bool, first: int):
-        self.d, self.e, self.ends = d, e, ends
+    def __init__(self, d: np.ndarray, e: np.ndarray, positive: bool, volumes: np.ndarray):
+        self.d, self.e = d, e
         self.positive = positive   # c > 0: the window applies
-        self.first = first         # the first free row
+        self.volumes = volumes     # V on the free rows
         self._bound = None
 
-    def window(self, b: np.ndarray, volumes: np.ndarray) -> tuple[int, int]:
+    def window(self, b: np.ndarray) -> tuple[int, int]:
         """(lo, hi) such that the solution is below 2^-1022 off rows lo..hi.
 
-        ``b`` is V rhs with the Dirichlet coupling and ``volumes`` is V.
-        Entries below 2^-1022 min V, so |rhs_j| < 2^-1022, count as zero
-        beyond the support [s, t] of the rest; an empty support gives (M, -1).
+        ``b`` is V rhs on the free rows, with the Dirichlet coupling.  Entries
+        below 2^-1022 min V, so |rhs_j| < 2^-1022, count as zero beyond the
+        support [s, t] of the rest; an empty support gives (n, -1).
         """
+        n = b.size
+        if not self.positive:
+            return 0, n - 1
         if self._bound is None:
             # Every multiplier lies in [-r, 0] with r < 1, so |L^{-1}_{ij}| <= r^(i-j);
             # decoupled rows (r = 0) bound like the smallest subnormal.
             r = max(-float(self.e.min()), _SMALLEST)
-            terms = self.d.size if r * r >= 1.0 - 1.0 / self.d.size else 1.0 / (1.0 - r * r)
-            rows = slice(self.first, -1)
-            floor = max(_NORMAL * float(volumes[rows].min()), _SMALLEST)
-            self._bound = -math.log(r), math.log(terms / float(self.d[rows].min())), floor
+            terms = n if r * r >= 1.0 - 1.0 / n else 1.0 / (1.0 - r * r)
+            floor = max(_NORMAL * float(self.volumes.min()), _SMALLEST)
+            self._bound = -math.log(r), math.log(terms / float(self.d.min())), floor
         rate, log_q, floor = self._bound
-        if not rate > 0.0:      # r rounds to 1 or just above: no decay to bound
-            return 0, b.size - 1
+        # r rounds to 1 or just above: no decay to bound; or both end rows
+        # hold normal values, so the support is every row
+        if not rate > 0.0 or (abs(b[0]) >= floor and abs(b[-1]) >= floor):
+            return 0, n - 1
         size = np.abs(b)
         # find and rfind scan the mask's bytes in C
         normal = (size >= floor).tobytes()
         s, t = normal.find(1), normal.rfind(1)
         if s < 0:
-            return b.size, -1
+            return n, -1
         reach = _LOG_SLACK + log_q + math.log(t - s + 1) - _LOG_NORMAL
         # The terms of s and t alone bound the maxima below: when they reach both
         # ends, so does the window, with no logarithm per row.
         if ((reach + math.log(size[s])) / rate >= s
-                and (reach + math.log(size[t])) / rate >= b.size - 1 - t):
-            return 0, b.size - 1
+                and (reach + math.log(size[t])) / rate >= n - 1 - t):
+            return 0, n - 1
         # in place on the scratch array; entries raised to the floor never raise
         # a maximum, since the terms at s and t bound them
         logs = size[s:t + 1]
@@ -247,9 +236,9 @@ class _Factors:
         # the window reaches rate * (hi - s) <= right and rate * (s - lo) <= left
         right = (reach + float((logs + ramp).max())) / rate
         left = (reach + float(np.subtract(logs, ramp, out=ramp).max())) / rate
-        lo = s - math.floor(left) if left < b.size else 0
-        hi = s + math.floor(right) if right < b.size else b.size - 1
-        return max(min(lo, s), 0), min(max(hi, t), b.size - 1)
+        lo = s - math.floor(left) if left < n else 0
+        hi = s + math.floor(right) if right < n else n - 1
+        return max(min(lo, s), 0), min(max(hi, t), n - 1)
 
 
 def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:
@@ -298,9 +287,9 @@ def _krylov_semigroup(op: DiffusionOperator, u0: np.ndarray, t: float,
     """exp(tA) u0 as h + exp(tA)(u0 - h), h the Dirichlet steady state.
 
     u0 - h vanishes at the Dirichlet nodes (the zero rows of A), and so does
-    every vector of its Krylov basis V of B = (I - gamma A)^{-1}; each solve's
-    roundoff there is dropped, since B keeps it while it damps the rest.  On
-    the other nodes A is symmetric in the volume-weighted inner product, so
+    every vector of its Krylov basis V of B = (I - gamma A)^{-1}, exactly:
+    each solve passes the zero there through.  On the other nodes A is
+    symmetric in the volume-weighted inner product, so
     for the scaled vectors sqrt(vol) * u the basis is a Lanczos basis, kept
     orthonormal by full Gram-Schmidt, and H = V^T B V is symmetric
     tridiagonal with eigenpairs (theta, q) in (0, 1].  A acts on the basis as
@@ -314,8 +303,7 @@ def _krylov_semigroup(op: DiffusionOperator, u0: np.ndarray, t: float,
     gamma = _SHIFT_FRACTION * t
     steady = _dirichlet_steady_state(op, u0)
     unscale = 1.0 / np.sqrt(op.volumes)
-    scale = np.zeros_like(unscale)
-    scale[op.free] = 1.0 / unscale[op.free]
+    scale = 1.0 / unscale
     y0 = scale * (u0 - steady)
     beta = _norm(y0)
     if beta == 0.0:

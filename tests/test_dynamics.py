@@ -311,6 +311,25 @@ class TestSimulate:
         assert np.array_equal(fast.sup_history, exact.sup_history)
 
 
+def test_dirichlet_rows_keep_the_data():
+    # Power-tail data leave 0.1 / 101 on the Dirichlet rows.  Were the source
+    # to act there, u' = u^4 alone would blow them up at 1 / (3 u_b^3) ~ 3.5e8.
+    g = line_grid(100.0, 401)
+    u0 = InitialProfile("power_tail", 0.1, rho=1.0).realize(g)
+    cfg = SimConfig(axis_weight(0.0), g, [power_forcing(4.0)], u0, 1e9)
+    dirichlet = [0, -1]
+    res = simulate(cfg)
+    assert res.status == "completed"
+    assert np.array_equal(res.final.values[dirichlet], u0.values[dirichlet])
+    # the state decays to the boundary value
+    assert res.sup_history[-1] == pytest.approx(u0.values[-1], rel=1e-4)
+    block = np.column_stack([0.5 * u0.values, u0.values])
+    t = 0.0
+    for t, _, uv in dynamics._imex_steps(cfg, block.copy()):
+        assert np.array_equal(uv[dirichlet], block[dirichlet])
+    assert t == cfg.horizon
+
+
 class TestCompareRuns:
     def test_equal_data_zero_defect(self):
         g = line_grid(10.0, 201)

@@ -409,13 +409,20 @@ def tailed_systems(draw):
     return op, c, v
 
 
-def _scaled_rhs(op, factors, rhs):
-    """V rhs with the Dirichlet coupling, as ``solve_shifted`` builds it."""
+def _free_rhs(op, c, rhs):
+    """V rhs on the free rows, with the Dirichlet coupling, as ``solve_shifted``
+    builds it."""
+    k, rows = op.conductances, op.free
     b = rhs * op.volumes
-    for row, inner, ck in factors.ends:
-        b[row] = rhs[row]
-        b[inner] += ck * rhs[row]
-    return b
+    b[-2] += c * k[-1] * rhs[-1]
+    if rows.start:
+        b[1] += c * k[0] * rhs[0]
+    return b[rows]
+
+
+def _full_pttrs(factors, b):
+    """``pttrs`` over every free row."""
+    return semigroup.dpttrs(factors.d, factors.e[:max(b.size - 1, 1)], b)
 
 
 @settings(deadline=None, derandomize=True, max_examples=400)
@@ -424,18 +431,19 @@ def test_windowed_solve_matches_full_pttrs(system):
     op, c, rhs = system
     x = op.solve_shifted(c, rhs)
     factors = op._factors[c]
-    b = _scaled_rhs(op, factors, rhs)
-    lo, hi = factors.window(b.copy(), op.volumes)
-    full, info = semigroup.dpttrs(factors.d, factors.e, b)
+    b = _free_rhs(op, c, rhs)
+    lo, hi = factors.window(b.copy())
+    full, info = _full_pttrs(factors, b)
     assert info == 0
-    outside = ~_dirichlet(op)
+    free = x[op.free]
+    outside = np.ones(free.size, dtype=bool)
     outside[max(lo, 0):hi + 1] = False
     if not outside.any():
-        assert np.array_equal(x, full)    # the whole grid: one pttrs
-    assert np.all(x[outside] == 0.0)
+        assert np.array_equal(free, full)    # the whole grid: one pttrs
+    assert np.all(free[outside] == 0.0)
     assert np.all(np.abs(full[outside]) < _NORMAL)
     assert np.array_equal(x[_dirichlet(op)], rhs[_dirichlet(op)])
-    assert np.max(np.abs(x - full)) <= 4.0 * _NORMAL
+    assert np.max(np.abs(free - full)) <= 4.0 * _NORMAL
 
 
 def test_window_of_a_huge_shift_is_the_whole_grid():
@@ -446,9 +454,10 @@ def test_window_of_a_huge_shift_is_the_whole_grid():
     rhs[50] = 1.0
     x = op.solve_shifted(1e14, rhs)
     factors = op._factors[1e14]
-    full, info = semigroup.dpttrs(factors.d, factors.e, _scaled_rhs(op, factors, rhs))
+    full, info = _full_pttrs(factors, _free_rhs(op, 1e14, rhs))
     assert info == 0 and np.count_nonzero(full) == 199
-    assert np.array_equal(x, full)
+    assert np.array_equal(x[op.free], full)
+    assert x[-1] == 0.0
 
 
 def test_window_skips_the_subnormal_tail():
