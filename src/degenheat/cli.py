@@ -254,10 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:   # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -157,6 +157,17 @@ class SimConfig:
         # "not" tests, so that NaN is rejected too
         if not 0.0 < self.horizon < math.inf:
             raise ConfigError(f"horizon must be finite and positive, got {self.horizon}")
+        for term in self.forcings:
+            if term.profile.is_zero:
+                continue
+            # on a Python float, t ** e raises OverflowError rather than warning
+            try:
+                total = term.profile.primitive(float(self.horizon))
+            except OverflowError:
+                total = math.inf
+            if not math.isfinite(total):
+                raise ConfigError(f"source {term.profile} has no finite integral up to "
+                                  f"horizon {self.horizon}")
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if not self.blowup_threshold > 0.0:

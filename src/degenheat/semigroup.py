@@ -16,7 +16,9 @@ the data's values there.
 
 ``apply_semigroup`` has two paths.  Given a tolerance it computes exp(tA) u0
 from a shift-and-invert Krylov basis of (I - gamma A)^{-1} (van den Eshof &
-Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44, 2004).
+Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44, 2004), the
+rows of one array (32 to start) orthonormalised by classical Gram-Schmidt
+applied twice (CGS2; Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
 Given ``n_steps`` it marches that many uniform backward-Euler (positivity
 preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
 ``scheme`` governs only this path.
@@ -84,9 +86,11 @@ _LOG_SLACK = 0.25
 # and doubles its step, so it moves between two sizes.
 _FACTOR_CACHE_SIZE = 2
 # Krylov path: the shift is gamma = _SHIFT_FRACTION * t, and a basis may grow
-# to _KRYLOV_CAP vectors before the call gives up.
+# to _KRYLOV_CAP vectors before the call gives up; its array starts at
+# _KRYLOV_ROWS rows, more than criteria 3 and 4 use, and doubles when full.
 _SHIFT_FRACTION = 0.1
 _KRYLOV_CAP = 80
+_KRYLOV_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,9 +293,10 @@ def _krylov_semigroup(op: DiffusionOperator, u0: np.ndarray, t: float,
     u0 - h vanishes at the Dirichlet nodes (the zero rows of A), and so does
     every vector of its Krylov basis V of B = (I - gamma A)^{-1}, exactly:
     each solve passes the zero there through.  On the other nodes A is
-    symmetric in the volume-weighted inner product, so
-    for the scaled vectors sqrt(vol) * u the basis is a Lanczos basis, kept
-    orthonormal by full Gram-Schmidt, and H = V^T B V is symmetric
+    symmetric in the volume-weighted inner product, so for the scaled vectors
+    sqrt(vol) * u the basis is a Lanczos basis, the rows of one array (32 to
+    start), kept orthonormal by classical Gram-Schmidt applied twice (CGS2,
+    two matrix-vector products a pass), and H = V^T B V is symmetric
     tridiagonal with eigenpairs (theta, q) in (0, 1].  A acts on the basis as
     A_m = (I - H^{-1}) / gamma, so exp(tA)(u0 - h) ~ beta V q
     exp(t (1 - 1/theta) / gamma) q^T e1; a symmetric eigendecomposition is
@@ -308,41 +313,35 @@ def _krylov_semigroup(op: DiffusionOperator, u0: np.ndarray, t: float,
     beta = _norm(y0)
     if beta == 0.0:
         return steady
-    y0 /= beta
-    basis = [y0]
+    basis = np.empty((min(_KRYLOV_CAP + 1, _KRYLOV_ROWS), y0.size))
+    np.divide(y0, beta, out=basis[0])
     hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
     prev = None
     for j in range(_KRYLOV_CAP):
         w = scale * op.solve_shifted(gamma, unscale * basis[j])
-        size = before = _norm(w)
-        for _ in range(2):
-            # modified Gram-Schmidt, repeated when w lost most of its norm
-            for i, v in enumerate(basis):
-                dot = np.einsum("i,i->", v, w)
-                hess[i, j] += dot
-                w -= dot * v
-            rest = _norm(w)
-            if rest > 0.5 * size:
-                break
-            size = rest
-        hess[j + 1, j] = rest
+        before = _norm(w)
         m = j + 1
+        for _ in range(2):
+            # classical Gram-Schmidt, twice: two matrix-vector products a pass
+            dots = basis[:m] @ w
+            hess[:m, j] += dots
+            w -= dots @ basis[:m]
+        rest = hess[m, j] = _norm(w)
         invariant = rest <= 1e-12 * before     # nothing left but roundoff
         if m % 2 == 0 or invariant:
             # eigh reads only the lower triangle: the tridiagonal part of H
             theta, q = np.linalg.eigh(hess[:m, :m])
             coef = beta * (q @ (np.exp((t / gamma) * (1.0 - 1.0 / theta)) * q[0]))
-            out = coef[0] * basis[0]
-            for c, v in zip(coef[1:], basis[1:]):
-                out += c * v
+            out = coef @ basis[:m]
             out *= unscale
             out += steady
             if invariant or (prev is not None and np.max(np.abs(out - prev))
                              <= tol * np.max(np.abs(out))):
                 return out
             prev = out
-        w /= rest
-        basis.append(w)
+        if m == len(basis):
+            basis = np.concatenate((basis, np.empty_like(basis)))
+        np.divide(w, rest, out=basis[m])
     raise NumericError(f"Krylov basis reached {_KRYLOV_CAP} vectors without converging")
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -149,6 +150,36 @@ class TestDivergentTail:
         assert [row["axis1"] for row in rows] == ["1e-80"]
 
 
+class TestOverflowingProfile:
+    """t u^2 integrates to t^2 / 2, which overflows a float at horizon 1e160."""
+
+    CONFIG = {**SIM_CONFIG,
+              "weight": {"case": "axis_power", "alpha": 0.0, "dim": 1},
+              "grid": {"geometry": "line", "extent": 10.0, "nodes": 21},
+              "u0": {"kind": "gaussian", "amplitude": 1e-3, "sigma": 1.0},
+              "forcings": [{"profile": {"kind": "power", "exponent": 1.0},
+                            "nonlinearity": {"kind": "power", "exponent": 2.0}}],
+              "horizon": 1e160}
+
+    def test_simulate_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", self.CONFIG)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "horizon 1e+160" in err and "TimeProfile(exponent=1.0" in err
+
+    def test_sweep_cell_is_undetermined(self, tmp_path):
+        # without criteria: the linear-trace criteria of this config are a
+        # separate matter (their smallness index sums infinite primitives)
+        obj = {**self.CONFIG, "axes": [{"name": "amplitude", "values": [1e-3]}],
+               "escalation": [{"horizon": 1e160}], "with_criteria": False}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", obj),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["axis1"], r["classification"], r["horizon"]) for r in rows] == [
+            ("0.001", "Undetermined", "1e+160")]
+
+
 class TestProbes:
     def test_kernel_probe(self, tmp_path):
         out = tmp_path / "kernel.csv"
@@ -167,6 +198,27 @@ class TestProbes:
         assert code == 0
         out = capsys.readouterr().out
         assert "fitted theta" in out
+
+    # recorded output, compared as criterion 6 compares: numbers to 1e-9 relative
+    KERNEL_PROBE = """\
+t,sup_value,mass,slope_window_estimate
+0.5,0.5125774165,1.000000368,
+1,0.3227267048,0.99999998,
+2,0.2032521892,0.9999341951,-0.6672495126
+4,0.1280248704,0.991884522,-0.6671079524
+8,0.08061626851,0.9027712079,-0.6671142873
+"""
+
+    def test_kernel_probe_recorded_output(self, capsys):
+        assert main(["kernel-probe", "--alpha", "0.5", "--times", "0.5,1,2,4,8"]) == 0
+        got = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        want = [line.split(",") for line in self.KERNEL_PROBE.splitlines()]
+        assert got[0] == want[0] and len(got) == len(want)
+        for g, w in zip(got[1:], want[1:]):
+            assert len(g) == len(w)
+            for a, b in zip(g, w):
+                assert a == b if b == "" else a != "" and math.isclose(
+                    float(a), float(b), rel_tol=1e-9), (g, w)
 
 
 class TestExitCodes:

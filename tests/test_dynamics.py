@@ -192,6 +192,20 @@ class TestSimConfigValidation:
             with pytest.raises(ConfigError):
                 SimConfig(axis_weight(0.0), g, [], constant_field(g, 1.0), horizon)
 
+    @pytest.mark.parametrize("profile,horizon", [
+        (TimeProfile.power(1.0), 1e160),        # t ** 2 raises OverflowError
+        (TimeProfile(1.0, 1e300), 1e10),        # the product rounds to inf
+    ])
+    def test_source_integral_must_be_finite(self, profile, horizon):
+        g = line_grid(10.0, 21)
+        term = ForcingTerm(profile, Nonlinearity.power(2.0))
+        with pytest.raises(ConfigError) as err:
+            SimConfig(axis_weight(0.0), g, [term], gaussian_field(g, 1e-3), horizon)
+        assert str(profile) in str(err.value) and f"horizon {horizon}" in str(err.value)
+        # a zero profile adds no source at any horizon
+        silent = ForcingTerm(TimeProfile.zero(), Nonlinearity.power(2.0))
+        SimConfig(axis_weight(0.0), g, [silent], gaussian_field(g, 1e-3), horizon)
+
 
 class TestSimulate:
     def test_zero_data_stays_zero(self):
@@ -328,6 +342,17 @@ def test_dirichlet_rows_keep_the_data():
     for t, _, uv in dynamics._imex_steps(cfg, block.copy()):
         assert np.array_equal(uv[dirichlet], block[dirichlet])
     assert t == cfg.horizon
+
+
+def test_largest_finite_horizon_blows_up():
+    # t u^2 integrates to t^2 / 2, finite at horizon 1e150: p = 2 < p* = 5 blows up
+    g = line_grid(10.0, 21)
+    cfg = SimConfig(axis_weight(0.0), g, [power_forcing(2.0, 1.0)],
+                    gaussian_field(g, 1e-3), 1e150)
+    res = simulate(cfg)
+    assert res.status == "blown_up"
+    assert res.t_star == pytest.approx(3.3128e22, rel=1e-4)
+    assert res.step_count == 8498
 
 
 class TestCompareRuns:

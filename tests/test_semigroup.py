@@ -679,6 +679,46 @@ def test_krylov_properties(alpha, t, half, kind, tol):
     _check_krylov(op, InitialProfile(kind, 1.0).realize(g), t, tol)
 
 
+def _count_solves(monkeypatch):
+    """A list whose one entry counts ``solve_shifted`` calls from now on."""
+    count = [0]
+    solve = semigroup.DiffusionOperator.solve_shifted
+
+    def counted(self, c, rhs):
+        count[0] += 1
+        return solve(self, c, rhs)
+
+    monkeypatch.setattr(semigroup.DiffusionOperator, "solve_shifted", counted)
+    return count
+
+
+def test_krylov_basis_grows_past_its_first_rows(monkeypatch):
+    # a tight tolerance needs 36 basis vectors: the array doubles once
+    g = line_grid(10.0, 401)
+    op = build_operator(g, axis_weight(0.0))
+    spike = np.zeros(g.nodes)
+    spike[g.nodes // 2] = 1.0 / op.volumes[g.nodes // 2]
+    count = _count_solves(monkeypatch)
+    probe = kernel_column(op, g.nodes // 2, 0.5, tol=1e-13)
+    assert count[0] > semigroup._KRYLOV_ROWS
+    assert np.array_equal(probe.values, apply_semigroup(op, Field(g, spike), 0.5,
+                                                        tol=1e-13).values)
+    _check_krylov(op, Field(g, spike), 0.5, 1e-13)
+
+
+def test_criterion_3_probe_solves(monkeypatch):
+    # recorded basis sizes of the criterion-3 kernel probes: the work per probe
+    g = line_grid(40.0, 2001)
+    op = build_operator(g, axis_weight(0.5))
+    count = _count_solves(monkeypatch)
+    solves = []
+    for t in np.geomspace(0.5, 5.0, 8):
+        count[0] = 0
+        kernel_column(op, g.nodes // 2, t, tol=1e-6)
+        solves.append(count[0])
+    assert solves == [18, 18, 20, 20, 20, 20, 20, 20]
+
+
 class TestKernelColumn:
     def test_mass_one(self):
         g = line_grid(25.0, 1001)
