@@ -121,7 +121,8 @@ def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
     Numeric part on [0, t_num] uses per-panel exact profile primitives times a
     trapezoid of f(s)/s (exact through integrable profile singularities at 0);
     the tail substitutes the fitted envelope and integrates in closed form.
-    Returns math.inf when the tail integral diverges: blow-up-side evidence.
+    Returns math.inf when the tail integral diverges, or when a profile's
+    integral over [0, t_num] is past the float range: blow-up-side evidence.
     """
     times, sups = _as_trace(sup_trace)
     mask = times <= t_num * (1.0 + 1e-12)
@@ -134,7 +135,10 @@ def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
         if term.profile.is_zero:
             continue
         phi = term.nonlinearity.slope(sups)
-        weights = np.diff([term.profile.primitive(t) for t in times])
+        primitives = [term.profile.primitive(t) for t in times]
+        if math.isinf(primitives[-1]):
+            return math.inf       # int h_i over [0, t_num] is past the float range
+        weights = np.diff(primitives)
         total += float(np.sum(weights * 0.5 * (phi[:-1] + phi[1:])))
 
     theta, c_env = tail_envelope.theta, tail_envelope.constant

@@ -10,7 +10,12 @@ source acts on the free rows only: the Dirichlet rows, those outside
 
 One march, ``_imex_steps``, advances an (M,) state or an (M, k) block under
 shared step control: ``simulate`` is a one-column run of it, and
-``compare_runs`` a two-column run of the ordered pair (u, v).
+``compare_runs`` a two-column run of the ordered pair (u, v).  A trial does
+only the work its result needs: one update, one solve and one scan of the
+change.  The accepted state's max |u| per column is scanned once, scales the
+next trials' change, and goes out with the state, so neither caller scans it
+again.  ``simulate`` sums mass with ``grids.volume_sum``, whose order does
+not depend on the BLAS thread count.
 
 The march's explicit update, ``_explicit_update``, skips the nodes where the
 source sum cannot change a bit.  With k terms of weight w_i > 0, take
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, volume_sum
 from .semigroup import apply_semigroup, build_operator
 from .weight import WeightSpec
 
@@ -91,11 +96,15 @@ class TimeProfile:
         return self.value if self.exponent == 0 else 0.0
 
     def primitive(self, t: float) -> float:
-        """Closed-form integral over [0, t]."""
+        """Closed-form integral over [0, t]; ``math.inf`` past the float range."""
         if t < 0.0:
             raise ConfigError(f"time must be nonnegative, got {t}")
         e = self.exponent
-        return self.value * t ** (e + 1.0) / (e + 1.0)
+        try:
+            # on a Python float, t ** e raises OverflowError rather than warning
+            return self.value * float(t) ** (e + 1.0) / (e + 1.0)
+        except OverflowError:
+            return math.inf if self.value > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,8 @@ class Nonlinearity:
         u = np.maximum(np.asarray(u, dtype=float), 0.0)
         with np.errstate(over="ignore"):
             if self.kind == "power":
-                return u ** self.exponent
+                u **= self.exponent    # in place on the clipped copy; rounds as u ** p
+                return u
             return (1.0 + u) * np.log1p(u) ** self.exponent
 
     def slope(self, u):
@@ -160,12 +170,7 @@ class SimConfig:
         for term in self.forcings:
             if term.profile.is_zero:
                 continue
-            # on a Python float, t ** e raises OverflowError rather than warning
-            try:
-                total = term.profile.primitive(float(self.horizon))
-            except OverflowError:
-                total = math.inf
-            if not math.isfinite(total):
+            if not math.isfinite(term.profile.primitive(self.horizon)):
                 raise ConfigError(f"source {term.profile} has no finite integral up to "
                                   f"horizon {self.horizon}")
         if not self.tol > 0.0:
@@ -240,13 +245,23 @@ def _explicit_update(forcings, u, t0, t1):
     """``u + _source_increment(forcings, u, t0, t1)``, bit for bit, evaluating
     the nonlinearities only on the rows where their sum can move ``u``: the
     rows from the first to the last node above theta (module docstring).
+
+    The other rows are ``u + 0.0``, which is ``u`` with -0.0 turned to +0.0,
+    as adding the exact sum's zero does.
     """
+    out = u + 0.0
     live = _step_weights(forcings, t0, t1)
-    du = np.zeros_like(u)
+    if not live:
+        return out
     rows = _source_rows(live, u)
-    for weight, nonlinearity in live:
-        du[rows] += weight * nonlinearity(u[rows])
-    return u + du
+    part = u[rows]
+    (weight, nonlinearity), *rest = live
+    du = nonlinearity(part)
+    du *= weight
+    for weight, nonlinearity in rest:
+        du += weight * nonlinearity(part)
+    out[rows] += du
+    return out
 
 
 def _source_rows(live, u) -> slice:
@@ -268,13 +283,13 @@ def _source_rows(live, u) -> slice:
     # "not <=" tests, so that a NaN node is evaluated, as in the exact sum
     if not (u[0] <= theta).all() and not (u[-1] <= theta).all():
         return slice(None)  # both end rows move: a filled state needs no scan
-    moved = ~(u.reshape(-1) <= theta)
-    first = int(np.argmax(moved))
-    if not moved[first]:
+    # find and rfind scan the mask's bytes in C for the first and last 0, a moved node
+    still = (u <= theta).tobytes()
+    first = still.find(0)
+    if first < 0:
         return slice(0, 0)
-    last = moved.size - 1 - int(np.argmax(moved[::-1]))
     width = u.size // len(u)
-    return slice(first // width, last // width + 1)
+    return slice(first // width, still.rfind(0) // width + 1)
 
 
 def _growth_runaway(sups) -> bool:
@@ -286,17 +301,20 @@ def _growth_runaway(sups) -> bool:
 
 
 def _imex_steps(config: SimConfig, u: np.ndarray):
-    """Adaptive IMEX march of an (M,) or (M, k) state; yields (t, floored, u).
+    """Adaptive IMEX march of an (M,) or (M, k) state; yields (t, floored, u, sup),
+    ``sup`` the accepted state's max |u| per column (a scalar for an (M,) state).
 
     All columns share one step size.  A trial whose largest per-column
-    relative change exceeds ``rc_hi`` is halved and retried unless its step is
-    at the floor, max(_DT_FLOOR, 8 ulp(t)); a change below rc_hi / 10 doubles
-    the next step.  ``floored`` marks a step taken at the floor, where even a
+    relative change, against the accepted state's ``sup``, exceeds ``rc_hi``
+    is halved and retried unless its step is at the floor,
+    max(_DT_FLOOR, 8 ulp(t)); a change below rc_hi / 10 doubles the next
+    step.  ``floored`` marks a step taken at the floor, where even a
     non-finite explicit update is accepted, unsolved, for the caller to judge.
     A trial scans its update for non-finite values once: ``solve_shifted``
     makes that scan and raises ValueError.  The solved state needs no scan:
     I - dt A has unit row sums and a non-negative inverse, so it never raises
-    the sup norm.  ``_STEP_CAP`` trials raise ``NumericError``.
+    the sup norm.  Each accepted state is scanned once more, for ``sup``.
+    ``_STEP_CAP`` trials raise ``NumericError``.
     """
     op = None if config.diffusionless else build_operator(config.grid, config.weight)
     rows = None if op is None else op.free
@@ -304,6 +322,8 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
     rc_hi = min(0.1, math.sqrt(config.tol))
     t = 0.0
     dt = horizon * 1e-4
+    sup = np.abs(u).max(axis=0)
+    scale = np.maximum(sup, _TINY)
     for _ in range(_STEP_CAP):
         if t >= horizon * (1.0 - 1e-14):
             return
@@ -321,15 +341,20 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
                 finite = True
             except ValueError:  # a non-finite update; dt is finite
                 finite = False
+        change = None
         if finite:
-            scale = np.maximum(np.max(np.abs(u), axis=0), _TINY)
-            err = float(np.max(np.max(np.abs(u_new - u), axis=0) / scale))
+            change = np.subtract(u_new, u)
+            np.abs(change, out=change)
+            err = float((change.max(axis=0) / scale).max())
         if err > rc_hi and not floored:
             dt /= 2.0
             continue
         t += dt
         u = u_new
-        yield t, floored, u
+        # the change's buffer, when there is one, takes |u| for the scan
+        sup = np.abs(u, out=change).max(axis=0)
+        scale = np.maximum(sup, _TINY)
+        yield t, floored, u, sup
         if err < rc_hi / 10.0:
             dt *= 2.0
     raise NumericError("IMEX march exceeded the step cap")
@@ -345,16 +370,16 @@ def simulate(config: SimConfig) -> SimResult:
 
     u = config.u0.values
     times = [0.0]
-    sups = [float(np.max(np.abs(u)))]
-    masses = [float(u @ vols)]
+    sups = [float(np.abs(u).max())]
+    masses = [volume_sum(u, vols)]
     window = [masses[0]]
 
     def result(status, t_star=None, final=None):
         return SimResult(status, config.horizon, t_star, np.array(times), np.array(sups),
                          np.array(masses), np.array(window), len(times) - 1, final)
 
-    for t, floored, u in _imex_steps(config, u):
-        sup_new = float(np.max(np.abs(u)))
+    for t, floored, u, sup in _imex_steps(config, u):
+        sup_new = float(sup)
         finite = math.isfinite(sup_new)
         if not finite and not _growth_runaway(sups):
             raise NumericError(
@@ -363,11 +388,11 @@ def simulate(config: SimConfig) -> SimResult:
             )
         times.append(t)
         sups.append(sup_new)
-        masses.append(float(u @ vols) if finite else math.inf)
+        masses.append(volume_sum(u, vols) if finite else math.inf)
         rad = t ** (1.0 / scale_exp)
-        lo = np.searchsorted(pos, -rad, side="left")
-        hi = np.searchsorted(pos, rad, side="right")
-        window.append(float(u[lo:hi] @ vols[lo:hi]) if finite else math.inf)
+        lo = pos.searchsorted(-rad, side="left")
+        hi = pos.searchsorted(rad, side="right")
+        window.append(volume_sum(u[lo:hi], vols[lo:hi]) if finite else math.inf)
 
         if sup_new >= config.blowup_threshold or (floored and _growth_runaway(sups)):
             return result("blown_up", t)
@@ -493,8 +518,7 @@ def compare_runs(config: SimConfig, u0: Field, v0: Field) -> ComparisonReport:
     defect = 0.0
     scale = max(v0.sup(), _TINY)
     t_end = 0.0
-    for t, _, uv in _imex_steps(config, np.column_stack([u0.values, v0.values])):
-        sups = np.max(np.abs(uv), axis=0)
+    for t, _, uv, sups in _imex_steps(config, np.column_stack([u0.values, v0.values])):
         if not np.isfinite(sups).all():
             break
         t_end = t

@@ -93,12 +93,20 @@ def _trace_non_increasing(times, sups, horizon) -> bool:
     return bool(np.all(np.diff(s) <= 1e-8 * max(s.max(), 1e-300)))
 
 
-def point_criteria(run: RunSpec, horizon: float):
-    """Linear-flow trace of the point's data, fed to the analytic criteria."""
+def point_criteria(run: RunSpec, horizon: float, traces: dict | None = None):
+    """Linear-flow trace of the point's data, fed to the analytic criteria.
+
+    ``traces`` maps (linear run, horizon) to a trace already computed: points
+    that differ only in their sources share one linear run.
+    """
     linear = replace(run, forcings=(), blowup_threshold=math.inf)
-    cfg = linear.config(horizon)
-    res = simulate(cfg)
-    return evaluate_criteria(res.trace(), list(run.forcings), run.weight)
+    key = (linear, horizon)
+    trace = None if traces is None else traces.get(key)
+    if trace is None:
+        trace = simulate(linear.config(horizon)).trace()
+        if traces is not None:
+            traces[key] = trace
+    return evaluate_criteria(trace, list(run.forcings), run.weight)
 
 
 def _subcritical(run: RunSpec) -> str:
@@ -114,8 +122,12 @@ def _subcritical(run: RunSpec) -> str:
     return ""
 
 
-def classify_point(run: RunSpec, escalation, with_criteria: bool = True) -> PhasePoint:
-    """Escalate horizons until blow-up or a defensible global-like completion."""
+def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
+                   traces: dict | None = None) -> PhasePoint:
+    """Escalate horizons until blow-up or a defensible global-like completion.
+
+    ``traces`` is passed on to ``point_criteria``.
+    """
     escalation = tuple(escalation)
     if not escalation:
         raise ConfigError("escalation ladder is empty")
@@ -123,7 +135,7 @@ def classify_point(run: RunSpec, escalation, with_criteria: bool = True) -> Phas
     report = None
     if with_criteria:
         try:
-            report = point_criteria(run, escalation[0].horizon)
+            report = point_criteria(run, escalation[0].horizon, traces)
         except (ConfigError, NumericError):
             report = None
     index = report.smallness_index if report else None
@@ -218,10 +230,10 @@ class SweepSpec:
             yield values, run
 
 
-def _eval_point(args):
+def _eval_point(args, traces=None):
     values, run, escalation, with_criteria = args
     try:
-        point = classify_point(run, escalation, with_criteria)
+        point = classify_point(run, escalation, with_criteria, traces)
     except ConfigError as exc:
         point = PhasePoint((), "Undetermined", None,
                            escalation[-1].horizon, None, None, f"config error: {exc}")
@@ -230,11 +242,16 @@ def _eval_point(args):
 
 
 def run_sweep(spec: SweepSpec, worker_count: int = 1):
-    """Evaluate every grid point in ``points`` order, whatever the worker count."""
+    """Evaluate every grid point in ``points`` order, whatever the worker count.
+
+    A serial sweep computes each distinct linear trace of ``point_criteria``
+    once, and keeps none past the call; a pooled one computes it per point.
+    """
     jobs = [(values, run, spec.escalation, spec.with_criteria)
             for values, run in spec.points()]
     if worker_count <= 1:
-        return list(map(_eval_point, jobs))
+        traces = {}
+        return [_eval_point(job, traces) for job in jobs]
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
         return list(pool.map(_eval_point, jobs))
 

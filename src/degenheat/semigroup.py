@@ -131,14 +131,14 @@ class DiffusionOperator:
         factors = self._factors.get(c)
         if factors is None:
             factors = self._factor(c)
-        k, rows = self.conductances, self.free
         x = rhs * (self.volumes if rhs.ndim == 1 else self.volumes[:, None])
         # x_b = rhs_b, and c K rhs_b moves to the right-hand side of b's free neighbour
         x[-1] = rhs[-1]
-        x[-2] += c * k[-1] * rhs[-1]
+        x[-2] += factors.couple_hi * rhs[-1]
+        rows = factors.rows
         if rows.start:
             x[0] = rhs[0]
-            x[1] += c * k[0] * rhs[0]
+            x[1] += factors.couple_lo * rhs[0]
         free = x[rows]
         for b in (free.T if free.ndim == 2 else (free,)):
             lo, hi = factors.window(b)
@@ -177,7 +177,7 @@ class DiffusionOperator:
             raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
         if len(self._factors) == _FACTOR_CACHE_SIZE:
             del self._factors[next(iter(self._factors))]
-        self._factors[c] = factors = _Factors(d, e, c > 0.0, self.volumes[rows])
+        self._factors[c] = factors = _Factors(d, e, c, k, rows, self.volumes[rows])
         return factors
 
 
@@ -185,15 +185,21 @@ class _Factors:
     """The ``pttrf`` factors L D L^T of the free rows of V (I - c A), one shift c.
 
     ``d`` holds the pivots D and ``e`` the multipliers l_i = L[i+1, i], then
-    a spare 0.  The window bound's three scalars are computed on the first
-    window that needs them and kept with the factors.
+    a spare 0.  ``couple_lo`` and ``couple_hi`` are c K on the faces next to
+    the Dirichlet rows, ``rows`` the free rows.  The window bound's three
+    scalars are computed on the first window that needs them and kept with
+    the factors.
     """
 
-    __slots__ = ("d", "e", "positive", "volumes", "_bound")
+    __slots__ = ("d", "e", "positive", "rows", "couple_lo", "couple_hi", "volumes",
+                 "_bound")
 
-    def __init__(self, d: np.ndarray, e: np.ndarray, positive: bool, volumes: np.ndarray):
+    def __init__(self, d: np.ndarray, e: np.ndarray, c: float, k: np.ndarray,
+                 rows: slice, volumes: np.ndarray):
         self.d, self.e = d, e
-        self.positive = positive   # c > 0: the window applies
+        self.positive = c > 0.0    # the window applies
+        self.rows = rows
+        self.couple_lo, self.couple_hi = c * float(k[0]), c * float(k[-1])
         self.volumes = volumes     # V on the free rows
         self._bound = None
 
@@ -358,12 +364,14 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
 
     With ``n_steps`` the march uses that many uniform ``scheme`` steps
     ("be" or "cn") and no error control, which is what refinement studies
-    and fixed monotone panels want.
+    and fixed monotone panels want.  Without it, "cn" is a ``ConfigError``.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     if scheme not in ("be", "cn"):
         raise ConfigError(f"unknown scheme {scheme!r}")
+    if scheme != "be" and n_steps is None:
+        raise ConfigError(f"scheme {scheme!r} needs n_steps; the Krylov flow has none")
     if u0.grid != op.grid:
         raise ConfigError("field grid does not match the operator grid")
     if not t >= 0.0:

@@ -106,7 +106,7 @@ def test_criterion_2_semigroup_correctness():
 
     # exact Gaussian evolution: sigma^2 -> sigma^2 + 2t
     t = 1.0
-    evolved = apply_semigroup(op, u0, t, tol=1e-5, scheme="cn")
+    evolved = apply_semigroup(op, u0, t, tol=1e-5)
     s2 = 1.0 + 2.0 * t
     exact = np.exp(-grid.positions() ** 2 / (2.0 * s2)) / math.sqrt(s2)
     sup_err = float(np.max(np.abs(evolved.values - exact)))

@@ -167,9 +167,22 @@ class TestOverflowingProfile:
         err = capsys.readouterr().err
         assert "horizon 1e+160" in err and "TimeProfile(exponent=1.0" in err
 
+    def test_criteria_diverge_quietly(self, tmp_path, capfd):
+        # the primitive of t is infinite at the trace's late times: the index
+        # diverges, with no numpy warning on the way
+        cfg = write_json(tmp_path / "sim.json", self.CONFIG)
+        assert main(["criteria", "--config", cfg]) == 0
+        out, err = capfd.readouterr()
+        assert "smallness index I     divergent\n" in out
+        assert err == ""
+        obj = {**self.CONFIG, "axes": [{"name": "amplitude", "values": [1e-3]}],
+               "escalation": [{"horizon": 1e160}], "with_criteria": True}
+        sweep = write_json(tmp_path / "sweep.json", obj)
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert "Warning" not in capfd.readouterr().err
+
     def test_sweep_cell_is_undetermined(self, tmp_path):
-        # without criteria: the linear-trace criteria of this config are a
-        # separate matter (their smallness index sums infinite primitives)
+        # without criteria, which test_criteria_diverge_quietly covers
         obj = {**self.CONFIG, "axes": [{"name": "amplitude", "values": [1e-3]}],
                "escalation": [{"horizon": 1e160}], "with_criteria": False}
         out = tmp_path / "sweep.csv"

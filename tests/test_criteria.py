@@ -75,6 +75,14 @@ class TestForcingPrimitive:
         assert TimeProfile.power(1.0).primitive(2.0) == 2.0
         assert TimeProfile.power(-0.5).primitive(4.0) == pytest.approx(4.0)
 
+    def test_overflow_is_infinite(self):
+        # (1e160)^2 / 2 is past the float range, for a Python float and a numpy scalar
+        for t in (1e160, np.float64(1e160)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert TimeProfile.power(1.0).primitive(t) == math.inf
+                assert TimeProfile(1.0, 0.0).primitive(t) == 0.0
+
 
 class TestBlowupCertificate:
     def test_equality_case(self):

@@ -3,6 +3,10 @@ monotone iteration, and the comparison principle."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Field, InitialProfile, constant_field, gaussian_field
 from degenheat.semigroup import apply_semigroup, build_operator
 
-from conftest import axis_weight, line_grid
+from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
 
 def power_forcing(p: float, r: float = 0.0) -> ForcingTerm:
@@ -339,7 +343,7 @@ def test_dirichlet_rows_keep_the_data():
     assert res.sup_history[-1] == pytest.approx(u0.values[-1], rel=1e-4)
     block = np.column_stack([0.5 * u0.values, u0.values])
     t = 0.0
-    for t, _, uv in dynamics._imex_steps(cfg, block.copy()):
+    for t, _, uv, _ in dynamics._imex_steps(cfg, block.copy()):
         assert np.array_equal(uv[dirichlet], block[dirichlet])
     assert t == cfg.horizon
 
@@ -353,6 +357,193 @@ def test_largest_finite_horizon_blows_up():
     assert res.status == "blown_up"
     assert res.t_star == pytest.approx(3.3128e22, rel=1e-4)
     assert res.step_count == 8498
+
+
+def reference_march(config, u, counts=None):
+    """The IMEX march before its lean rewrite, kept as the bit-for-bit reference.
+
+    Each trial makes the whole-grid exact update and rescans the accepted
+    state for its scale.  Yields (t, floored, u); ``counts`` tallies rejected
+    and floored steps.
+    """
+    counts = {} if counts is None else counts
+    op = None if config.diffusionless else build_operator(config.grid, config.weight)
+    rows = None if op is None else op.free
+    horizon = config.horizon
+    rc_hi = min(0.1, math.sqrt(config.tol))
+    t = 0.0
+    dt = horizon * 1e-4
+    while t < horizon * (1.0 - 1e-14):
+        dt = min(dt, horizon - t)
+        floored = dt <= max(dynamics._DT_FLOOR, 8.0 * math.ulp(t))
+        u_new = exact_update(config.forcings, u, t, t + dt)
+        err = math.inf
+        if op is None:
+            finite = np.isfinite(u_new).all()
+        else:
+            u_new[:rows.start] = u[:rows.start]
+            u_new[rows.stop:] = u[rows.stop:]
+            try:
+                u_new = op.solve_shifted(dt, u_new)
+                finite = True
+            except ValueError:
+                finite = False
+        if finite:
+            scale = np.maximum(np.max(np.abs(u), axis=0), dynamics._TINY)
+            err = float(np.max(np.max(np.abs(u_new - u), axis=0) / scale))
+        if err > rc_hi and not floored:
+            counts["rejected"] = counts.get("rejected", 0) + 1
+            dt /= 2.0
+            continue
+        counts["floored"] = counts.get("floored", 0) + floored
+        t += dt
+        u = u_new
+        yield t, floored, u
+        if err < rc_hi / 10.0:
+            dt *= 2.0
+
+
+def with_sups(march):
+    """A march of (t, floored, u) as the lean march yields it, sups added."""
+    def steps(config, u):
+        for t, floored, v in march(config, u):
+            yield t, floored, v, np.max(np.abs(v), axis=0)
+    return steps
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def assert_same_march(config, u, max_steps=300):
+    """The lean march against the reference, step by step and bit for bit."""
+    counts = {}
+    lean = dynamics._imex_steps(config, u.copy())
+    ref = reference_march(config, u.copy(), counts)
+    steps = 0
+    for (t, floored, v, sup), (t_ref, floored_ref, v_ref) in zip(lean, ref):
+        assert (t, floored) == (t_ref, floored_ref)
+        assert np.array_equal(bits(v), bits(v_ref))
+        assert np.array_equal(bits(sup), bits(np.max(np.abs(v_ref), axis=0)))
+        steps += 1
+        if steps == max_steps or not np.isfinite(sup).all():
+            return counts
+    # both ended at the horizon together
+    assert next(lean, None) is None and next(ref, None) is None
+    return counts
+
+
+def assert_same_runs(monkeypatch, config):
+    """simulate and compare_runs on the lean march and on the reference."""
+    below = Field(config.grid, 0.5 * config.u0.values)
+    lean, lean_pair = simulate(config), compare_runs(config, below, config.u0)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_imex_steps", with_sups(reference_march))
+        ref, ref_pair = simulate(config), compare_runs(config, below, config.u0)
+    assert lean_pair == ref_pair
+    for name in ("times", "sup_history", "mass_history", "window_mass_history"):
+        assert np.array_equal(bits(getattr(lean, name)), bits(getattr(ref, name))), name
+    assert (lean.status, lean.t_star, lean.step_count) == (ref.status, ref.t_star, ref.step_count)
+    assert (lean.final is None) == (ref.final is None)
+    if ref.final is not None:
+        assert np.array_equal(bits(lean.final.values), bits(ref.final.values))
+
+
+@st.composite
+def march_configs(draw):
+    """A small line or radial run with zero to two sources and signed-zero data."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alpha = draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.booleans()):
+        grid, weight = line_grid(rng.uniform(2.0, 40.0), 2 * draw(st.integers(2, 60)) + 1), \
+            axis_weight(alpha)
+    else:
+        dim = draw(st.integers(1, 3))
+        grid, weight = radial_grid(rng.uniform(2.0, 40.0), draw(st.integers(3, 80)), dim), \
+            radial_weight(alpha, dim)
+    forcings = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["power", "log_power"]))
+        profile = TimeProfile(draw(st.sampled_from([-0.5, 0.0, 1.0])),
+                              draw(st.sampled_from([0.0, 0.1, 1.0])))
+        forcings.append(ForcingTerm(profile, Nonlinearity(
+            kind, draw(st.sampled_from([1.5, 2.0, 3.0, 3.5])))))
+    u0 = InitialProfile("gaussian", 10.0 ** rng.uniform(-3.0, 1.2),
+                        rng.uniform(0.5, 5.0)).realize(grid).values
+    u0[rng.random(u0.size) < 0.3] = -0.0
+    config = SimConfig(weight, grid, forcings, Field(grid, u0), 10.0 ** rng.uniform(-1.0, 1.5),
+                       blowup_threshold=1e8, tol=draw(st.sampled_from([1e-3, 1e-2])),
+                       diffusionless=draw(st.integers(0, 4)) == 0)
+    return config, draw(st.booleans())
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(march_configs())
+def test_lean_march_is_the_reference_march(config):
+    config, block = config
+    u = config.u0.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        if block:
+            # an ordered pair, as compare_runs runs it
+            assert_same_march(config, np.column_stack([0.5 * u, u]))
+        else:
+            assert_same_march(config, u)
+
+
+@pytest.mark.parametrize("case", ["ode", "overflow", "profile"])
+def test_lean_march_rejects_and_floors_as_the_reference(monkeypatch, case):
+    if case == "ode":
+        # u' = u^2 from 1/200: the step halves down to the floor near t = 200
+        g = line_grid(1.0, 5)
+        cfg = SimConfig(axis_weight(0.0), g, [power_forcing(2.0)],
+                        constant_field(g, 1.0 / 200.0), 2000.0,
+                        blowup_threshold=1e300, diffusionless=True)
+    elif case == "overflow":
+        # u^3 overflows at the floor before the threshold
+        g = line_grid(10.0, 101)
+        cfg = SimConfig(axis_weight(0.0), g, [power_forcing(3.0)],
+                        gaussian_field(g, 5.0), 10.0, blowup_threshold=1e300)
+    else:
+        # t^-1/2 u^2 on a degenerate weight, marched on past the threshold
+        g = line_grid(20.0, 201)
+        cfg = SimConfig(axis_weight(0.5), g, [power_forcing(2.0, -0.5)],
+                        gaussian_field(g, 0.5), 5.0, tol=1e-2)
+    u = cfg.u0.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = assert_same_march(cfg, u, max_steps=20_000)
+        assert counts["rejected"] > 0 and counts["floored"] > 0
+        assert_same_march(cfg, np.column_stack([0.5 * u, u]), max_steps=20_000)
+        assert_same_runs(monkeypatch, cfg)
+
+
+_MASS_RUN = """
+import hashlib
+from degenheat.dynamics import ForcingTerm, Nonlinearity, SimConfig, TimeProfile, simulate
+from degenheat.grids import Geometry, GridSpec, InitialProfile
+from degenheat.weight import WeightCase, WeightSpec
+g = GridSpec(Geometry.LINE, 5000.0, 20001)
+u0 = InitialProfile("gaussian", 1e-3, 5.0).realize(g)
+res = simulate(SimConfig(WeightSpec(WeightCase.AXIS_POWER, 0.5, 1), g,
+                         [ForcingTerm(TimeProfile.power(0.0), Nonlinearity.power(3.5))],
+                         u0, 1e5, tol=1e-2))
+for a in (res.mass_history, res.window_mass_history, res.sup_history):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+print(res.final.mass().hex(), res.final.window_mass(100.0).hex())
+"""
+
+
+def test_mass_does_not_depend_on_blas_threads():
+    # The alpha = 0.5 top rung of criterion 6 at p = 3.5: a threaded BLAS dot
+    # over its 20001 nodes rounds the mass differently on 1 and 2 threads.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out.append(subprocess.run([sys.executable, "-c", _MASS_RUN], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+    assert out[0].count("\n") == 4
+    assert out[0] == out[1]
 
 
 class TestCompareRuns:

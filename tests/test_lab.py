@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from degenheat import lab
 from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile
 from degenheat.errors import ConfigError
 from degenheat.grids import InitialProfile
@@ -199,6 +200,38 @@ class TestRunSweep:
         points = run_sweep(spec, 1)
         assert [pt.axis_values for pt in points] == \
             [(2.0, 1.0), (2.0, 2.0), (3.0, 1.0), (3.0, 2.0)]
+
+
+def test_serial_sweep_shares_linear_traces(monkeypatch):
+    # The p axis leaves the linear run (forcings=()) alone: 3 x 2 cells, 2 runs.
+    linear = []
+    real = lab.simulate
+
+    def counting(cfg):
+        if not cfg.forcings:
+            linear.append(float(cfg.u0.values.max()))
+        return real(cfg)
+
+    monkeypatch.setattr(lab, "simulate", counting)
+    run = base_run(weight=axis_weight(0.5), grid=line_grid(60.0, 121), diffusionless=False,
+                   profile=InitialProfile("gaussian", 1.0, 1.0), tol=1e-2)
+    spec = SweepSpec(run, (("p", [2.0, 4.0, 6.0]), ("amplitude", [1e-3, 1e-2])),
+                     default_escalation((40.0,)))
+    points = run_sweep(spec, 1)
+    assert sorted(linear) == [1e-3, 1e-2]
+    # a shared trace still meets each point's own sources: p = 4 and 6 index differently
+    assert len({pt.index_I for pt in points[2:]}) == 4
+    # nothing is carried into the next call
+    linear.clear()
+    assert run_sweep(spec, 1) == points
+    assert sorted(linear) == [1e-3, 1e-2]
+    # each point computed alone, with its own linear run, reads the same
+    linear.clear()
+    for (values, cell), point in zip(spec.points(), points):
+        alone = classify_point(cell, spec.escalation)
+        alone.axis_values = values
+        assert alone == point
+    assert len(linear) == 6
 
 
 class TestSweepSvg:

@@ -545,6 +545,10 @@ class TestApplySemigroup:
         for n_steps in (None, 8):
             with pytest.raises(ConfigError):
                 apply_semigroup(op, u0, 1.0, scheme="rk4", n_steps=n_steps)
+        # Crank-Nicolson is a fixed-step scheme: the Krylov flow would ignore it
+        with pytest.raises(ConfigError, match="needs n_steps"):
+            apply_semigroup(op, u0, 1.0, scheme="cn")
+        apply_semigroup(op, u0, 1.0, scheme="cn", n_steps=8)
         with pytest.raises(ConfigError):
             apply_semigroup(op, u0, math.nan)
         with pytest.raises(ConfigError):
@@ -568,7 +572,7 @@ class TestApplySemigroup:
         op = build_operator(g, axis_weight(0.0))
         u0 = gaussian_field(g, 1.0, 1.0)
         t = 1.0
-        evolved = apply_semigroup(op, u0, t, tol=1e-5, scheme="cn")
+        evolved = apply_semigroup(op, u0, t, tol=1e-5)
         s2 = 1.0 + 2.0 * t
         exact = (1.0 / math.sqrt(s2)) * np.exp(-g.positions() ** 2 / (2.0 * s2))
         assert np.max(np.abs(evolved.values - exact)) <= 1e-3
