@@ -47,8 +47,8 @@ def osgood_tail(nl: Nonlinearity, z: float) -> float:
     A tail beyond the float range, as small data with a large exponent give,
     is ``math.inf``: divergent.
     """
-    if z <= 0.0:
-        raise ConfigError(f"osgood tail needs z > 0, got {z}")
+    if not 0.0 < z < math.inf:
+        raise ConfigError(f"osgood tail needs finite z > 0, got {z}")
     e = nl.exponent
     # a Python float, so that an overflow raises for a numpy scalar too
     base = float(z) if nl.kind == "power" else math.log1p(z)
@@ -86,11 +86,12 @@ def _as_trace(sup_trace):
 def decay_fit(sup_trace, window) -> DecayEnvelope:
     """Least-squares power-law fit of the sup trace over a time window.
 
-    The window must span at least one decade so the slope is meaningful.
+    The window must span at least one decade so the slope is meaningful;
+    t = 0, where every trace starts, has no logarithm and is left out.
     """
     times, sups = _as_trace(sup_trace)
     lo, hi = window
-    mask = (times >= lo) & (times <= hi) & (sups > 0)
+    mask = (times >= lo) & (times <= hi) & (times > 0) & (sups > 0)
     if mask.sum() < 3 or times[mask].max() < 9.5 * times[mask].min():
         raise ConfigError(f"fit window {window} does not span a usable decade of the trace")
     lt = np.log(times[mask])
@@ -156,10 +157,12 @@ def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
 def fujita_exponents(alpha: float, dim: int, r: float, s: float):
     """Critical powers p* and q* for the two source families."""
     _validate_alpha(alpha)
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
-    if r <= -1.0 or s <= -1.0:
-        raise ConfigError("profile exponents must exceed -1")
+    # "not" tests, so that NaN is rejected too
+    if not 1 <= dim < math.inf:
+        raise ConfigError(f"dim must be finite and >= 1, got {dim}")
+    if not (-1.0 < r < math.inf and -1.0 < s < math.inf):
+        raise ConfigError(f"profile exponents must be finite and exceed -1, "
+                          f"got r={r}, s={s}")
     p_star = 1.0 + (2.0 - alpha) * (r + 1.0) / dim
     q_star = 1.0 + (2.0 - alpha) * (s + 1.0) / dim
     return p_star, q_star
@@ -206,11 +209,12 @@ def critical_mass_growth(times, window_mass, window):
 
     A positive slope is the discrete echo of the logarithmic mass growth that
     drives the critical-case blow-up argument.  Diagnostic, not a verdict.
+    t = 0 has no logarithm and is left out.
     """
     times = np.asarray(times, dtype=float)
     wm = np.asarray(window_mass, dtype=float)
     lo, hi = window
-    mask = (times >= lo) & (times <= hi) & np.isfinite(wm) & (wm > 0)
+    mask = (times >= lo) & (times <= hi) & (times > 0) & np.isfinite(wm) & (wm > 0)
     if mask.sum() < 4:
         raise ConfigError(f"too few usable samples in window {window}")
     x = np.log(times[mask])

@@ -280,10 +280,8 @@ def _source_rows(live, u) -> slice:
             theta = min(theta, share ** (1.0 / (nonlinearity.exponent - 1.0)))
     if not theta >= _NORMAL_MIN:
         return slice(None)
-    # "not <=" tests, so that a NaN node is evaluated, as in the exact sum
-    if not (u[0] <= theta).all() and not (u[-1] <= theta).all():
-        return slice(None)  # both end rows move: a filled state needs no scan
-    # find and rfind scan the mask's bytes in C for the first and last 0, a moved node
+    # find and rfind scan the mask's bytes in C for the first and last 0, a moved
+    # node; "not <=", so that a NaN node is evaluated, as in the exact sum
     still = (u <= theta).tobytes()
     first = still.find(0)
     if first < 0:

@@ -121,13 +121,15 @@ class Field:
 
     def window_mass(self, radius: float) -> float:
         """Mass restricted to nodes within ``radius`` of the degeneracy center."""
+        if not radius >= 0.0:
+            raise ConfigError(f"window radius must be >= 0, got {radius}")
         inside = self.grid.radii() <= radius
         return volume_sum(self.values[inside], self.grid.node_volumes()[inside])
 
     def lq_norm(self, q: float) -> float:
         if q == math.inf:
             return self.sup()
-        if q < 1:
+        if not q >= 1:
             raise ConfigError(f"Lq norm needs q >= 1, got {q}")
         w = self.grid.node_volumes()
         return volume_sum(np.abs(self.values) ** q, w) ** (1.0 / q)

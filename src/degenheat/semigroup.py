@@ -32,12 +32,13 @@ definite system
 with the diagonal V_i + c (K_{i-1} + K_i) and the off-diagonals -c K_i on
 the faces between free rows, and the coupling c K rhs_b of a Dirichlet row
 moves to the right-hand side of its free neighbour.  Each operator keeps the
-LAPACK ``pttrf`` factors L D L^T of its two most recently factored shifts and
-answers repeated solves with ``pttrs`` alone.  For c > 0 the off-diagonals
-are <= 0 and D > 0, so every multiplier of L is <= 0 and both sweeps of
-``pttrs`` only add non-negative multiples and divide by positive pivots:
-non-negative data give a non-negative solution and ordered data an ordered
-one, exactly in floating point, with no clipping.
+LAPACK ``pttrf`` factors L D L^T of its latest shift, with their window
+bound, and answers repeated solves at that shift with ``pttrs`` alone; a new
+shift replaces them.  For c > 0 the off-diagonals are <= 0 and D > 0, so
+every multiplier of L is <= 0 and both sweeps of ``pttrs`` only add
+non-negative multiples and divide by positive pivots: non-negative data give
+a non-negative solution and ordered data an ordered one, exactly in floating
+point, with no clipping.
 
 For c > 0, ``pttrs`` runs only over a window of free rows lo..hi outside
 which the exact solution is provably below the smallest normal number,
@@ -82,9 +83,6 @@ _NORMAL = float(np.finfo(float).tiny)
 _SMALLEST = math.ulp(0.0)
 _LOG_NORMAL = math.log(_NORMAL)
 _LOG_SLACK = 0.25
-# Shifts whose factors an operator keeps: the IMEX march in ``dynamics`` halves
-# and doubles its step, so it moves between two sizes.
-_FACTOR_CACHE_SIZE = 2
 # Krylov path: the shift is gamma = _SHIFT_FRACTION * t, and a basis may grow
 # to _KRYLOV_CAP vectors before the call gives up; its array starts at
 # _KRYLOV_ROWS rows, more than criteria 3 and 4 use, and doubles when full.
@@ -97,7 +95,8 @@ _KRYLOV_ROWS = 32
 class DiffusionOperator:
     """Finite-volume form of div(omega grad .): node volumes, face conductances.
 
-    Equality and hashing go by identity: each operator owns its factor cache.
+    Equality and hashing go by identity: each operator owns the factors of
+    its latest shift.
     """
 
     grid: GridSpec
@@ -121,8 +120,8 @@ class DiffusionOperator:
         return out
 
     def solve_shifted(self, c: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - c A) x = rhs, factoring the free rows of V (I - c A) once
-        per distinct c; the Dirichlet rows pass through, x_b = rhs_b.
+        """Solve (I - c A) x = rhs, factoring the free rows of V (I - c A) when
+        c is not the latest shift; the Dirichlet rows pass through, x_b = rhs_b.
 
         An (M, k) block is solved column by column, each column as if alone.
         """
@@ -155,7 +154,7 @@ class DiffusionOperator:
         return x
 
     def _factor(self, c: float) -> "_Factors":
-        """``pttrf`` of the free rows of V (I - c A), kept in the factor cache."""
+        """``pttrf`` of the free rows of V (I - c A), kept in place of the last."""
         if not math.isfinite(c):
             raise ValueError(f"shift must be finite, got {c}")
         k, rows = self.conductances, self.free
@@ -175,8 +174,7 @@ class DiffusionOperator:
         d, e[:m], info = dpttrf(d, e[:m], overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
-        if len(self._factors) == _FACTOR_CACHE_SIZE:
-            del self._factors[next(iter(self._factors))]
+        self._factors.clear()
         self._factors[c] = factors = _Factors(d, e, c, k, rows, self.volumes[rows])
         return factors
 
@@ -186,22 +184,26 @@ class _Factors:
 
     ``d`` holds the pivots D and ``e`` the multipliers l_i = L[i+1, i], then
     a spare 0.  ``couple_lo`` and ``couple_hi`` are c K on the faces next to
-    the Dirichlet rows, ``rows`` the free rows.  The window bound's three
-    scalars are computed on the first window that needs them and kept with
-    the factors.
+    the Dirichlet rows, ``rows`` the free rows.  The window bound's decay
+    ``rate`` rho, ``log_q`` = log Q and ``floor`` 2^-1022 min V are computed
+    with the factors; c <= 0 has rate 0, no window.
     """
 
-    __slots__ = ("d", "e", "positive", "rows", "couple_lo", "couple_hi", "volumes",
-                 "_bound")
+    __slots__ = ("d", "e", "rows", "couple_lo", "couple_hi", "rate", "log_q", "floor")
 
     def __init__(self, d: np.ndarray, e: np.ndarray, c: float, k: np.ndarray,
                  rows: slice, volumes: np.ndarray):
         self.d, self.e = d, e
-        self.positive = c > 0.0    # the window applies
         self.rows = rows
         self.couple_lo, self.couple_hi = c * float(k[0]), c * float(k[-1])
-        self.volumes = volumes     # V on the free rows
-        self._bound = None
+        # Every multiplier lies in [-r, 0] with r < 1, so |L^{-1}_{ij}| <= r^(i-j);
+        # decoupled rows (r = 0) bound like the smallest subnormal.
+        n = d.size
+        r = max(-float(e.min()), _SMALLEST)
+        terms = n if r * r >= 1.0 - 1.0 / n else 1.0 / (1.0 - r * r)
+        self.rate = -math.log(r) if c > 0.0 else 0.0
+        self.log_q = math.log(terms / float(d.min()))
+        self.floor = max(_NORMAL * float(volumes.min()), _SMALLEST)
 
     def window(self, b: np.ndarray) -> tuple[int, int]:
         """(lo, hi) such that the solution is below 2^-1022 off rows lo..hi.
@@ -211,18 +213,9 @@ class _Factors:
         support [s, t] of the rest; an empty support gives (n, -1).
         """
         n = b.size
-        if not self.positive:
-            return 0, n - 1
-        if self._bound is None:
-            # Every multiplier lies in [-r, 0] with r < 1, so |L^{-1}_{ij}| <= r^(i-j);
-            # decoupled rows (r = 0) bound like the smallest subnormal.
-            r = max(-float(self.e.min()), _SMALLEST)
-            terms = n if r * r >= 1.0 - 1.0 / n else 1.0 / (1.0 - r * r)
-            floor = max(_NORMAL * float(self.volumes.min()), _SMALLEST)
-            self._bound = -math.log(r), math.log(terms / float(self.d.min())), floor
-        rate, log_q, floor = self._bound
-        # r rounds to 1 or just above: no decay to bound; or both end rows
-        # hold normal values, so the support is every row
+        rate, floor = self.rate, self.floor
+        # c <= 0, or r rounds to 1 or just above: no decay to bound; or both end
+        # rows hold normal values, so the support is every row
         if not rate > 0.0 or (abs(b[0]) >= floor and abs(b[-1]) >= floor):
             return 0, n - 1
         size = np.abs(b)
@@ -231,12 +224,7 @@ class _Factors:
         s, t = normal.find(1), normal.rfind(1)
         if s < 0:
             return n, -1
-        reach = _LOG_SLACK + log_q + math.log(t - s + 1) - _LOG_NORMAL
-        # The terms of s and t alone bound the maxima below: when they reach both
-        # ends, so does the window, with no logarithm per row.
-        if ((reach + math.log(size[s])) / rate >= s
-                and (reach + math.log(size[t])) / rate >= n - 1 - t):
-            return 0, n - 1
+        reach = _LOG_SLACK + self.log_q + math.log(t - s + 1) - _LOG_NORMAL
         # in place on the scratch array; entries raised to the floor never raise
         # a maximum, since the terms at s and t bound them
         logs = size[s:t + 1]
@@ -374,8 +362,8 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
         raise ConfigError(f"scheme {scheme!r} needs n_steps; the Krylov flow has none")
     if u0.grid != op.grid:
         raise ConfigError("field grid does not match the operator grid")
-    if not t >= 0.0:
-        raise ConfigError(f"time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ConfigError(f"time must be finite and nonnegative, got {t}")
     if n_steps is not None and n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if t == 0.0:
@@ -392,8 +380,8 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
 
 def kernel_column(op: DiffusionOperator, y_index: int, t: float, tol: float = 1e-6) -> Field:
     """Evolve a unit-mass discrete delta at node ``y_index``: a kernel probe."""
-    if t <= 0.0:
-        raise ConfigError(f"kernel probe needs t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ConfigError(f"kernel probe needs finite t > 0, got {t}")
     if not 0 <= y_index < op.grid.nodes:
         raise ConfigError(f"node index {y_index} out of range")
     spike = np.zeros(op.grid.nodes)

@@ -131,8 +131,8 @@ def h_ball_inverse(sf: ScaleFunction, t: float) -> float:
     # package's import time, and no sweep or probe inverts h_x
     from scipy.optimize import brentq
 
-    if t <= 0.0:
-        raise ConfigError(f"h_ball_inverse needs t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ConfigError(f"h_ball_inverse needs finite t > 0, got {t}")
     # exploit h_0(r) ~ r^(2-alpha) for the initial bracket
     guess = t ** (1.0 / sf.spec.scaling_exponent)
     lo, hi = guess * 1e-3, guess * 1e3
@@ -166,10 +166,10 @@ def doubling_defect(spec: WeightSpec, x: float, big_r: float, s: float, mu: floa
     near 1 for both means the weighted volume scales like a clean power of s.
     Diagnostic only: the true doubling constants are suprema over all balls.
     """
-    if s <= 1.0:
-        raise ConfigError(f"doubling factor s must exceed 1, got {s}")
-    if big_r <= 0.0:
-        raise ConfigError(f"radius R must be positive, got {big_r}")
+    if not 1.0 < s < math.inf:
+        raise ConfigError(f"doubling factor s must be finite and exceed 1, got {s}")
+    if not 0.0 < big_r < math.inf:
+        raise ConfigError(f"radius R must be finite and positive, got {big_r}")
     base = _ball_integral(spec, x, big_r)
     grown = _ball_integral(spec, x, s * big_r)
     power = s ** (mu * spec.dim)

@@ -12,10 +12,13 @@ from degenheat.criteria import (DecayEnvelope, blowup_certificate,
                                 critical_mass_growth, decay_fit, evaluate,
                                 fujita_exponents, osgood_tail,
                                 second_critical_exponent, smallness_index)
-from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile
+from degenheat.dynamics import ForcingTerm, Nonlinearity, SimConfig, TimeProfile, simulate
 from degenheat.errors import ConfigError
+from degenheat.grids import gaussian_field
+from degenheat.semigroup import build_operator, kernel_column
+from degenheat.weight import ScaleFunction, doubling_defect, h_ball_inverse
 
-from conftest import axis_weight
+from conftest import axis_weight, line_grid
 
 
 def power_term(p: float, r: float = 0.0) -> ForcingTerm:
@@ -124,6 +127,25 @@ class TestDecayFit:
         times = np.geomspace(1.0, 3.0, 20)
         with pytest.raises(ConfigError):
             decay_fit((times, times ** -0.5), (1.0, 3.0))
+
+    def test_window_through_t0(self):
+        # a simulate trace starts at t = 0: the window leaves it out, quietly
+        g = line_grid(40.0, 161)
+        run = simulate(SimConfig(axis_weight(0.0), g, [], gaussian_field(g), 16.0))
+        times, sups = run.trace()
+        assert times[0] == 0.0
+        inside = times > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = decay_fit((times, sups), (0.0, 16.0))
+            assert env == decay_fit((times[inside], sups[inside]), (0.0, 16.0))
+            assert critical_mass_growth(times, run.mass_history, (0.0, 16.0)) == \
+                critical_mass_growth(times[inside], run.mass_history[inside], (0.0, 16.0))
+            # t = 0 does not count toward the points a fit needs
+            with pytest.raises(ConfigError):
+                decay_fit(([0.0, 1.0, 20.0], [1.0, 0.5, 0.1]), (0.0, 20.0))
+            with pytest.raises(ConfigError):
+                critical_mass_growth([0.0, 1.0, 2.0, 3.0], [1.0] * 4, (0.0, 3.0))
 
 
 class TestSmallnessIndex:
@@ -253,3 +275,33 @@ class TestEvaluate:
         sups = 0.05 / np.sqrt(1.0 + 2.0 * times)
         report = evaluate((times, sups), forcings, axis_weight(alpha))
         assert report.rho_star == rho_star
+
+
+
+_FIELD = gaussian_field(line_grid(5.0, 51))
+_OP = build_operator(line_grid(5.0, 51), axis_weight(0.5))
+_NAN_INF = (math.nan, math.inf)
+
+
+@pytest.mark.parametrize("call, values", [
+    # lq_norm(inf) is the sup norm and window_mass(inf) the whole mass
+    pytest.param(lambda x: _FIELD.lq_norm(x), (math.nan,), id="lq_norm"),
+    pytest.param(lambda x: _FIELD.window_mass(x), (math.nan,), id="window_mass"),
+    pytest.param(lambda x: osgood_tail(Nonlinearity.power(2.0), x), _NAN_INF,
+                 id="osgood_tail"),
+    pytest.param(lambda x: fujita_exponents(0.5, x, 0.0, 0.0), _NAN_INF, id="fujita_dim"),
+    pytest.param(lambda x: fujita_exponents(0.5, 1, x, 0.0), _NAN_INF, id="fujita_r"),
+    pytest.param(lambda x: fujita_exponents(0.5, 1, 0.0, x), _NAN_INF, id="fujita_s"),
+    pytest.param(lambda x: doubling_defect(axis_weight(0.5), 0.0, x, 2.0, 0.75), _NAN_INF,
+                 id="doubling_R"),
+    pytest.param(lambda x: doubling_defect(axis_weight(0.5), 0.0, 1.0, x, 0.75), _NAN_INF,
+                 id="doubling_s"),
+    pytest.param(lambda x: h_ball_inverse(ScaleFunction(axis_weight(0.5)), x), _NAN_INF,
+                 id="h_ball_inverse"),
+    pytest.param(lambda x: kernel_column(_OP, 25, x), _NAN_INF, id="kernel_column"),
+])
+def test_rejects_nan_and_infinite_arguments(call, values):
+    # "not" tests: NaN fails every comparison, so a "<= 0" test lets it through
+    for bad in values:
+        with pytest.raises(ConfigError):
+            call(bad)
