@@ -178,6 +178,8 @@ class SimConfig:
         if not self.blowup_threshold > 0.0:
             raise ConfigError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}")
+        if self.u0.grid != self.grid:
+            raise ConfigError("u0 grid does not match the config grid")
         sup0 = self.u0.sup()
         if sup0 > 0.0 and self.blowup_threshold < 1e3 * sup0:
             raise ConfigError(
@@ -425,75 +427,78 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
     Checks nodewise monotonicity in k and the cap u^k <= (1+beta) S(t)u0.
     Each mesh panel is advanced with ``_PANEL_STEPS`` fixed backward-Euler
     substeps so the discrete semigroup is one fixed monotone matrix per panel.
+
+    Each iterate is one (mesh points, nodes) array, advanced panel by panel:
+    a source over the whole array would turn a zero-weight panel's 0 * inf
+    into NaN.  Violations run per k and mesh point, "monotone" before "cap",
+    and a "nonfinite" iterate ends the run; the flags are read off them.
     """
-    if beta <= 0.0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    # "not" tests, so that NaN is rejected too
+    if not 0.0 < beta < math.inf:
+        raise ConfigError(f"beta must be finite and positive, got {beta}")
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    if v0.grid != config.grid:
+        raise ConfigError("v0 grid does not match the config grid")
     if delta is None:
         delta = 0.9 / (1.0 + beta)
     if mesh is None:
         mesh = default_mesh(config.horizon)
     mesh = np.asarray(mesh, dtype=float)
-    if mesh[0] != 0.0 or np.any(np.diff(mesh) <= 0):
-        raise ConfigError("mesh must start at 0 and increase strictly")
+    if not (mesh.ndim == 1 and mesh.size and mesh[0] == 0.0
+            and np.isfinite(mesh).all() and (np.diff(mesh) > 0).all()):
+        raise ConfigError("mesh must be a finite 1-D array that starts at 0 "
+                          "and increases strictly")
 
-    op = build_operator(config.grid, config.weight)
+    grid = config.grid
+    op = build_operator(grid, config.weight)
     rows = op.free
-    u0 = Field(config.grid, delta * v0.values)
-    npts = mesh.size
+
+    def panel(values, j):
+        return apply_semigroup(op, Field(grid, values), mesh[j] - mesh[j - 1],
+                               n_steps=_PANEL_STEPS).values
 
     # linear baseline S(t_j) u0 along the mesh
-    lin = [u0.copy()]
-    for j in range(1, npts):
-        lin.append(apply_semigroup(op, lin[-1], mesh[j] - mesh[j - 1],
-                                   n_steps=_PANEL_STEPS))
+    lin = np.empty((mesh.size, grid.nodes))
+    lin[0] = Field(grid, delta * v0.values).values
+    for j in range(1, mesh.size):
+        lin[j] = panel(lin[j - 1], j)
+    cap = (1.0 + beta) * lin
+    slack = 1e-10 * max(float(np.abs(lin).max()), _TINY)
+    prev = lin
+    gaps, violations = [], []
 
-    scale = max(f.sup() for f in lin)
-    slack = 1e-10 * max(scale, _TINY)
-    prev = [f.copy() for f in lin]
-    gaps = []
-    violations = []
-    monotone_ok = True
-    cap_ok = True
+    def report():
+        kinds = {v[0] for v in violations}
+        return IterateReport(mesh, gaps, "monotone" not in kinds,
+                             not kinds & {"cap", "nonfinite"}, violations, delta, beta)
 
     for k in range(1, k_max + 1):
-        cur = [u0.copy()]
-        overflowed = False
-        for j in range(1, npts):
-            dt_panel = mesh[j] - mesh[j - 1]
+        cur = lin.copy()    # row 0 is u0; the panels overwrite the rest
+        for j in range(1, mesh.size):
             with np.errstate(over="ignore"):
-                src = _source_increment(config.forcings, prev[j - 1].values,
-                                        mesh[j - 1], mesh[j])
+                src = _source_increment(config.forcings, prev[j - 1], mesh[j - 1], mesh[j])
             src[:rows.start] = 0.0    # the Dirichlet rows hold
             src[rows.stop:] = 0.0
-            carried_values = cur[-1].values + src
-            if not np.all(np.isfinite(carried_values)):
+            carried = cur[j - 1] + src
+            if not np.isfinite(carried).all():
                 # runaway iterate: a cap violation in the making; record and stop
-                cap_ok = False
                 violations.append(("nonfinite", k, float(mesh[j]), math.inf))
-                overflowed = True
-                break
-            carried = Field(config.grid, carried_values)
-            cur.append(apply_semigroup(op, carried, dt_panel, n_steps=_PANEL_STEPS))
-        if overflowed:
-            break
+                return report()
+            cur[j] = panel(carried, j)
 
-        gap = max(float(np.max(np.abs(c.values - p.values)))
-                  for c, p in zip(cur, prev))
-        gaps.append(gap)
-        for j in range(npts):
-            drop = float(np.min(cur[j].values - prev[j].values))
-            if drop < -slack:
-                monotone_ok = False
-                violations.append(("monotone", k, float(mesh[j]), drop))
-            over = float(np.max(cur[j].values - (1.0 + beta) * lin[j].values))
-            if over > slack:
-                cap_ok = False
-                violations.append(("cap", k, float(mesh[j]), over))
+        rise = cur - prev
+        gaps.append(float(np.abs(rise).max()))
+        drops = rise.min(axis=1)
+        overs = (cur - cap).max(axis=1)
+        for j in np.flatnonzero((drops < -slack) | (overs > slack)):
+            if drops[j] < -slack:
+                violations.append(("monotone", k, float(mesh[j]), float(drops[j])))
+            if overs[j] > slack:
+                violations.append(("cap", k, float(mesh[j]), float(overs[j])))
         prev = cur
 
-    return IterateReport(mesh, gaps, monotone_ok, cap_ok, violations, delta, beta)
+    return report()
 
 
 @dataclass
@@ -511,6 +516,8 @@ def compare_runs(config: SimConfig, u0: Field, v0: Field) -> ComparisonReport:
     at the horizon, when sup v crosses the blow-up threshold, or at the last
     finite state when the explicit update overflows at the step floor.
     """
+    if u0.grid != config.grid or v0.grid != config.grid:
+        raise ConfigError("u0 and v0 grids must match the config grid")
     if np.any(u0.values > v0.values):
         raise ConfigError("compare_runs needs u0 <= v0 nodewise")
     defect = 0.0

@@ -101,8 +101,11 @@ def _ball_integral_1d(spec: WeightSpec, x: float, r: float) -> float:
 
 def _ball_integral(spec: WeightSpec, x: float, r: float) -> float:
     """Integral of omega^(-N/2) over the ball B_r(x)."""
-    if r <= 0.0:
-        raise ConfigError(f"radius must be positive, got {r}")
+    # "not" tests, so that NaN is rejected too
+    if not 0.0 < r < math.inf:
+        raise ConfigError(f"radius must be finite and positive, got {r}")
+    if not math.isfinite(x):
+        raise ConfigError(f"ball centre must be finite, got {x}")
     n = spec.dim
     if n == 1:
         return _ball_integral_1d(spec, float(x), r)
@@ -170,6 +173,8 @@ def doubling_defect(spec: WeightSpec, x: float, big_r: float, s: float, mu: floa
         raise ConfigError(f"doubling factor s must be finite and exceed 1, got {s}")
     if not 0.0 < big_r < math.inf:
         raise ConfigError(f"radius R must be finite and positive, got {big_r}")
+    if not math.isfinite(mu):
+        raise ConfigError(f"exponent mu must be finite, got {mu}")
     base = _ball_integral(spec, x, big_r)
     grown = _ball_integral(spec, x, s * big_r)
     power = s ** (mu * spec.dim)

@@ -16,7 +16,7 @@ from degenheat.dynamics import ForcingTerm, Nonlinearity, SimConfig, TimeProfile
 from degenheat.errors import ConfigError
 from degenheat.grids import gaussian_field
 from degenheat.semigroup import build_operator, kernel_column
-from degenheat.weight import ScaleFunction, doubling_defect, h_ball_inverse
+from degenheat.weight import ScaleFunction, doubling_defect, h_ball, h_ball_inverse
 
 from conftest import axis_weight, line_grid
 
@@ -299,6 +299,14 @@ _NAN_INF = (math.nan, math.inf)
     pytest.param(lambda x: h_ball_inverse(ScaleFunction(axis_weight(0.5)), x), _NAN_INF,
                  id="h_ball_inverse"),
     pytest.param(lambda x: kernel_column(_OP, 25, x), _NAN_INF, id="kernel_column"),
+    pytest.param(lambda x: h_ball(ScaleFunction(axis_weight(0.5)), x), _NAN_INF,
+                 id="h_ball"),
+    pytest.param(lambda x: doubling_defect(axis_weight(0.5), x, 1.0, 2.0, 0.75), _NAN_INF,
+                 id="doubling_x"),
+    pytest.param(lambda x: doubling_defect(axis_weight(0.5), 0.0, 1.0, 2.0, x), _NAN_INF,
+                 id="doubling_mu"),
+    pytest.param(lambda x: h_ball_inverse(ScaleFunction(axis_weight(0.5), x), 1.0), _NAN_INF,
+                 id="h_ball_inverse_center"),
 ])
 def test_rejects_nan_and_infinite_arguments(call, values):
     # "not" tests: NaN fails every comparison, so a "<= 0" test lets it through

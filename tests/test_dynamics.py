@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from degenheat import dynamics
 from degenheat.cli import parse_profile
-from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig,
-                                TimeProfile, compare_runs, default_mesh,
-                                monotone_iterates, simulate)
+from degenheat.dynamics import (ForcingTerm, IterateReport, Nonlinearity,
+                                SimConfig, TimeProfile, compare_runs,
+                                default_mesh, monotone_iterates, simulate)
 from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Field, InitialProfile, constant_field, gaussian_field
 from degenheat.semigroup import apply_semigroup, build_operator
@@ -209,6 +209,14 @@ class TestSimConfigValidation:
         # a zero profile adds no source at any horizon
         silent = ForcingTerm(TimeProfile.zero(), Nonlinearity.power(2.0))
         SimConfig(axis_weight(0.0), g, [silent], gaussian_field(g, 1e-3), horizon)
+
+    def test_rejects_data_on_another_grid(self):
+        # same node count, other extent: the values would broadcast silently
+        g = line_grid(10.0, 101)
+        with pytest.raises(ConfigError, match="grid"):
+            SimConfig(axis_weight(0.0), g, [], gaussian_field(line_grid(20.0, 101)), 1.0)
+        with pytest.raises(ConfigError, match="grid"):
+            SimConfig(axis_weight(0.0), g, [], gaussian_field(line_grid(10.0, 51)), 1.0)
 
 
 class TestSimulate:
@@ -601,6 +609,15 @@ class TestCompareRuns:
         with pytest.raises(ConfigError):
             compare_runs(cfg, big, v0)
 
+    def test_rejects_data_on_another_grid(self):
+        g = line_grid(5.0, 41)
+        other = line_grid(10.0, 41)
+        cfg = SimConfig(axis_weight(0.0), g, [], gaussian_field(g), 1.0)
+        for u0, v0 in ((gaussian_field(other, 0.5), gaussian_field(g)),
+                       (gaussian_field(g, 0.5), gaussian_field(other))):
+            with pytest.raises(ConfigError, match="grid"):
+                compare_runs(cfg, u0, v0)
+
 
 class TestMonotoneIterates:
     def _config(self):
@@ -639,9 +656,193 @@ class TestMonotoneIterates:
         with pytest.raises(ConfigError):
             monotone_iterates(cfg, gaussian_field(cfg.grid), beta=1.0, k_max=2,
                               mesh=np.array([0.1, 0.2]))
+        # NaN passes a "<= 0" test, and a NaN or infinite mesh point a "diff <= 0"
+        # one; an empty or 2-D mesh has no first point to test
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="beta"):
+                monotone_iterates(cfg, gaussian_field(cfg.grid), beta=beta, k_max=2)
+        for mesh in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [math.nan, 1.0], [],
+                     [[0.0, 1.0]]):
+            with pytest.raises(ConfigError, match="mesh"):
+                monotone_iterates(cfg, gaussian_field(cfg.grid), beta=1.0, k_max=2,
+                                  mesh=np.array(mesh))
+
+    def test_rejects_data_on_another_grid(self):
+        cfg = self._config()
+        other = line_grid(20.0, cfg.grid.nodes)
+        with pytest.raises(ConfigError, match="grid"):
+            monotone_iterates(cfg, gaussian_field(other), beta=1.0, k_max=2)
 
     def test_default_mesh_shape(self):
         mesh = default_mesh(10.0, points=12)
         assert mesh[0] == 0.0
         assert mesh[-1] == pytest.approx(10.0)
         assert np.all(np.diff(mesh) > 0.0)
+
+
+def reference_monotone_iterates(config, v0, beta, k_max, delta, mesh):
+    """The Picard iteration before its array rewrite, kept as the bit-for-bit
+    reference: each iterate a list of Fields, each check a loop over the mesh."""
+    mesh = np.asarray(mesh, dtype=float)
+    op = build_operator(config.grid, config.weight)
+    rows = op.free
+    u0 = Field(config.grid, delta * v0.values)
+    npts = mesh.size
+
+    lin = [u0.copy()]
+    for j in range(1, npts):
+        lin.append(apply_semigroup(op, lin[-1], mesh[j] - mesh[j - 1],
+                                   n_steps=dynamics._PANEL_STEPS))
+
+    scale = max(f.sup() for f in lin)
+    slack = 1e-10 * max(scale, dynamics._TINY)
+    prev = [f.copy() for f in lin]
+    gaps = []
+    violations = []
+    monotone_ok = True
+    cap_ok = True
+
+    for k in range(1, k_max + 1):
+        cur = [u0.copy()]
+        overflowed = False
+        for j in range(1, npts):
+            dt_panel = mesh[j] - mesh[j - 1]
+            with np.errstate(over="ignore"):
+                src = dynamics._source_increment(config.forcings, prev[j - 1].values,
+                                                 mesh[j - 1], mesh[j])
+            src[:rows.start] = 0.0
+            src[rows.stop:] = 0.0
+            carried_values = cur[-1].values + src
+            if not np.all(np.isfinite(carried_values)):
+                cap_ok = False
+                violations.append(("nonfinite", k, float(mesh[j]), math.inf))
+                overflowed = True
+                break
+            carried = Field(config.grid, carried_values)
+            cur.append(apply_semigroup(op, carried, dt_panel, n_steps=dynamics._PANEL_STEPS))
+        if overflowed:
+            break
+
+        gap = max(float(np.max(np.abs(c.values - p.values)))
+                  for c, p in zip(cur, prev))
+        gaps.append(gap)
+        for j in range(npts):
+            drop = float(np.min(cur[j].values - prev[j].values))
+            if drop < -slack:
+                monotone_ok = False
+                violations.append(("monotone", k, float(mesh[j]), drop))
+            over = float(np.max(cur[j].values - (1.0 + beta) * lin[j].values))
+            if over > slack:
+                cap_ok = False
+                violations.append(("cap", k, float(mesh[j]), over))
+        prev = cur
+
+    return IterateReport(mesh, gaps, monotone_ok, cap_ok, violations, delta, beta)
+
+
+def hex_report(report):
+    """An IterateReport's every number as float.hex, in order."""
+    return (bits(report.mesh).tobytes(), [g.hex() for g in report.gaps],
+            [(kind, k, t.hex(), v.hex()) for kind, k, t, v in report.violations],
+            report.monotone_ok, report.cap_ok, report.delta.hex(), report.beta.hex())
+
+
+def _falling(u):
+    return np.exp(-u)
+
+
+@st.composite
+def picard_configs(draw):
+    """A small line or radial Picard run, zero to two sources, delta on either
+    side of 1/(1+beta), and data up to a size whose iterates overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alpha = draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.booleans()):
+        grid, weight = line_grid(rng.uniform(5.0, 40.0), 2 * draw(st.integers(5, 60)) + 1), \
+            axis_weight(alpha)
+    else:
+        dim = draw(st.integers(1, 3))
+        grid, weight = radial_grid(rng.uniform(5.0, 40.0), draw(st.integers(5, 100)), dim), \
+            radial_weight(alpha, dim)
+    forcings = []
+    for _ in range(draw(st.sampled_from([2, 1, 0]))):
+        profile = TimeProfile(draw(st.sampled_from([-0.5, 0.0, 1.0])),
+                              draw(st.sampled_from([1.0, 0.1, 0.0])))
+        kind = draw(st.sampled_from(["power", "log_power", "falling"]))
+        # a decreasing source lies outside the theory; it makes the drops
+        # that a nondecreasing one never does, interleaved with the overshoots
+        nonlinearity = _falling if kind == "falling" else Nonlinearity(
+            kind, draw(st.sampled_from([4.0, 3.0, 2.0, 1.5])))
+        forcings.append(ForcingTerm(profile, nonlinearity))
+    amplitude = draw(st.sampled_from([1e5, 3.0, 1e40, 0.5, 0.01, 1e100])) * rng.uniform(0.5, 2.0)
+    v0 = InitialProfile("gaussian", amplitude, rng.uniform(0.5, 5.0)).realize(grid)
+    horizon = 10.0 ** rng.uniform(-1.0, 1.5)
+    config = SimConfig(weight, grid, forcings, v0, horizon, blowup_threshold=math.inf)
+    beta = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    delta = draw(st.sampled_from([0.2, 0.9, 1.5, 4.0])) / (1.0 + beta)
+    if draw(st.booleans()):
+        mesh = default_mesh(horizon, int(rng.integers(2, 13)))
+    else:
+        mesh = np.concatenate(([0.0], np.sort(rng.uniform(0.0, horizon,
+                                                          rng.integers(1, 11)))))
+        mesh = mesh[np.concatenate(([True], np.diff(mesh) > 0))]
+    return config, v0, beta, int(rng.integers(1, 7)), delta, mesh
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(picard_configs())
+def test_array_iterates_are_the_reference_iterates(case):
+    config, v0, beta, k_max, delta, mesh = case
+    ref = reference_monotone_iterates(config, v0, beta, k_max, delta, mesh)
+    report = monotone_iterates(config, v0, beta, k_max, delta=delta, mesh=mesh)
+    assert hex_report(report) == hex_report(ref)
+
+
+def _quartic():
+    return ForcingTerm(TimeProfile.constant(1.0), Nonlinearity.power(4.0))
+
+
+def _iterate_case(name):
+    """(config, v0, beta, k_max, delta, mesh) of a named Picard run; the
+    default is ``TestMonotoneIterates``' small-data run."""
+    grid, weight, horizon = line_grid(40.0, 801), axis_weight(0.0), 20.0
+    forcings = [ForcingTerm(TimeProfile.constant(1.0), Nonlinearity.power(4.0))]
+    data = InitialProfile("gaussian")
+    beta, k_max, delta, mesh = 1.0, 5, 0.5, None
+    if name == "zero_forcing":
+        grid, forcings, horizon = line_grid(20.0, 401), [], 10.0
+        beta, k_max, delta = 0.5, 3, None
+    elif name == "criterion_7":
+        grid, horizon, k_max = line_grid(80.0, 1601), 50.0, 6
+    elif name == "singular_log":
+        grid, weight = line_grid(20.0, 401), axis_weight(0.5)
+        forcings = [power_forcing(2.0, -0.5),
+                    ForcingTerm(TimeProfile.constant(1.0), Nonlinearity.log_power(2.0))]
+    elif name == "power_tail":
+        data = InitialProfile("power_tail", 0.3, rho=1.5)
+    elif name == "radial_3":
+        grid, weight = radial_grid(20.0, 201, 3), radial_weight(0.5, 3)
+    elif name == "falsification":
+        beta, k_max, delta = 0.25, 8, 2.5
+    elif name == "first_sweep_overflow":
+        # (delta v0)^4 overflows in the first panel, before any cap check
+        data, delta = InitialProfile("gaussian", 1e100), 1.0
+    elif name == "custom_mesh":
+        mesh = np.array([0.0, 0.5, 1.5, 4.0, 20.0])
+    v0 = data.realize(grid)
+    config = SimConfig(weight, grid, forcings, v0, horizon, blowup_threshold=math.inf)
+    return config, v0, beta, k_max, delta, mesh
+
+
+@pytest.mark.parametrize("name", [
+    "small_data", "zero_forcing", "criterion_7", "singular_log", "power_tail",
+    "radial_3", "falsification", "first_sweep_overflow", "custom_mesh"])
+def test_named_iterates_are_the_reference_iterates(name):
+    config, v0, beta, k_max, delta, mesh = _iterate_case(name)
+    report = monotone_iterates(config, v0, beta, k_max, delta=delta, mesh=mesh)
+    ref = reference_monotone_iterates(
+        config, v0, beta, k_max, 0.9 / (1.0 + beta) if delta is None else delta,
+        default_mesh(config.horizon) if mesh is None else mesh)
+    assert hex_report(report) == hex_report(ref)
+    if name == "first_sweep_overflow":
+        assert [v[0] for v in report.violations] == ["nonfinite"] and not report.cap_ok
