@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -244,14 +243,21 @@ def _eval_point(args, traces=None):
 def run_sweep(spec: SweepSpec, worker_count: int = 1):
     """Evaluate every grid point in ``points`` order, whatever the worker count.
 
-    A serial sweep computes each distinct linear trace of ``point_criteria``
-    once, and keeps none past the call; a pooled one computes it per point.
+    A pool starts all its workers at once, so it gets at most one per point;
+    one worker or one point runs in process.  A serial sweep computes each
+    distinct linear trace of ``point_criteria`` once, and keeps none past the
+    call; a pooled one computes it per point.
     """
     jobs = [(values, run, spec.escalation, spec.with_criteria)
             for values, run in spec.points()]
+    worker_count = min(worker_count, len(jobs))
     if worker_count <= 1:
         traces = {}
         return [_eval_point(job, traces) for job in jobs]
+    # imported here, its only use: the pool loads multiprocessing, which a
+    # serial sweep does not need
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
         return list(pool.map(_eval_point, jobs))
 

@@ -67,9 +67,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .errors import ConfigError, NumericError
 from .grids import Field, Geometry, GridSpec
@@ -89,6 +91,32 @@ _LOG_SLACK = 0.25
 _SHIFT_FRACTION = 0.1
 _KRYLOV_CAP = 80
 _KRYLOV_ROWS = 32
+
+
+def _load_lapack():
+    """LAPACK's ``dpttrf`` and ``dpttrs``, from scipy's ``_flapack`` extension.
+
+    The extension is loaded on its own, not through ``scipy.linalg``, whose
+    package init pulls in ``numpy.testing``, ``numpy.f2py`` and more, over half
+    of this package's import time.  The functions are the very objects
+    ``scipy.linalg.lapack`` exports.  Where the extension cannot be loaded on
+    its own (a source checkout with no built module there), they come from
+    ``scipy.linalg.lapack``.
+    """
+    spec = PathFinder.find_spec("scipy.linalg._flapack",
+                                [p + "/linalg" for p in scipy.__path__])
+    if spec is not None:
+        try:
+            lapack = module_from_spec(spec)
+            spec.loader.exec_module(lapack)
+            return lapack.dpttrf, lapack.dpttrs
+        except ImportError:
+            pass
+    from scipy.linalg import lapack
+    return lapack.dpttrf, lapack.dpttrs
+
+
+dpttrf, dpttrs = _load_lapack()
 
 
 @dataclass(frozen=True, eq=False)

@@ -178,6 +178,37 @@ class TestRunSweep:
         csv2 = points_to_csv(run_sweep(spec, 2))
         assert csv1 == csv2
 
+    def test_pool_capped_at_points(self, monkeypatch):
+        # a pool starts all its workers at once: 64 asked for, 2 points, 2 started
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        spec = SweepSpec(base_run(), (("amplitude", [0.5, 2.0]),),
+                         default_escalation((5.0,)), with_criteria=False)
+        pooled = run_sweep(spec, 64)
+        assert started == [2]
+        assert pooled == run_sweep(spec, 1)
+        # one point runs in process, with no pool at all
+        one = SweepSpec(base_run(), (("amplitude", [2.0]),),
+                        default_escalation((5.0,)), with_criteria=False)
+        assert run_sweep(one, 64) == run_sweep(one, 1)
+        assert started == [2]
+
     def test_csv_json_roundtrip(self):
         points = run_sweep(self._spec(), 1)
         rows = points_to_csv(points).strip().split("\n")[1:]

@@ -2,12 +2,18 @@
 kernel probes, smoothing, and the kernel-bound invariants."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from importlib.util import spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg.lapack
 from scipy.linalg import expm, solve_banded
 from scipy.special import j0, jn_zeros
 
@@ -337,6 +343,45 @@ class TestSolveShifted:
         assert np.array_equal(op.solve_shifted(-0.25, np.array([1.0, 2.0, 1.0])),
                               [1.0, 3.0, 1.0])
         assert op.solve_shifted(0.5, np.ones(3)) == pytest.approx(np.ones(3))
+
+
+class TestLapackLoader:
+    @pytest.mark.parametrize("first", ["degenheat.semigroup", "scipy.linalg.lapack"])
+    def test_same_functions_in_either_import_order(self, first):
+        # the extension loaded on its own gives scipy.linalg.lapack's very objects
+        src = Path(semigroup.__file__).resolve().parent.parent
+        code = (f"import {first}\n"
+                "import degenheat.semigroup as s, scipy.linalg.lapack as lapack\n"
+                "print(s.dpttrf is lapack.dpttrf, s.dpttrs is lapack.dpttrs)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                             timeout=60)
+        assert out.stdout.split() == ["True", "True"]
+
+    def test_falls_back_to_public_module(self, monkeypatch, tmp_path):
+        public = (scipy.linalg.lapack.dpttrf, scipy.linalg.lapack.dpttrs)
+        asked = []
+
+        class NoSpec:
+            @staticmethod
+            def find_spec(name, path):
+                asked.append(name)
+                return None
+
+        monkeypatch.setattr(semigroup, "PathFinder", NoSpec)
+        assert semigroup._load_lapack() == public
+        assert asked == ["scipy.linalg._flapack"]
+        # a found extension that does not load: an empty file is no shared object
+        broken = tmp_path / "_flapack.so"
+        broken.write_bytes(b"")
+
+        class BrokenSpec:
+            @staticmethod
+            def find_spec(name, path):
+                return spec_from_file_location(name, broken)
+
+        monkeypatch.setattr(semigroup, "PathFinder", BrokenSpec)
+        assert semigroup._load_lapack() == public
 
 
 @st.composite

@@ -226,3 +226,31 @@ class TestImportCost:
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True,
                              timeout=60)
         assert out.stdout.strip() == "[]"
+
+    def test_cli_path_skips_scipy_linalg_and_pool(self):
+        # a solve and a serial sweep, not only the import: loading scipy.linalg
+        # on first use would pass an import-only check and still cost every run
+        src = Path(degenheat.__file__).resolve().parent.parent
+        code = """
+import sys
+import numpy as np
+from degenheat.cli import parse_sweep_spec
+from degenheat.lab import run_sweep
+from degenheat.semigroup import build_operator
+spec = parse_sweep_spec({
+    "weight": {"case": "axis_power", "alpha": 0.5, "dim": 1},
+    "grid": {"geometry": "line", "extent": 10.0, "nodes": 41},
+    "u0": {"kind": "gaussian", "amplitude": 1.0, "sigma": 1.0},
+    "forcings": [{"profile": {"kind": "power", "exponent": 0.0},
+                  "nonlinearity": {"kind": "power", "exponent": 3.0}}],
+    "axes": [{"name": "amplitude", "values": [2.0]}],
+    "escalation": [{"horizon": 1.0}]})
+x = build_operator(spec.base.grid, spec.base.weight).solve_shifted(0.1, np.ones(41))
+assert np.isfinite(x).all() and len(run_sweep(spec, 1)) == 1
+print(sorted(m for m in ("scipy.linalg", "numpy.testing", "numpy.f2py",
+                         "concurrent.futures.process") if m in sys.modules))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                             timeout=60)
+        assert out.stdout.strip() == "[]"
