@@ -132,6 +132,7 @@ def cmd_criteria(args) -> int:
     # labels pad to 22 columns and always keep one space before the value
     print(f"{'verdict':<21} {report.verdict}")
     print(f"{'smallness index I':<21} {fmt(report.smallness_index)}")
+    print(f"{'global witness':<21} {fmt(report.witness)}")
     print(f"{'certificate tau':<21} {fmt(report.certificate_tau)}")
     print(f"{'p_star':<21} {fmt(report.p_star)}")
     print(f"{'q_star':<21} {fmt(report.q_star)}")

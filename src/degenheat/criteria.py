@@ -1,5 +1,5 @@
-"""Analytic decision machinery: Osgood tails, smallness index, certificates,
-critical exponents, and decay-envelope fitting.
+"""Analytic decision machinery: Osgood tails, smallness index, the global
+witness, certificates, critical exponents, and decay-envelope fitting.
 
 Everything here consumes sup-norm traces of the *linear* flow plus the forcing
 data; nothing re-runs the PDE.  Closed forms are used wherever the built-in
@@ -31,6 +31,7 @@ class DecayEnvelope:
 @dataclass
 class CriteriaReport:
     smallness_index: float | None
+    witness: float | None      # (m - 1) * smallness_index; global when < 1
     certificate_tau: float | None
     osgood_tails: dict
     p_star: float | None
@@ -154,6 +155,24 @@ def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
     return total
 
 
+def growth_exponent(forcings) -> float:
+    """The largest m over the live terms: p for u^p, q + 1 for (1+u) ln(1+u)^q;
+    1 with no live term.
+
+    It makes (m - 1) I, with I the smallness index, a global witness: global
+    existence when below 1.  f(u)/u is nondecreasing and f(lam u) <=
+    lam^m f(u) for lam >= 1, so psi' = a(t) psi^m, psi(0) = 1,
+    a = sum_i h_i f_i(s)/s, makes psi(t) S(t)u0 a supersolution, and psi
+    stays below (1 - (m - 1) I)^(-1/(m - 1)) exactly when (m - 1) I < 1.
+    """
+    m = 1.0
+    for term in forcings:
+        if not term.profile.is_zero:
+            e = term.nonlinearity.exponent
+            m = max(m, e if term.nonlinearity.kind == "power" else e + 1.0)
+    return m
+
+
 def fujita_exponents(alpha: float, dim: int, r: float, s: float):
     """Critical powers p* and q* for the two source families."""
     _validate_alpha(alpha)
@@ -225,10 +244,13 @@ def critical_mass_growth(times, window_mass, window):
 
 
 def evaluate(sup_trace, forcings, weight: WeightSpec) -> CriteriaReport:
-    """Assemble the full report: envelope fit, index, certificate, exponents.
+    """Assemble the full report: envelope fit, index, witness, certificate,
+    exponents.
 
     The envelope is fitted over the trace's last decade, and the index switches
-    from the trace to the envelope at the trace's end.
+    from the trace to the envelope at the trace's end.  The verdict is
+    ``global_by_smallness`` when the witness is below 1 and no certificate
+    fires.
     """
     times, sups = _as_trace(sup_trace)
     if times.size < 4:
@@ -237,10 +259,12 @@ def evaluate(sup_trace, forcings, weight: WeightSpec) -> CriteriaReport:
 
     notes = []
     envelope = None
-    index = None
+    index = witness = None
     try:
         envelope = decay_fit((times, sups), (t_end / 10.0, t_end))
         index = smallness_index((times, sups), envelope, forcings, t_end)
+        # I is 0, never inf, when m is 1: with no live term
+        witness = (growth_exponent(forcings) - 1.0) * index
     except ConfigError as exc:
         notes.append(f"decay fit unavailable: {exc}")
 
@@ -264,12 +288,12 @@ def evaluate(sup_trace, forcings, weight: WeightSpec) -> CriteriaReport:
 
     if tau is not None:
         verdict = "blowup_certified"
-    elif index is not None and index < 1.0:
+    elif witness is not None and witness < 1.0:
         verdict = "global_by_smallness"
     else:
         verdict = "undetermined"
         if index == math.inf:
             notes.append("smallness index diverges: blow-up-side evidence")
 
-    return CriteriaReport(index, tau, tails, p_star, q_star, rho_star,
+    return CriteriaReport(index, witness, tau, tails, p_star, q_star, rho_star,
                           verdict, envelope, notes)

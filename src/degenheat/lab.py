@@ -1,11 +1,13 @@
 """Sweep orchestration: classify parameter points as blow-up or global-like.
 
-"Global" is undecidable numerically.  A point is GlobalLike when the final
-escalation horizon completes and either the sup trace is non-increasing over
-its last decade or the analytic smallness index certifies global existence,
-unless the data are nontrivial and a source family is at or below its Fujita
-exponent, where the theory rules global existence out.  Blow-up is the
-solver's threshold crossing.  Everything else is Undetermined.
+"Global" is undecidable numerically.  A point is GlobalLike when its first
+escalation rung completes and the global witness of ``criteria`` fires:
+(m - 1) I < 1 on the linear trace of its data, taken on the final rung's grid
+to the final horizon.  The later rungs are then skipped.  Zero data are
+witnessed trivially.  Data that are nontrivial, with a source family at or
+below its Fujita exponent, get no witness: the theory rules global existence
+out there.  Blow-up is the solver's threshold crossing.  Everything else is
+Undetermined.
 """
 
 from __future__ import annotations
@@ -84,28 +86,47 @@ def _level_grid(run: RunSpec, level: EscalationLevel, notch: int) -> GridSpec:
     return g
 
 
-def _trace_non_increasing(times, sups, horizon) -> bool:
-    mask = times >= horizon / 10.0
-    if mask.sum() < 2:
-        return False
-    s = sups[mask]
-    return bool(np.all(np.diff(s) <= 1e-8 * max(s.max(), 1e-300)))
+def _linear_trace(run: RunSpec, horizon: float, grid: GridSpec, traces: dict | None):
+    """Sup trace of the linear flow of ``run``'s data on ``grid`` to ``horizon``.
+
+    ``traces`` maps (linear run, grid, horizon) to a trace already computed.
+    """
+    linear = replace(run, forcings=(), blowup_threshold=math.inf)
+    key = (linear, grid, horizon)
+    trace = None if traces is None else traces.get(key)
+    if trace is None:
+        trace = simulate(linear.config(horizon, grid)).trace()
+        if traces is not None:
+            traces[key] = trace
+    return trace
 
 
 def point_criteria(run: RunSpec, horizon: float, traces: dict | None = None):
     """Linear-flow trace of the point's data, fed to the analytic criteria.
 
-    ``traces`` maps (linear run, horizon) to a trace already computed: points
-    that differ only in their sources share one linear run.
+    ``traces`` is passed on to ``_linear_trace``: points that differ only in
+    their sources share one linear run.
     """
-    linear = replace(run, forcings=(), blowup_threshold=math.inf)
-    key = (linear, horizon)
-    trace = None if traces is None else traces.get(key)
-    if trace is None:
-        trace = simulate(linear.config(horizon)).trace()
-        if traces is not None:
-            traces[key] = trace
+    trace = _linear_trace(run, horizon, run.grid, traces)
     return evaluate_criteria(trace, list(run.forcings), run.weight)
+
+
+def _global_witness(run: RunSpec, grid: GridSpec, horizon: float,
+                    traces: dict | None) -> float | None:
+    """The point's global witness (m - 1) I on ``grid`` to ``horizon``, or None.
+
+    The linear flow is homogeneous in the data, so the trace is the
+    unit-amplitude one with its sups scaled by the amplitude: points that
+    differ only in their sources and amplitude share it through ``traces``.
+    """
+    unit = replace(run, profile=replace(run.profile, amplitude=1.0))
+    try:
+        times, sups = _linear_trace(unit, horizon, grid, traces)
+        report = evaluate_criteria((times, run.profile.amplitude * sups),
+                                   list(run.forcings), run.weight)
+    except (ConfigError, NumericError):
+        return None
+    return report.witness
 
 
 def _subcritical(run: RunSpec) -> str:
@@ -123,9 +144,12 @@ def _subcritical(run: RunSpec) -> str:
 
 def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
                    traces: dict | None = None) -> PhasePoint:
-    """Escalate horizons until blow-up or a defensible global-like completion.
+    """Escalate horizons until blow-up or, once the first rung completes, a
+    global witness on the final rung's grid and horizon.
 
-    ``traces`` is passed on to ``point_criteria``.
+    ``with_criteria`` governs only the ``index_I`` and ``certificate_tau``
+    fields, read at the first horizon.  ``traces`` is passed on to
+    ``point_criteria`` and to the witness.
     """
     escalation = tuple(escalation)
     if not escalation:
@@ -140,7 +164,7 @@ def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
     index = report.smallness_index if report else None
     tau = report.certificate_tau if report else None
 
-    result = None
+    final_horizon = escalation[-1].horizon
     for notch, level in enumerate(escalation):
         cfg = run.config(level.horizon, _level_grid(run, level, notch))
         try:
@@ -150,20 +174,22 @@ def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
                               f"numeric failure: {exc}")
         if result.blew_up:
             return PhasePoint((), "BlowUp", result.t_star, level.horizon, index, tau)
+        if notch == 0:
+            nontrivial = result.sup_history[0] > 0.0
+            subcritical = _subcritical(run) if nontrivial else ""
+            if not subcritical:
+                final_grid = _level_grid(run, escalation[-1], len(escalation) - 1)
+                witness = (_global_witness(run, final_grid, final_horizon, traces)
+                           if nontrivial else 0.0)
+                if witness is not None and witness < 1.0:
+                    return PhasePoint((), "GlobalLike", None, final_horizon, index, tau,
+                                      f"global witness (m-1)*I = {witness:.3g} < 1")
 
-    final_horizon = escalation[-1].horizon
-    subcritical = _subcritical(run)
-    if subcritical and result.sup_history[0] > 0.0:
+    if subcritical:
         return PhasePoint((), "Undetermined", None, final_horizon, index, tau,
                           f"subcritical: {subcritical}; horizon too short")
-    times, sups = result.trace()
-    decaying = _trace_non_increasing(times, sups, final_horizon)
-    small = index is not None and index < 1.0
-    if decaying or small:
-        why = "decaying trace" if decaying else "smallness index < 1"
-        return PhasePoint((), "GlobalLike", None, final_horizon, index, tau, why)
     return PhasePoint((), "Undetermined", None, final_horizon, index, tau,
-                      "completed but neither decaying nor certified small")
+                      "no global witness")
 
 
 def apply_axis(run: RunSpec, name: str, value: float) -> RunSpec:
@@ -245,8 +271,9 @@ def run_sweep(spec: SweepSpec, worker_count: int = 1):
 
     A pool starts all its workers at once, so it gets at most one per point;
     one worker or one point runs in process.  A serial sweep computes each
-    distinct linear trace of ``point_criteria`` once, and keeps none past the
-    call; a pooled one computes it per point.
+    distinct linear trace, of ``point_criteria`` or of a witness's unit
+    amplitude, once, and keeps none past the call; a pooled one computes it
+    per point.
     """
     jobs = [(values, run, spec.escalation, spec.with_criteria)
             for values, run in spec.points()]

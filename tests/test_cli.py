@@ -107,6 +107,7 @@ class TestCriteria:
         report = point_criteria(run, 50.0)
         assert rows["verdict"] == report.verdict
         assert rows["smallness index I"] == f"{report.smallness_index:.6g}"
+        assert rows["global witness"] == f"{report.witness:.6g}"
         assert rows["certificate tau"] == "-" and report.certificate_tau is None
         assert rows["p_star"] == f"{report.p_star:.6g}"
         assert rows["rho_star"] == f"{report.rho_star:.6g}"
@@ -124,6 +125,25 @@ class TestCriteria:
         assert float(value) > 0.0
         # a label that fits keeps its padding to 22 columns
         assert any(line.startswith("osgood tail power(2)  ") for line in lines)
+
+
+    def test_index_below_one_is_no_witness(self, tmp_path, capsys):
+        # u^4 with I = 0.74 < 1 blows up at t* = 3.8: the witness reads 3 I
+        obj = {"weight": {"case": "axis_power", "alpha": 0.0, "dim": 1},
+               "grid": {"geometry": "line", "extent": 100.0, "nodes": 3201},
+               "u0": {"kind": "gaussian", "amplitude": 0.9, "sigma": 1.0},
+               "forcings": [{"profile": {"kind": "power", "exponent": 0.0},
+                             "nonlinearity": {"kind": "power", "exponent": 4.0}}],
+               "horizon": 1000.0}
+        cfg = write_json(tmp_path / "crit.json", obj)
+        assert main(["criteria", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "global_by_smallness" not in out
+        rows = {line[:22].rstrip(): line[22:] for line in out.splitlines()}
+        assert rows["verdict"] == "undetermined"
+        assert float(rows["smallness index I"]) < 1.0 < float(rows["global witness"])
+        assert main(["simulate", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "blown_up"
 
 
 class TestDivergentTail:

@@ -6,11 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from degenheat.criteria import (DecayEnvelope, blowup_certificate,
                                 critical_mass_growth, decay_fit, evaluate,
-                                fujita_exponents, osgood_tail,
+                                fujita_exponents, growth_exponent, osgood_tail,
                                 second_critical_exponent, smallness_index)
 from degenheat.dynamics import ForcingTerm, Nonlinearity, SimConfig, TimeProfile, simulate
 from degenheat.errors import ConfigError
@@ -18,7 +20,7 @@ from degenheat.grids import gaussian_field
 from degenheat.semigroup import build_operator, kernel_column
 from degenheat.weight import ScaleFunction, doubling_defect, h_ball, h_ball_inverse
 
-from conftest import axis_weight, line_grid
+from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
 
 def power_term(p: float, r: float = 0.0) -> ForcingTerm:
@@ -182,6 +184,60 @@ class TestSmallnessIndex:
         env = DecayEnvelope(0.5, 0.1, (10.0, 100.0), 0.0)
         idx = smallness_index((times, sups), env, [log_term(4.0)], 100.0)
         assert math.isfinite(idx) and idx > 0.0
+
+
+class TestGlobalWitness:
+    def test_growth_exponent(self):
+        assert growth_exponent([power_term(4.0)]) == 4.0
+        assert growth_exponent([log_term(2.5)]) == 3.5
+        assert growth_exponent([power_term(3.0), log_term(2.5)]) == 3.5
+        # a zero term is not live
+        zero = ForcingTerm(TimeProfile.zero(), Nonlinearity.power(9.0))
+        assert growth_exponent([power_term(3.0), zero]) == 3.0
+        assert growth_exponent([zero]) == 1.0
+
+    def test_index_below_one_is_not_enough(self):
+        # u^4 with I in (1/3, 1): the index is below 1, the witness (p - 1) I is not
+        times = np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 300)))
+        sups = 0.85 / np.sqrt(1.0 + 2.0 * times)
+        report = evaluate((times, sups), [power_term(4.0)], axis_weight(0.0))
+        assert 1.0 / 3.0 < report.smallness_index < 1.0
+        assert report.witness == pytest.approx(3.0 * report.smallness_index, rel=1e-15)
+        assert report.verdict == "undetermined"
+
+
+@st.composite
+def witness_runs(draw):
+    """A small line or radial run with one or two live sources, Gaussian data."""
+    alpha = draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.booleans()):
+        grid, weight = line_grid(40.0, 401), axis_weight(alpha)
+    else:
+        dim = draw(st.integers(1, 3))
+        grid, weight = radial_grid(20.0, 201, dim), radial_weight(alpha, dim)
+    forcings = [ForcingTerm(TimeProfile.power(draw(st.sampled_from([-0.5, 0.0, 1.0]))),
+                            Nonlinearity(draw(st.sampled_from(["power", "log_power"])),
+                                         draw(st.sampled_from([2.0, 3.0, 4.0, 6.0]))))
+                for _ in range(draw(st.integers(1, 2)))]
+    u0 = gaussian_field(grid, draw(st.sampled_from([1e-3, 0.05, 0.3, 0.7, 1.0])), 1.0)
+    return weight, grid, forcings, u0
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(witness_runs())
+def test_witness_bounds_the_solution(run):
+    """A fired witness: the run completes, with sup u <= psi_inf * sup u0."""
+    weight, grid, forcings, u0 = run
+    horizon = 10.0
+    linear = SimConfig(weight, grid, [], u0, horizon, blowup_threshold=math.inf, tol=1e-4)
+    witness = evaluate(simulate(linear).trace(), forcings, weight).witness
+    if witness is None or not witness < 1.0:
+        return
+    res = simulate(SimConfig(weight, grid, forcings, u0, horizon, tol=1e-4))
+    assert res.status == "completed"
+    m = growth_exponent(forcings)
+    psi_inf = (1.0 - witness) ** (-1.0 / (m - 1.0))
+    assert res.sup_history.max() <= psi_inf * u0.sup() * (1.0 + 1e-3)
 
 
 class TestCriticalExponents:

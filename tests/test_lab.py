@@ -1,6 +1,7 @@
 """Tests for sweep orchestration, classification, and artifact emission."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -146,6 +147,27 @@ class TestClassifyPoint:
         assert pt.classification == "Undetermined"
         assert pt.reason == "subcritical: p = 2 <= p* = 3; horizon too short"
 
+    # Two runs that blow up with no witness: one with I < 1, and one whose sup
+    # falls from t = 10 to t = 305 before the blow-up at t = 640.
+    def test_index_below_one_is_no_witness(self):
+        run = base_run(grid=line_grid(100.0, 3201), forcings=(
+            ForcingTerm(TimeProfile.power(0.0), Nonlinearity.power(4.0)),),
+            profile=InitialProfile("gaussian", 0.9, 1.0), diffusionless=False, tol=1e-2)
+        report = lab.point_criteria(run, 1000.0)
+        assert report.smallness_index < 1.0
+        assert report.witness == pytest.approx(2.26, rel=1e-2)
+        assert report.verdict != "global_by_smallness"
+        pt = classify_point(run, default_escalation((1000.0,)))
+        assert pt.classification == "BlowUp"
+
+    def test_decaying_trace_is_no_witness(self):
+        run = base_run(grid=line_grid(600.0, 4801), forcings=(
+            ForcingTerm(TimeProfile.power(0.0), Nonlinearity.power(4.0)),),
+            profile=InitialProfile("gaussian", 0.29, 5.0), diffusionless=False, tol=1e-4)
+        assert lab.point_criteria(run, 100.0).witness == pytest.approx(5.07, rel=1e-2)
+        pt = classify_point(run, default_escalation((10.0, 100.0)))
+        assert (pt.classification, pt.reason) == ("Undetermined", "no global witness")
+
     def test_empty_escalation(self):
         with pytest.raises(ConfigError):
             classify_point(base_run(), ())
@@ -234,35 +256,52 @@ class TestRunSweep:
 
 
 def test_serial_sweep_shares_linear_traces(monkeypatch):
-    # The p axis leaves the linear run (forcings=()) alone: 3 x 2 cells, 2 runs.
-    linear = []
+    # The p axis leaves the linear run (forcings=()) alone, and the p and
+    # amplitude axes the unit-amplitude one: 3 x 2 cells, 3 linear runs.
+    linear, rungs = [], []
     real = lab.simulate
 
     def counting(cfg):
-        if not cfg.forcings:
-            linear.append(float(cfg.u0.values.max()))
+        runs = rungs if cfg.forcings else linear
+        runs.append((float(cfg.u0.values.max()), cfg.grid.nodes, cfg.horizon))
         return real(cfg)
 
     monkeypatch.setattr(lab, "simulate", counting)
     run = base_run(weight=axis_weight(0.5), grid=line_grid(60.0, 121), diffusionless=False,
                    profile=InitialProfile("gaussian", 1.0, 1.0), tol=1e-2)
+    escalation = (EscalationLevel(40.0), EscalationLevel(100.0, line_grid(120.0, 241)))
     spec = SweepSpec(run, (("p", [2.0, 4.0, 6.0]), ("amplitude", [1e-3, 1e-2])),
-                     default_escalation((40.0,)))
+                     escalation)
     points = run_sweep(spec, 1)
-    assert sorted(linear) == [1e-3, 1e-2]
+    # one trace per amplitude at the first horizon, and one unit trace on the
+    # final rung's grid to the final horizon for the four cells past p* = 2.5
+    shared = [(1e-3, 121, 40.0), (1e-2, 121, 40.0), (1.0, 241, 100.0)]
+    assert sorted(linear) == shared
+    assert [pt.classification for pt in points] == ["Undetermined"] * 2 + ["GlobalLike"] * 4
+    # a witnessed cell skips its second rung
+    assert sorted(rungs) == sorted([(1e-3, 121, 40.0), (1e-3, 241, 100.0),
+                                    (1e-2, 121, 40.0), (1e-2, 241, 100.0)]
+                                   + [(1e-3, 121, 40.0), (1e-2, 121, 40.0)] * 2)
+    assert all(pt.horizon == 100.0 for pt in points)
     # a shared trace still meets each point's own sources: p = 4 and 6 index differently
     assert len({pt.index_I for pt in points[2:]}) == 4
+    assert len({pt.reason for pt in points[2:]}) == 4
     # nothing is carried into the next call
     linear.clear()
     assert run_sweep(spec, 1) == points
-    assert sorted(linear) == [1e-3, 1e-2]
-    # each point computed alone, with its own linear run, reads the same
+    assert sorted(linear) == shared
+    # each point computed alone, with its own linear runs, reads the same
     linear.clear()
     for (values, cell), point in zip(spec.points(), points):
         alone = classify_point(cell, spec.escalation)
         alone.axis_values = values
         assert alone == point
-    assert len(linear) == 6
+    assert len(linear) == 6 + 4
+    # the witness does not read with_criteria, which fills index_I and certificate_tau
+    bare = run_sweep(replace(spec, with_criteria=False), 1)
+    assert [(pt.classification, pt.reason) for pt in bare] == \
+        [(pt.classification, pt.reason) for pt in points]
+    assert all(pt.index_I is None and pt.certificate_tau is None for pt in bare)
 
 
 class TestSweepSvg:
