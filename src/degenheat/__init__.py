@@ -14,8 +14,8 @@ from .dynamics import (ComparisonReport, ForcingTerm, IterateReport, Nonlinearit
                        monotone_iterates, simulate)
 from .criteria import (CriteriaReport, DecayEnvelope, blowup_certificate,
                        critical_mass_growth, decay_fit, fujita_exponents,
-                       growth_exponent, osgood_tail, second_critical_exponent,
-                       smallness_index)
+                       growth_exponent, horizon_witness, osgood_tail,
+                       second_critical_exponent, smallness_index)
 from .lab import (EscalationLevel, PhasePoint, RunSpec, SweepSpec, apply_axis,
                   classify_point, default_escalation, points_to_csv, run_sweep,
                   sweep_svg)

@@ -18,7 +18,7 @@ from .dynamics import ForcingTerm, Nonlinearity, TimeProfile, simulate
 from .errors import ConfigError, NumericError
 from .grids import Geometry, GridSpec, InitialProfile
 from .lab import (EscalationLevel, RunSpec, SweepSpec, default_escalation,
-                  point_criteria, points_to_csv, run_sweep, sweep_svg)
+                  linear_trace, points_to_csv, run_sweep, sweep_svg)
 from .semigroup import apply_semigroup, build_operator, kernel_column
 from .weight import WeightCase, WeightSpec
 
@@ -120,7 +120,10 @@ def cmd_sweep(args) -> int:
 def cmd_criteria(args) -> int:
     obj = _load(args.config)
     run = parse_run_spec(obj, tol=1e-3)
-    report = point_criteria(run, float(obj.get("horizon", 100.0)))
+    horizon = float(obj.get("horizon", 100.0))
+    trace = linear_trace(run, horizon, run.grid)
+    report = crit.evaluate(trace, list(run.forcings), run.weight)
+    witness_t = crit.horizon_witness(trace, run.forcings, horizon)
 
     def fmt(v):
         if v is None:
@@ -133,6 +136,7 @@ def cmd_criteria(args) -> int:
     print(f"{'verdict':<21} {report.verdict}")
     print(f"{'smallness index I':<21} {fmt(report.smallness_index)}")
     print(f"{'global witness':<21} {fmt(report.witness)}")
+    print(f"{'witness to horizon':<21} {fmt(witness_t)}")
     print(f"{'certificate tau':<21} {fmt(report.certificate_tau)}")
     print(f"{'p_star':<21} {fmt(report.p_star)}")
     print(f"{'q_star':<21} {fmt(report.q_star)}")

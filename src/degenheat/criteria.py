@@ -173,6 +173,36 @@ def growth_exponent(forcings) -> float:
     return m
 
 
+def horizon_witness(sup_trace, forcings, t: float) -> float | None:
+    """The finite-horizon witness (m - 1) I(t): no blow-up before t when below 1.
+
+    I(t) is the left-endpoint sum over the panels [t_j, t_(j+1)] with t_j < t,
+    the last one cut at t, of [H_i(t_(j+1)) - H_i(t_j)] f_i(s_j)/s_j, with the
+    exact profile primitives H_i and no envelope or tail.  It bounds the
+    integral over [0, t] of ``growth_exponent``'s rate a = sum_i h_i f_i(s)/s
+    from above: a backward-Euler solve never raises the sup norm, so the
+    linear trace's sup never increases along a panel, and f(s)/s is
+    nondecreasing.  When (m - 1) I(t) < 1, psi stays finite on [0, t], and the
+    solution below psi(t) ||u0||_inf (Lee & Ni's lifespan bound).
+    ``math.inf`` when a primitive is past the float range; None when the
+    trace stops before t.
+    """
+    times, sups = _as_trace(sup_trace)
+    if times.size == 0 or times[-1] < t * (1.0 - 1e-12):
+        return None
+    n = int(np.searchsorted(times, t))          # the panels with t_j < t
+    edges = np.append(times[:n], t)
+    total = 0.0
+    for term in forcings:
+        if term.profile.is_zero:
+            continue
+        primitives = [term.profile.primitive(x) for x in edges]
+        if math.isinf(primitives[-1]):
+            return math.inf
+        total += float(np.sum(np.diff(primitives) * term.nonlinearity.slope(sups[:n])))
+    return (growth_exponent(forcings) - 1.0) * total
+
+
 def fujita_exponents(alpha: float, dim: int, r: float, s: float):
     """Critical powers p* and q* for the two source families."""
     _validate_alpha(alpha)

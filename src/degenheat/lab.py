@@ -8,6 +8,13 @@ witnessed trivially.  Data that are nontrivial, with a source family at or
 below its Fujita exponent, get no witness: the theory rules global existence
 out there.  Blow-up is the solver's threshold crossing.  Everything else is
 Undetermined.
+
+The same trace gives each later rung its horizon witness (m - 1) I(T): a rung
+it puts below 1, with the lifespan bound's psi(T) too small for the solver's
+blow-up test to fire, is not simulated.
+Every linear trace is read off one unit-amplitude run, scaled by the
+amplitude, so the points of a sweep that differ only in their sources and
+amplitude share it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import evaluate as evaluate_criteria
-from .criteria import family_exponents, fujita_exponents
+from .criteria import (family_exponents, fujita_exponents, growth_exponent,
+                       horizon_witness)
 from .dynamics import Nonlinearity, SimConfig, simulate
 from .errors import ConfigError, NumericError
 from .grids import GridSpec, InitialProfile
@@ -86,47 +94,35 @@ def _level_grid(run: RunSpec, level: EscalationLevel, notch: int) -> GridSpec:
     return g
 
 
-def _linear_trace(run: RunSpec, horizon: float, grid: GridSpec, traces: dict | None):
+def linear_trace(run: RunSpec, horizon: float, grid: GridSpec,
+                 traces: dict | None = None):
     """Sup trace of the linear flow of ``run``'s data on ``grid`` to ``horizon``.
 
-    ``traces`` maps (linear run, grid, horizon) to a trace already computed.
+    The linear flow is homogeneous in the data, so the trace is the
+    unit-amplitude one with its sups scaled by the amplitude.  ``traces`` maps
+    (unit linear run, grid, horizon) to a unit trace already computed: points
+    that differ only in their sources and amplitude share one linear run.
     """
-    linear = replace(run, forcings=(), blowup_threshold=math.inf)
-    key = (linear, grid, horizon)
+    unit = replace(run, forcings=(), blowup_threshold=math.inf,
+                   profile=replace(run.profile, amplitude=1.0))
+    key = (unit, grid, horizon)
     trace = None if traces is None else traces.get(key)
     if trace is None:
-        trace = simulate(linear.config(horizon, grid)).trace()
+        trace = simulate(unit.config(horizon, grid)).trace()
         if traces is not None:
             traces[key] = trace
-    return trace
+    times, sups = trace
+    return times, run.profile.amplitude * sups
 
 
 def point_criteria(run: RunSpec, horizon: float, traces: dict | None = None):
-    """Linear-flow trace of the point's data, fed to the analytic criteria.
+    """The analytic criteria on the linear trace of the point's data, read off
+    the unit-amplitude trace on the base grid to ``horizon``.
 
-    ``traces`` is passed on to ``_linear_trace``: points that differ only in
-    their sources share one linear run.
+    ``traces`` is passed on to ``linear_trace``.
     """
-    trace = _linear_trace(run, horizon, run.grid, traces)
+    trace = linear_trace(run, horizon, run.grid, traces)
     return evaluate_criteria(trace, list(run.forcings), run.weight)
-
-
-def _global_witness(run: RunSpec, grid: GridSpec, horizon: float,
-                    traces: dict | None) -> float | None:
-    """The point's global witness (m - 1) I on ``grid`` to ``horizon``, or None.
-
-    The linear flow is homogeneous in the data, so the trace is the
-    unit-amplitude one with its sups scaled by the amplitude: points that
-    differ only in their sources and amplitude share it through ``traces``.
-    """
-    unit = replace(run, profile=replace(run.profile, amplitude=1.0))
-    try:
-        times, sups = _linear_trace(unit, horizon, grid, traces)
-        report = evaluate_criteria((times, run.profile.amplitude * sups),
-                                   list(run.forcings), run.weight)
-    except (ConfigError, NumericError):
-        return None
-    return report.witness
 
 
 def _subcritical(run: RunSpec) -> str:
@@ -142,18 +138,49 @@ def _subcritical(run: RunSpec) -> str:
     return ""
 
 
+def _rules_out_blowup(run: RunSpec, trace, horizon: float) -> float | None:
+    """The horizon witness w = (m - 1) I(T) of ``trace`` to ``horizon`` when it
+    rules out the solver's blow-up there, else None.
+
+    Below 1, w gives S(t)u0 <= u <= psi S(t)u0 on [0, T], psi = (1 - w)^(-1/(m-1)),
+    and the linear sup never increases: sup u stays below psi sup u0, and
+    grows by less than the factor psi over any interval.  The solver calls
+    blow-up when sup u reaches ``blowup_threshold`` or grows 1000-fold over
+    three floored steps, so w counts only while psi stays below both
+    threshold / sup u0 and 1e3.
+    """
+    w = horizon_witness(trace, run.forcings, horizon)
+    if w is None or not w < 1.0:
+        return None
+    # w > 0 only with a live term, where m > 1
+    log_psi = -math.log1p(-w) / (growth_exponent(run.forcings) - 1.0) if w > 0.0 else 0.0
+    if not (log_psi < math.log(1e3)
+            and math.exp(log_psi) * trace[1][0] < run.blowup_threshold):
+        return None
+    return w
+
+
 def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
                    traces: dict | None = None) -> PhasePoint:
     """Escalate horizons until blow-up or, once the first rung completes, a
-    global witness on the final rung's grid and horizon.
+    global witness.
+
+    Once the first rung completes with nontrivial data, both witnesses read
+    one linear trace, on the final rung's grid to the final horizon.  The
+    global witness (m - 1) I < 1 of ``criteria.evaluate`` makes the point
+    GlobalLike, unless a source family is subcritical.  Each later rung whose
+    horizon witness (m - 1) I(T) rules out the solver's blow-up before its
+    horizon T (``_rules_out_blowup``) is skipped.
 
     ``with_criteria`` governs only the ``index_I`` and ``certificate_tau``
     fields, read at the first horizon.  ``traces`` is passed on to
-    ``point_criteria`` and to the witness.
+    ``linear_trace``; without it, one call shares its own traces.
     """
     escalation = tuple(escalation)
     if not escalation:
         raise ConfigError("escalation ladder is empty")
+    if traces is None:
+        traces = {}
 
     report = None
     if with_criteria:
@@ -164,8 +191,18 @@ def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
     index = report.smallness_index if report else None
     tau = report.certificate_tau if report else None
 
+    final = len(escalation) - 1
     final_horizon = escalation[-1].horizon
+    trace = None
+    skipped = ""
     for notch, level in enumerate(escalation):
+        if trace is not None:
+            bound = _rules_out_blowup(run, trace, level.horizon)
+            if bound is not None:
+                if notch == final:
+                    skipped = (f"; no blow-up before {level.horizon:.3g}: "
+                               f"(m-1)*I(T) = {bound:.3g} < 1")
+                continue
         cfg = run.config(level.horizon, _level_grid(run, level, notch))
         try:
             result = simulate(cfg)
@@ -177,19 +214,24 @@ def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
         if notch == 0:
             nontrivial = result.sup_history[0] > 0.0
             subcritical = _subcritical(run) if nontrivial else ""
-            if not subcritical:
-                final_grid = _level_grid(run, escalation[-1], len(escalation) - 1)
-                witness = (_global_witness(run, final_grid, final_horizon, traces)
-                           if nontrivial else 0.0)
-                if witness is not None and witness < 1.0:
-                    return PhasePoint((), "GlobalLike", None, final_horizon, index, tau,
-                                      f"global witness (m-1)*I = {witness:.3g} < 1")
+            witness = None if nontrivial else 0.0
+            if nontrivial:
+                final_grid = _level_grid(run, escalation[-1], final)
+                try:
+                    trace = linear_trace(run, final_horizon, final_grid, traces)
+                    if not subcritical:
+                        witness = evaluate_criteria(trace, list(run.forcings),
+                                                    run.weight).witness
+                except (ConfigError, NumericError):
+                    pass
+            if not subcritical and witness is not None and witness < 1.0:
+                return PhasePoint((), "GlobalLike", None, final_horizon, index, tau,
+                                  f"global witness (m-1)*I = {witness:.3g} < 1")
 
-    if subcritical:
-        return PhasePoint((), "Undetermined", None, final_horizon, index, tau,
-                          f"subcritical: {subcritical}; horizon too short")
+    reason = (f"subcritical: {subcritical}; horizon too short" if subcritical
+              else "no global witness")
     return PhasePoint((), "Undetermined", None, final_horizon, index, tau,
-                      "no global witness")
+                      reason + skipped)
 
 
 def apply_axis(run: RunSpec, name: str, value: float) -> RunSpec:
@@ -255,8 +297,19 @@ class SweepSpec:
             yield values, run
 
 
+# A pool worker's unit traces, shared by its jobs; set by ``_start_worker``.
+_worker_traces = None
+
+
+def _start_worker():
+    global _worker_traces
+    _worker_traces = {}
+
+
 def _eval_point(args, traces=None):
     values, run, escalation, with_criteria = args
+    if traces is None:
+        traces = _worker_traces
     try:
         point = classify_point(run, escalation, with_criteria, traces)
     except ConfigError as exc:
@@ -271,9 +324,8 @@ def run_sweep(spec: SweepSpec, worker_count: int = 1):
 
     A pool starts all its workers at once, so it gets at most one per point;
     one worker or one point runs in process.  A serial sweep computes each
-    distinct linear trace, of ``point_criteria`` or of a witness's unit
-    amplitude, once, and keeps none past the call; a pooled one computes it
-    per point.
+    distinct unit linear trace once, and each pool worker at most once; none
+    is kept past the call.
     """
     jobs = [(values, run, spec.escalation, spec.with_criteria)
             for values, run in spec.points()]
@@ -285,7 +337,7 @@ def run_sweep(spec: SweepSpec, worker_count: int = 1):
     # serial sweep does not need
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
+    with ProcessPoolExecutor(max_workers=worker_count, initializer=_start_worker) as pool:
         return list(pool.map(_eval_point, jobs))
 
 

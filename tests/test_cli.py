@@ -7,10 +7,11 @@ import math
 import pytest
 
 from degenheat.cli import main
+from degenheat.criteria import horizon_witness
 from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig, TimeProfile,
                                 simulate)
 from degenheat.grids import InitialProfile
-from degenheat.lab import RunSpec, point_criteria
+from degenheat.lab import RunSpec, linear_trace, point_criteria
 
 from conftest import axis_weight, line_grid
 
@@ -108,6 +109,8 @@ class TestCriteria:
         assert rows["verdict"] == report.verdict
         assert rows["smallness index I"] == f"{report.smallness_index:.6g}"
         assert rows["global witness"] == f"{report.witness:.6g}"
+        witness_t = horizon_witness(linear_trace(run, 50.0, run.grid), run.forcings, 50.0)
+        assert rows["witness to horizon"] == f"{witness_t:.6g}"
         assert rows["certificate tau"] == "-" and report.certificate_tau is None
         assert rows["p_star"] == f"{report.p_star:.6g}"
         assert rows["rho_star"] == f"{report.rho_star:.6g}"

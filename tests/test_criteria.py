@@ -12,8 +12,9 @@ from scipy.integrate import quad
 
 from degenheat.criteria import (DecayEnvelope, blowup_certificate,
                                 critical_mass_growth, decay_fit, evaluate,
-                                fujita_exponents, growth_exponent, osgood_tail,
-                                second_critical_exponent, smallness_index)
+                                fujita_exponents, growth_exponent, horizon_witness,
+                                osgood_tail, second_critical_exponent,
+                                smallness_index)
 from degenheat.dynamics import ForcingTerm, Nonlinearity, SimConfig, TimeProfile, simulate
 from degenheat.errors import ConfigError
 from degenheat.grids import gaussian_field
@@ -238,6 +239,55 @@ def test_witness_bounds_the_solution(run):
     m = growth_exponent(forcings)
     psi_inf = (1.0 - witness) ** (-1.0 / (m - 1.0))
     assert res.sup_history.max() <= psi_inf * u0.sup() * (1.0 + 1e-3)
+
+
+class TestHorizonWitness:
+    def test_left_endpoint_sum(self):
+        # u^3 on a falling trace: (p - 1) sum_j [min(t_(j+1), T) - t_j] s_j^2
+        times = np.array([0.0, 1.0, 2.0, 4.0])
+        sups = np.array([0.4, 0.3, 0.2, 0.1])
+        terms = [power_term(3.0)]
+        assert horizon_witness((times, sups), terms, 3.0) == \
+            pytest.approx(2.0 * (0.16 + 0.09 + 0.04), rel=1e-15)
+        assert horizon_witness((times, sups), terms, 4.0) == \
+            pytest.approx(2.0 * (0.16 + 0.09 + 2.0 * 0.04), rel=1e-15)
+        # a horizon past the trace's end has no witness
+        assert horizon_witness((times, sups), terms, 5.0) is None
+        # a zero term adds nothing; a primitive past the float range diverges
+        zero = ForcingTerm(TimeProfile.zero(), Nonlinearity.power(9.0))
+        assert horizon_witness((times, sups), [zero], 4.0) == 0.0
+        huge = ForcingTerm(TimeProfile.power(600.0), Nonlinearity.power(2.0))
+        assert horizon_witness((times * 1e3, sups), [huge], 4e3) == math.inf
+
+    def test_left_endpoints_bound_the_trapezoids(self):
+        # on a falling trace the left endpoints sit above the index's trapezoids,
+        # and the witness grows with its horizon
+        times = np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 300)))
+        sups = 0.3 / np.sqrt(1.0 + 2.0 * times)
+        slopes = sups ** 3
+        trapezoids = 3.0 * np.sum(np.diff(times) * 0.5 * (slopes[:-1] + slopes[1:]))
+        witnesses = [horizon_witness((times, sups), [power_term(4.0)], t)
+                     for t in (1.0, 10.0, 100.0, 200.0)]
+        assert witnesses[-1] > trapezoids
+        assert witnesses == sorted(witnesses)
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(witness_runs())
+def test_horizon_witness_bounds_the_solution(run):
+    """A fired horizon witness: the run completes to the horizon, with
+    sup u <= psi(T) * sup u0."""
+    weight, grid, forcings, u0 = run
+    horizon = 10.0
+    linear = SimConfig(weight, grid, [], u0, horizon, blowup_threshold=math.inf, tol=1e-4)
+    witness = horizon_witness(simulate(linear).trace(), forcings, horizon)
+    if witness is None or not witness < 1.0:
+        return
+    res = simulate(SimConfig(weight, grid, forcings, u0, horizon, tol=1e-4))
+    assert res.status == "completed"
+    m = growth_exponent(forcings)
+    psi = (1.0 - witness) ** (-1.0 / (m - 1.0))
+    assert res.sup_history.max() <= psi * u0.sup() * (1.0 + 1e-3)
 
 
 class TestCriticalExponents:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from degenheat import lab
+from degenheat.criteria import horizon_witness
 from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile
 from degenheat.errors import ConfigError
 from degenheat.grids import InitialProfile
@@ -145,7 +146,9 @@ class TestClassifyPoint:
         )
         pt = classify_point(run, default_escalation((5.0, 50.0)))
         assert pt.classification == "Undetermined"
-        assert pt.reason == "subcritical: p = 2 <= p* = 3; horizon too short"
+        # the linear trace to t = 50 rules out blow-up there: rung 2 is skipped
+        assert pt.reason == ("subcritical: p = 2 <= p* = 3; horizon too short; "
+                             "no blow-up before 50: (m-1)*I(T) = 0.00916 < 1")
 
     # Two runs that blow up with no witness: one with I < 1, and one whose sup
     # falls from t = 10 to t = 305 before the blow-up at t = 640.
@@ -167,6 +170,51 @@ class TestClassifyPoint:
         assert lab.point_criteria(run, 100.0).witness == pytest.approx(5.07, rel=1e-2)
         pt = classify_point(run, default_escalation((10.0, 100.0)))
         assert (pt.classification, pt.reason) == ("Undetermined", "no global witness")
+
+    def test_witnessed_rungs_are_skipped(self, monkeypatch):
+        # alpha = 0, p = 2 <= p* = 3: small data blow up late, at t* = 2007, 331 and
+        # 88 for the three amplitudes.  A later rung runs only when the linear trace
+        # to its horizon leaves (m-1)*I(T) >= 1; a skipped rung completes when run.
+        simulated = []
+        real = lab.simulate
+
+        def recording(cfg):
+            if cfg.forcings:
+                simulated.append(cfg.horizon)
+            return real(cfg)
+
+        monkeypatch.setattr(lab, "simulate", recording)
+        grid = line_grid(100.0, 401)
+        ladder = tuple(EscalationLevel(h, grid) for h in (5.0, 50.0, 200.0, 5000.0))
+        firsts = []
+        for amplitude in (0.02, 0.05, 0.1):
+            run = base_run(grid=grid, profile=InitialProfile("gaussian", amplitude, 1.0),
+                           diffusionless=False, tol=1e-2)
+            simulated.clear()
+            pt = classify_point(run, ladder)
+            trace = lab.linear_trace(run, 5000.0, grid)
+            later = [lv.horizon for lv in ladder[1:]]
+            ran = [h for h in later if horizon_witness(trace, run.forcings, h) >= 1.0]
+            assert simulated == [5.0, ran[0]]
+            for h in later[:later.index(ran[0])]:
+                assert not real(run.config(h)).blew_up
+            assert pt.classification == "BlowUp"
+            assert pt.t_star == real(run.config(ran[0])).t_star
+            firsts.append(ran[0])
+        # the two lower amplitudes skip two rungs and still blow up on the last
+        assert firsts == [5000.0, 5000.0, 200.0]
+
+    def test_skip_keeps_the_solvers_blowup(self):
+        # u^1.1 on constant data 1 solves (1 - 0.1 t)^(-10): the horizon witness
+        # 0.1 * 9 = 0.9 < 1 rules out blow-up before t = 9, but psi(9) = 1e10
+        # lets the solver cross its threshold 1e8 at t ~ 8.45, so rung 2 runs
+        run = base_run(forcings=(ForcingTerm(TimeProfile.power(0.0),
+                                             Nonlinearity.power(1.1)),))
+        trace = lab.linear_trace(run, 9.0, run.grid)
+        assert horizon_witness(trace, run.forcings, 9.0) == pytest.approx(0.9)
+        pt = classify_point(run, default_escalation((5.0, 9.0)))
+        assert (pt.classification, pt.horizon) == ("BlowUp", 9.0)
+        assert pt.t_star == pytest.approx(8.4519, abs=1e-3)
 
     def test_empty_escalation(self):
         with pytest.raises(ConfigError):
@@ -207,8 +255,9 @@ class TestRunSweep:
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 started.append(max_workers)
+                initializer()
 
             def __enter__(self):
                 return self
@@ -220,6 +269,8 @@ class TestRunSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        # the fake runs the worker initializer in this process; undone at teardown
+        monkeypatch.setattr(lab, "_worker_traces", None)
         spec = SweepSpec(base_run(), (("amplitude", [0.5, 2.0]),),
                          default_escalation((5.0,)), with_criteria=False)
         pooled = run_sweep(spec, 64)
@@ -256,8 +307,8 @@ class TestRunSweep:
 
 
 def test_serial_sweep_shares_linear_traces(monkeypatch):
-    # The p axis leaves the linear run (forcings=()) alone, and the p and
-    # amplitude axes the unit-amplitude one: 3 x 2 cells, 3 linear runs.
+    # The p and amplitude axes leave the unit-amplitude linear run
+    # (forcings=()) alone: 3 x 2 cells, 2 linear runs.
     linear, rungs = [], []
     real = lab.simulate
 
@@ -273,15 +324,15 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
     spec = SweepSpec(run, (("p", [2.0, 4.0, 6.0]), ("amplitude", [1e-3, 1e-2])),
                      escalation)
     points = run_sweep(spec, 1)
-    # one trace per amplitude at the first horizon, and one unit trace on the
-    # final rung's grid to the final horizon for the four cells past p* = 2.5
-    shared = [(1e-3, 121, 40.0), (1e-2, 121, 40.0), (1.0, 241, 100.0)]
+    # one unit trace at the first horizon on the base grid, and one on the
+    # final rung's grid to the final horizon
+    shared = [(1.0, 121, 40.0), (1.0, 241, 100.0)]
     assert sorted(linear) == shared
     assert [pt.classification for pt in points] == ["Undetermined"] * 2 + ["GlobalLike"] * 4
-    # a witnessed cell skips its second rung
-    assert sorted(rungs) == sorted([(1e-3, 121, 40.0), (1e-3, 241, 100.0),
-                                    (1e-2, 121, 40.0), (1e-2, 241, 100.0)]
-                                   + [(1e-3, 121, 40.0), (1e-2, 121, 40.0)] * 2)
+    # a globally witnessed cell skips its second rung, and so does a p = 2 cell,
+    # whose horizon witness rules out blow-up before t = 100
+    assert sorted(rungs) == sorted([(1e-3, 121, 40.0), (1e-2, 121, 40.0)] * 3)
+    assert all("; no blow-up before 100: " in pt.reason for pt in points[:2])
     assert all(pt.horizon == 100.0 for pt in points)
     # a shared trace still meets each point's own sources: p = 4 and 6 index differently
     assert len({pt.index_I for pt in points[2:]}) == 4
@@ -296,7 +347,7 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
         alone = classify_point(cell, spec.escalation)
         alone.axis_values = values
         assert alone == point
-    assert len(linear) == 6 + 4
+    assert len(linear) == 6 + 6
     # the witness does not read with_criteria, which fills index_I and certificate_tau
     bare = run_sweep(replace(spec, with_criteria=False), 1)
     assert [(pt.classification, pt.reason) for pt in bare] == \
