@@ -67,7 +67,7 @@ def parse_run_spec(obj: dict, tol: float = 1e-2) -> RunSpec:
         profile=parse_initial(obj["u0"]),
         blowup_threshold=float(obj.get("blowup_threshold", 1e8)),
         tol=float(obj.get("tol", tol)),
-        diffusionless=bool(obj.get("diffusionless", False)),
+        diffusionless=obj.get("diffusionless", False),
     )
 
 
@@ -81,7 +81,7 @@ def parse_sweep_spec(obj: dict) -> SweepSpec:
     else:
         escalation = default_escalation()
     return SweepSpec(parse_run_spec(obj), axes, escalation,
-                     bool(obj.get("with_criteria", True)))
+                     obj.get("with_criteria", True))
 
 
 def _load(path: str) -> dict:

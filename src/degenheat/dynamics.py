@@ -47,6 +47,9 @@ _TINY = 1e-300
 # Step floor: a step this small is never halved, and runaway growth at it is
 # blow-up.  Past t ~ 1e3 the floor is 8 ulp(t) instead, so the clock still moves.
 _DT_FLOOR = 1e-12
+# Runaway growth: _RUNAWAY_FACTOR-fold on each of the last _RUNAWAY_STEPS recorded steps
+_RUNAWAY_FACTOR, _RUNAWAY_STEPS = 10.0, 3
+RUNAWAY_GROWTH = _RUNAWAY_FACTOR ** _RUNAWAY_STEPS
 # Trial steps (accepted or rejected) one IMEX march may take.
 _STEP_CAP = 5_000_000
 # Fixed backward-Euler substeps per mesh panel of the Picard iteration.
@@ -293,11 +296,10 @@ def _source_rows(live, u) -> slice:
 
 
 def _growth_runaway(sups) -> bool:
-    """Last three recorded sup norms each grew by >= 10x."""
-    if len(sups) < 4:
-        return False
-    a, b, c, d = sups[-4:]
-    return b >= 10 * a > 0 and c >= 10 * b and d >= 10 * c
+    """Each of the last _RUNAWAY_STEPS recorded sup norms grew _RUNAWAY_FACTOR-fold."""
+    recent = sups[-_RUNAWAY_STEPS - 1:]
+    return len(recent) > _RUNAWAY_STEPS and recent[0] > 0.0 and all(
+        b >= _RUNAWAY_FACTOR * a for a, b in zip(recent, recent[1:]))
 
 
 def _imex_steps(config: SimConfig, u: np.ndarray):

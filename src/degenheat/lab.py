@@ -14,7 +14,7 @@ it puts below 1, with the lifespan bound's psi(T) too small for the solver's
 blow-up test to fire, is not simulated.
 Every linear trace is read off one unit-amplitude run, scaled by the
 amplitude, so the points of a sweep that differ only in their sources and
-amplitude share it.
+amplitude share it, from one table that ``run_sweep`` hands to every cell.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .criteria import evaluate as evaluate_criteria
 from .criteria import (family_exponents, fujita_exponents, growth_exponent,
                        horizon_witness)
-from .dynamics import Nonlinearity, SimConfig, simulate
+from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, simulate
 from .errors import ConfigError, NumericError
 from .grids import GridSpec, InitialProfile
 from .weight import WeightSpec
@@ -55,6 +55,8 @@ class RunSpec:
         if not self.blowup_threshold > 0.0:
             raise ConfigError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}")
+        if not isinstance(self.diffusionless, bool):
+            raise ConfigError(f"diffusionless must be true or false, got {self.diffusionless!r}")
         self.grid.check_weight(self.weight)
 
     def config(self, horizon: float, grid: GridSpec | None = None) -> SimConfig:
@@ -85,13 +87,20 @@ class PhasePoint:
     reason: str = ""
 
 
-def _level_grid(run: RunSpec, level: EscalationLevel, notch: int) -> GridSpec:
-    if level.grid is not None:
-        return level.grid
-    g = run.grid
-    for _ in range(notch):
-        g = g.refined()
-    return g
+def _rungs(run: RunSpec, escalation) -> list:
+    """Each rung's (horizon, grid).  A level with no grid refines the base grid
+    once per rung before it."""
+    rungs, grid = [], run.grid
+    for level in escalation:
+        rungs.append((level.horizon, level.grid or grid))
+        grid = grid.refined()
+    return rungs
+
+
+def _trace_reads(run: RunSpec, rungs: list) -> tuple:
+    """The (horizon, grid) of the unit linear traces a cell reads: ``point_criteria``'s,
+    on the base grid, and the witnesses', on the final rung's grid."""
+    return (rungs[0][0], run.grid), rungs[-1]
 
 
 def linear_trace(run: RunSpec, horizon: float, grid: GridSpec,
@@ -105,13 +114,11 @@ def linear_trace(run: RunSpec, horizon: float, grid: GridSpec,
     """
     unit = replace(run, forcings=(), blowup_threshold=math.inf,
                    profile=replace(run.profile, amplitude=1.0))
+    traces = {} if traces is None else traces
     key = (unit, grid, horizon)
-    trace = None if traces is None else traces.get(key)
-    if trace is None:
-        trace = simulate(unit.config(horizon, grid)).trace()
-        if traces is not None:
-            traces[key] = trace
-    times, sups = trace
+    if key not in traces:
+        traces[key] = simulate(unit.config(horizon, grid)).trace()
+    times, sups = traces[key]
     return times, run.profile.amplitude * sups
 
 
@@ -146,15 +153,15 @@ def _rules_out_blowup(run: RunSpec, trace, horizon: float) -> float | None:
     and the linear sup never increases: sup u stays below psi sup u0, and
     grows by less than the factor psi over any interval.  The solver calls
     blow-up when sup u reaches ``blowup_threshold`` or grows 1000-fold over
-    three floored steps, so w counts only while psi stays below both
-    threshold / sup u0 and 1e3.
+    three floored steps (``dynamics.RUNAWAY_GROWTH``), so w counts only while
+    psi stays below both threshold / sup u0 and that growth.
     """
     w = horizon_witness(trace, run.forcings, horizon)
     if w is None or not w < 1.0:
         return None
     # w > 0 only with a live term, where m > 1
     log_psi = -math.log1p(-w) / (growth_exponent(run.forcings) - 1.0) if w > 0.0 else 0.0
-    if not (log_psi < math.log(1e3)
+    if not (log_psi < math.log(RUNAWAY_GROWTH)
             and math.exp(log_psi) * trace[1][0] < run.blowup_threshold):
         return None
     return w
@@ -162,76 +169,70 @@ def _rules_out_blowup(run: RunSpec, trace, horizon: float) -> float | None:
 
 def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
                    traces: dict | None = None) -> PhasePoint:
-    """Escalate horizons until blow-up or, once the first rung completes, a
-    global witness.
-
-    Once the first rung completes with nontrivial data, both witnesses read
-    one linear trace, on the final rung's grid to the final horizon.  The
-    global witness (m - 1) I < 1 of ``criteria.evaluate`` makes the point
-    GlobalLike, unless a source family is subcritical.  Each later rung whose
-    horizon witness (m - 1) I(T) rules out the solver's blow-up before its
-    horizon T (``_rules_out_blowup``) is skipped.
+    """Run the first rung; once it completes, try the global witness
+    (m - 1) I < 1 of ``criteria.evaluate``, which a subcritical source family
+    never gets; then run each later rung whose horizon witness does not rule
+    out the solver's blow-up before its horizon (``_rules_out_blowup``).  Both
+    witnesses read one linear trace, on the final rung's grid to the final
+    horizon.
 
     ``with_criteria`` governs only the ``index_I`` and ``certificate_tau``
     fields, read at the first horizon.  ``traces`` is passed on to
     ``linear_trace``; without it, one call shares its own traces.
     """
-    escalation = tuple(escalation)
-    if not escalation:
+    rungs = _rungs(run, escalation)
+    if not rungs:
         raise ConfigError("escalation ladder is empty")
-    if traces is None:
-        traces = {}
+    traces = {} if traces is None else traces
+    (first_horizon, _), (final_horizon, final_grid) = _trace_reads(run, rungs)
 
-    report = None
-    if with_criteria:
-        try:
-            report = point_criteria(run, escalation[0].horizon, traces)
-        except (ConfigError, NumericError):
-            report = None
+    try:
+        report = point_criteria(run, first_horizon, traces) if with_criteria else None
+    except (ConfigError, NumericError):
+        report = None
     index = report.smallness_index if report else None
     tau = report.certificate_tau if report else None
 
-    final = len(escalation) - 1
-    final_horizon = escalation[-1].horizon
-    trace = None
-    skipped = ""
-    for notch, level in enumerate(escalation):
-        if trace is not None:
-            bound = _rules_out_blowup(run, trace, level.horizon)
-            if bound is not None:
-                if notch == final:
-                    skipped = (f"; no blow-up before {level.horizon:.3g}: "
-                               f"(m-1)*I(T) = {bound:.3g} < 1")
-                continue
-        cfg = run.config(level.horizon, _level_grid(run, level, notch))
+    def decided(cfg):
+        """The point, if simulating ``cfg`` blows up or fails; None if it completes."""
         try:
             result = simulate(cfg)
         except NumericError as exc:
-            return PhasePoint((), "Undetermined", None, level.horizon, index, tau,
+            return PhasePoint((), "Undetermined", None, cfg.horizon, index, tau,
                               f"numeric failure: {exc}")
         if result.blew_up:
-            return PhasePoint((), "BlowUp", result.t_star, level.horizon, index, tau)
-        if notch == 0:
-            nontrivial = result.sup_history[0] > 0.0
-            subcritical = _subcritical(run) if nontrivial else ""
-            witness = None if nontrivial else 0.0
-            if nontrivial:
-                final_grid = _level_grid(run, escalation[-1], final)
-                try:
-                    trace = linear_trace(run, final_horizon, final_grid, traces)
-                    if not subcritical:
-                        witness = evaluate_criteria(trace, list(run.forcings),
-                                                    run.weight).witness
-                except (ConfigError, NumericError):
-                    pass
-            if not subcritical and witness is not None and witness < 1.0:
-                return PhasePoint((), "GlobalLike", None, final_horizon, index, tau,
-                                  f"global witness (m-1)*I = {witness:.3g} < 1")
+            return PhasePoint((), "BlowUp", result.t_star, cfg.horizon, index, tau)
+        return None
+
+    first = run.config(*rungs[0])
+    if point := decided(first):
+        return point
+
+    # zero data are witnessed trivially; others read the final rung's trace
+    trace, witness, subcritical = None, 0.0, ""
+    if first.u0.sup() > 0.0:
+        witness, subcritical = None, _subcritical(run)
+        try:
+            trace = linear_trace(run, final_horizon, final_grid, traces)
+            if not subcritical:
+                witness = evaluate_criteria(trace, list(run.forcings), run.weight).witness
+        except (ConfigError, NumericError):
+            pass
+    if witness is not None and witness < 1.0:
+        return PhasePoint((), "GlobalLike", None, final_horizon, index, tau,
+                          f"global witness (m-1)*I = {witness:.3g} < 1")
+
+    bound = None
+    for horizon, grid in rungs[1:]:
+        bound = None if trace is None else _rules_out_blowup(run, trace, horizon)
+        if bound is None and (point := decided(run.config(horizon, grid))):
+            return point
 
     reason = (f"subcritical: {subcritical}; horizon too short" if subcritical
               else "no global witness")
-    return PhasePoint((), "Undetermined", None, final_horizon, index, tau,
-                      reason + skipped)
+    if bound is not None:
+        reason += f"; no blow-up before {final_horizon:.3g}: (m-1)*I(T) = {bound:.3g} < 1"
+    return PhasePoint((), "Undetermined", None, final_horizon, index, tau, reason)
 
 
 def apply_axis(run: RunSpec, name: str, value: float) -> RunSpec:
@@ -266,6 +267,8 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError("a sweep needs 1 or 2 axes")
+        if not isinstance(self.with_criteria, bool):
+            raise ConfigError(f"with_criteria must be true or false, got {self.with_criteria!r}")
         names = [name for name, _ in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"sweep axes must differ, got {names}")
@@ -280,12 +283,10 @@ class SweepSpec:
         horizons = [lv.horizon for lv in self.escalation]
         if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
             raise ConfigError("escalation horizons must be strictly increasing")
-        for h in horizons:
+        for h, grid in _rungs(self.base, self.escalation):
             if not 0.0 < h < math.inf:
                 raise ConfigError(f"escalation horizons must be finite and positive, got {h}")
-        for level in self.escalation:
-            if level.grid is not None:
-                level.grid.check_weight(self.base.weight)
+            grid.check_weight(self.base.weight)
 
     def points(self):
         """Deterministically ordered (axis_values, run) pairs, last axis fastest."""
@@ -297,19 +298,8 @@ class SweepSpec:
             yield values, run
 
 
-# A pool worker's unit traces, shared by its jobs; set by ``_start_worker``.
-_worker_traces = None
-
-
-def _start_worker():
-    global _worker_traces
-    _worker_traces = {}
-
-
-def _eval_point(args, traces=None):
-    values, run, escalation, with_criteria = args
-    if traces is None:
-        traces = _worker_traces
+def _eval_point(job):
+    values, run, escalation, with_criteria, traces = job
     try:
         point = classify_point(run, escalation, with_criteria, traces)
     except ConfigError as exc:
@@ -323,21 +313,28 @@ def run_sweep(spec: SweepSpec, worker_count: int = 1):
     """Evaluate every grid point in ``points`` order, whatever the worker count.
 
     A pool starts all its workers at once, so it gets at most one per point;
-    one worker or one point runs in process.  A serial sweep computes each
-    distinct unit linear trace once, and each pool worker at most once; none
-    is kept past the call.
+    one worker or one point runs in process.  Every cell gets the sweep's one
+    table of unit linear traces, filled as cells ask or, pooled, in this
+    process before the pool starts; it is not kept past the call.
     """
-    jobs = [(values, run, spec.escalation, spec.with_criteria)
+    traces = {}
+    jobs = [(values, run, spec.escalation, spec.with_criteria, traces)
             for values, run in spec.points()]
     worker_count = min(worker_count, len(jobs))
     if worker_count <= 1:
-        traces = {}
-        return [_eval_point(job, traces) for job in jobs]
+        return [_eval_point(job) for job in jobs]
+    for _, run, escalation, with_criteria, _ in jobs:
+        reads = _trace_reads(run, _rungs(run, escalation))
+        for horizon, grid in reads if with_criteria else reads[1:]:
+            try:
+                linear_trace(run, horizon, grid, traces)
+            except (ConfigError, NumericError):
+                pass    # the cell meets the same error, and handles it
     # imported here, its only use: the pool loads multiprocessing, which a
     # serial sweep does not need
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=worker_count, initializer=_start_worker) as pool:
+    with ProcessPoolExecutor(max_workers=worker_count) as pool:
         return list(pool.map(_eval_point, jobs))
 
 

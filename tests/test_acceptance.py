@@ -373,3 +373,30 @@ def test_criterion_11_determinism(fujita_sweeps):
     same = all(fujita_sweeps[a]["csv1"] == fujita_sweeps[a]["csv8"]
                for a in (0.0, 0.5))
     report(11, "determinism", same)
+
+
+def test_criterion_15_exact_kernel_oracle():
+    """Gamma(x, t) = t^(-1/beta) exp(-|x|^beta / (beta^2 t)), beta = 2 - alpha,
+    solves u_t = (|x|^alpha u_x)_x: Gamma(., 1) evolved by t = 9 must give
+    Gamma(., 10), with an observed order of at least 1.5 in the node spacing."""
+    details = []
+    ok = True
+    for alpha in (0.0, 0.5, 0.9):
+        beta = 2.0 - alpha
+        errors = []
+        for nodes in (1001, 2001, 4001):
+            grid = line_grid(100.0, nodes)
+            r = np.abs(grid.positions())
+
+            def kernel(t):
+                return t ** (-1.0 / beta) * np.exp(-r ** beta / (beta ** 2 * t))
+
+            evolved = apply_semigroup(build_operator(grid, axis_weight(alpha)),
+                                      Field(grid, kernel(1.0)), 9.0, tol=1e-10)
+            exact = kernel(10.0)
+            errors.append(float(np.max(np.abs(evolved.values - exact)) / np.max(exact)))
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        ok = ok and all(order >= 1.5 for order in orders)
+        details.append(f"a={alpha}: errors {['%.2e' % e for e in errors]}, "
+                       f"orders {['%.2f' % o for o in orders]}")
+    report(15, "exact kernel oracle", ok, "; ".join(details))

@@ -313,6 +313,21 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("diffusionless", "false"), ("diffusionless", "no"), ("diffusionless", 0.5),
+        ("diffusionless", 0), ("with_criteria", "false"), ("with_criteria", 1),
+    ])
+    def test_boolean_fields_take_only_true_or_false(self, tmp_path, capsys, field, value):
+        # bool("false") is True: such a field must not read as a truth value
+        cfg = write_json(tmp_path / "bad.json", {**SWEEP_CONFIG, field: value})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {field} must be true or false" in capsys.readouterr().err
+        if field == "diffusionless":
+            cfg = write_json(tmp_path / "sim.json", {**SIM_CONFIG, field: value})
+            assert main(["simulate", "--config", cfg]) == 2
+
     def test_bad_probe_times(self, capfd):
         # checked before any probe runs: no LAPACK message, no rows, the times named
         for times in ("-1,2", "1,1,1", "0.5,1,1,2", "inf", "nan,1"):

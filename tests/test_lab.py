@@ -255,9 +255,8 @@ class TestRunSweep:
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer):
+            def __init__(self, max_workers):
                 started.append(max_workers)
-                initializer()
 
             def __enter__(self):
                 return self
@@ -269,8 +268,6 @@ class TestRunSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        # the fake runs the worker initializer in this process; undone at teardown
-        monkeypatch.setattr(lab, "_worker_traces", None)
         spec = SweepSpec(base_run(), (("amplitude", [0.5, 2.0]),),
                          default_escalation((5.0,)), with_criteria=False)
         pooled = run_sweep(spec, 64)
@@ -353,6 +350,51 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
     assert [(pt.classification, pt.reason) for pt in bare] == \
         [(pt.classification, pt.reason) for pt in points]
     assert all(pt.index_I is None and pt.certificate_tau is None for pt in bare)
+
+
+def test_pooled_traces_come_from_the_parent(monkeypatch):
+    # A pooled sweep runs each distinct unit linear trace once, before its pool
+    # starts, and every job carries the table.  The fake pool pickles each job,
+    # as a process pool does, and runs it here: no linear run happens in a job.
+    import concurrent.futures
+    import pickle
+
+    linear = []
+    where = ["parent"]
+    real = lab.simulate
+
+    def counting(cfg):
+        if not cfg.forcings:
+            linear.append((where[0], float(cfg.u0.values.max()), cfg.grid.nodes,
+                           cfg.horizon))
+        return real(cfg)
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            where[0] = "worker"
+            return [fn(pickle.loads(pickle.dumps(job))) for job in jobs]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(lab, "simulate", counting)
+    run = base_run(weight=axis_weight(0.5), grid=line_grid(60.0, 121), diffusionless=False,
+                   profile=InitialProfile("gaussian", 1.0, 1.0), tol=1e-2)
+    escalation = (EscalationLevel(40.0), EscalationLevel(100.0, line_grid(120.0, 241)))
+    spec = SweepSpec(run, (("p", [2.0, 4.0, 6.0]), ("amplitude", [1e-3, 1e-2])),
+                     escalation)
+    pooled = run_sweep(spec, 2)
+    # one per (unit run, grid, horizon): the first horizon on the base grid,
+    # and the final horizon on the final rung's grid
+    assert sorted(linear) == [("parent", 1.0, 121, 40.0), ("parent", 1.0, 241, 100.0)]
+    assert pooled == run_sweep(spec, 1)
 
 
 class TestSweepSvg:
