@@ -80,8 +80,7 @@ def parse_sweep_spec(obj: dict) -> SweepSpec:
             for lv in obj["escalation"])
     else:
         escalation = default_escalation()
-    return SweepSpec(parse_run_spec(obj), axes, escalation,
-                     obj.get("with_criteria", True))
+    return SweepSpec(parse_run_spec(obj), axes, escalation)
 
 
 def _load(path: str) -> dict:

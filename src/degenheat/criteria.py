@@ -116,32 +116,46 @@ def _tail_exponents(term: ForcingTerm, theta: float):
     ]
 
 
-def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
-                    t_num: float) -> float:
-    """The global-existence index: int_0^inf sum_i h_i f_i(s)/s with s the trace.
+def _rate_integral(times, sups, forcings, t: float) -> float:
+    """I(t): the integral over [0, t] of the rate a = sum_i h_i f_i(s)/s of the
+    trace s, bounded from above by a left-endpoint sum.
 
-    Numeric part on [0, t_num] uses per-panel exact profile primitives times a
-    trapezoid of f(s)/s (exact through integrable profile singularities at 0);
-    the tail substitutes the fitted envelope and integrates in closed form.
-    Returns math.inf when the tail integral diverges, or when a profile's
-    integral over [0, t_num] is past the float range: blow-up-side evidence.
+    The sum runs over the panels [t_j, t_(j+1)] with t_j < t, the last one cut
+    at t, of [H_i(t_(j+1)) - H_i(t_j)] f_i(s_j)/s_j, with the exact profile
+    primitives H_i (exact through integrable profile singularities at 0).  It
+    bounds the integral from above: a backward-Euler solve never raises the
+    sup norm, so the linear trace's sup never increases along a panel, and
+    f(s)/s is nondecreasing.  ``math.inf`` when a primitive is past the float
+    range.
     """
-    times, sups = _as_trace(sup_trace)
-    mask = times <= t_num * (1.0 + 1e-12)
-    if mask.sum() < 2:
-        raise ConfigError(f"trace does not cover [0, {t_num}]")
-    times, sups = times[mask], sups[mask]
-
+    n = int(np.searchsorted(times, t))          # the panels with t_j < t
+    edges = np.append(times[:n], t)
     total = 0.0
     for term in forcings:
         if term.profile.is_zero:
             continue
-        phi = term.nonlinearity.slope(sups)
-        primitives = [term.profile.primitive(t) for t in times]
+        primitives = [term.profile.primitive(x) for x in edges]
         if math.isinf(primitives[-1]):
-            return math.inf       # int h_i over [0, t_num] is past the float range
-        weights = np.diff(primitives)
-        total += float(np.sum(weights * 0.5 * (phi[:-1] + phi[1:])))
+            return math.inf
+        total += float(np.sum(np.diff(primitives) * term.nonlinearity.slope(sups[:n])))
+    return total
+
+
+def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
+                    t_num: float) -> float:
+    """The global-existence index: int_0^inf sum_i h_i f_i(s)/s with s the trace.
+
+    The part on [0, t_num] is the trace's left-endpoint sum I(t_num)
+    (``_rate_integral``); the tail substitutes the fitted envelope and
+    integrates in closed form.  Returns math.inf when the tail integral
+    diverges, or when a profile's integral over [0, t_num] is past the float
+    range: blow-up-side evidence.
+    """
+    times, sups = _as_trace(sup_trace)
+    if times.size < 2 or times[-1] < t_num * (1.0 - 1e-12):
+        raise ConfigError(f"trace does not cover [0, {t_num}]")
+    # an infinite sum stays infinite: every tail term below is positive
+    total = _rate_integral(times, sups, forcings, t_num)
 
     theta, c_env = tail_envelope.theta, tail_envelope.constant
     for term in forcings:
@@ -176,31 +190,17 @@ def growth_exponent(forcings) -> float:
 def horizon_witness(sup_trace, forcings, t: float) -> float | None:
     """The finite-horizon witness (m - 1) I(t): no blow-up before t when below 1.
 
-    I(t) is the left-endpoint sum over the panels [t_j, t_(j+1)] with t_j < t,
-    the last one cut at t, of [H_i(t_(j+1)) - H_i(t_j)] f_i(s_j)/s_j, with the
-    exact profile primitives H_i and no envelope or tail.  It bounds the
-    integral over [0, t] of ``growth_exponent``'s rate a = sum_i h_i f_i(s)/s
-    from above: a backward-Euler solve never raises the sup norm, so the
-    linear trace's sup never increases along a panel, and f(s)/s is
-    nondecreasing.  When (m - 1) I(t) < 1, psi stays finite on [0, t], and the
-    solution below psi(t) ||u0||_inf (Lee & Ni's lifespan bound).
-    ``math.inf`` when a primitive is past the float range; None when the
-    trace stops before t.
+    I(t) is the trace's left-endpoint sum over [0, t] (``_rate_integral``), with
+    no envelope or tail: an upper bound on the integral of
+    ``growth_exponent``'s rate.  When (m - 1) I(t) < 1, psi stays finite on
+    [0, t], and the solution below psi(t) ||u0||_inf (Lee & Ni's lifespan
+    bound).  ``math.inf`` when a primitive is past the float range; None when
+    the trace stops before t.
     """
     times, sups = _as_trace(sup_trace)
     if times.size == 0 or times[-1] < t * (1.0 - 1e-12):
         return None
-    n = int(np.searchsorted(times, t))          # the panels with t_j < t
-    edges = np.append(times[:n], t)
-    total = 0.0
-    for term in forcings:
-        if term.profile.is_zero:
-            continue
-        primitives = [term.profile.primitive(x) for x in edges]
-        if math.isinf(primitives[-1]):
-            return math.inf
-        total += float(np.sum(np.diff(primitives) * term.nonlinearity.slope(sups[:n])))
-    return (growth_exponent(forcings) - 1.0) * total
+    return (growth_exponent(forcings) - 1.0) * _rate_integral(times, sups, forcings, t)
 
 
 def fujita_exponents(alpha: float, dim: int, r: float, s: float):

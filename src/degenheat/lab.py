@@ -1,20 +1,21 @@
 """Sweep orchestration: classify parameter points as blow-up or global-like.
 
-"Global" is undecidable numerically.  A point is GlobalLike when its first
-escalation rung completes and the global witness of ``criteria`` fires:
-(m - 1) I < 1 on the linear trace of its data, taken on the final rung's grid
-to the final horizon.  The later rungs are then skipped.  Zero data are
-witnessed trivially.  Data that are nontrivial, with a source family at or
-below its Fujita exponent, get no witness: the theory rules global existence
-out there.  Blow-up is the solver's threshold crossing.  Everything else is
-Undetermined.
+"Global" is undecidable numerically.  Each point first reads the linear trace
+of its data on the final escalation rung's grid to the final horizon.  Its
+global witness (m - 1) I < 1 of ``criteria`` makes the point GlobalLike, once
+a rung has run and completed or when every rung is ruled out, as below.  Zero
+data are witnessed trivially.  Data that are nontrivial, with a source family
+at or below its Fujita exponent, get no witness: the theory rules global
+existence out there.  Blow-up is the solver's threshold crossing.  Everything
+else is Undetermined.
 
-The same trace gives each later rung its horizon witness (m - 1) I(T): a rung
-it puts below 1, with the lifespan bound's psi(T) too small for the solver's
+The same trace gives each rung its horizon witness (m - 1) I(T): a rung it
+puts below 1, with the lifespan bound's psi(T) too small for the solver's
 blow-up test to fire, is not simulated.
 Every linear trace is read off one unit-amplitude run, scaled by the
 amplitude, so the points of a sweep that differ only in their sources and
-amplitude share it, from one table that ``run_sweep`` hands to every cell.
+amplitude share it, from one table that ``run_sweep`` fills before it hands
+it to every cell.
 """
 
 from __future__ import annotations
@@ -167,18 +168,17 @@ def _rules_out_blowup(run: RunSpec, trace, horizon: float) -> float | None:
     return w
 
 
-def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
-                   traces: dict | None = None) -> PhasePoint:
-    """Run the first rung; once it completes, try the global witness
-    (m - 1) I < 1 of ``criteria.evaluate``, which a subcritical source family
-    never gets; then run each later rung whose horizon witness does not rule
-    out the solver's blow-up before its horizon (``_rules_out_blowup``).  Both
-    witnesses read one linear trace, on the final rung's grid to the final
-    horizon.
+def classify_point(run: RunSpec, escalation, traces: dict | None = None) -> PhasePoint:
+    """Read the linear trace on the final rung's grid to the final horizon,
+    then climb the rungs: a rung whose horizon witness rules out the solver's
+    blow-up (``_rules_out_blowup``) is not simulated, and one that blows up or
+    fails decides the point.  Once a rung completes, or every rung is ruled
+    out, the global witness (m - 1) I < 1 of ``criteria.evaluate``, which a
+    subcritical source family never gets, makes the point GlobalLike.
 
-    ``with_criteria`` governs only the ``index_I`` and ``certificate_tau``
-    fields, read at the first horizon.  ``traces`` is passed on to
-    ``linear_trace``; without it, one call shares its own traces.
+    ``index_I`` and ``certificate_tau`` are read at the first horizon on the
+    base grid.  ``traces`` is passed on to ``linear_trace``; without it, one
+    call shares its own traces.
     """
     rungs = _rungs(run, escalation)
     if not rungs:
@@ -187,30 +187,15 @@ def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
     (first_horizon, _), (final_horizon, final_grid) = _trace_reads(run, rungs)
 
     try:
-        report = point_criteria(run, first_horizon, traces) if with_criteria else None
+        report = point_criteria(run, first_horizon, traces)
     except (ConfigError, NumericError):
         report = None
     index = report.smallness_index if report else None
     tau = report.certificate_tau if report else None
 
-    def decided(cfg):
-        """The point, if simulating ``cfg`` blows up or fails; None if it completes."""
-        try:
-            result = simulate(cfg)
-        except NumericError as exc:
-            return PhasePoint((), "Undetermined", None, cfg.horizon, index, tau,
-                              f"numeric failure: {exc}")
-        if result.blew_up:
-            return PhasePoint((), "BlowUp", result.t_star, cfg.horizon, index, tau)
-        return None
-
-    first = run.config(*rungs[0])
-    if point := decided(first):
-        return point
-
     # zero data are witnessed trivially; others read the final rung's trace
     trace, witness, subcritical = None, 0.0, ""
-    if first.u0.sup() > 0.0:
+    if run.config(*rungs[0]).u0.sup() > 0.0:
         witness, subcritical = None, _subcritical(run)
         try:
             trace = linear_trace(run, final_horizon, final_grid, traces)
@@ -218,15 +203,24 @@ def classify_point(run: RunSpec, escalation, with_criteria: bool = True,
                 witness = evaluate_criteria(trace, list(run.forcings), run.weight).witness
         except (ConfigError, NumericError):
             pass
-    if witness is not None and witness < 1.0:
+    witnessed = witness is not None and witness < 1.0
+
+    for horizon, grid in rungs:
+        bound = None if trace is None else _rules_out_blowup(run, trace, horizon)
+        if bound is not None:
+            continue
+        try:
+            result = simulate(run.config(horizon, grid))
+        except NumericError as exc:
+            return PhasePoint((), "Undetermined", None, horizon, index, tau,
+                              f"numeric failure: {exc}")
+        if result.blew_up:
+            return PhasePoint((), "BlowUp", result.t_star, horizon, index, tau)
+        if witnessed:
+            break
+    if witnessed:
         return PhasePoint((), "GlobalLike", None, final_horizon, index, tau,
                           f"global witness (m-1)*I = {witness:.3g} < 1")
-
-    bound = None
-    for horizon, grid in rungs[1:]:
-        bound = None if trace is None else _rules_out_blowup(run, trace, horizon)
-        if bound is None and (point := decided(run.config(horizon, grid))):
-            return point
 
     reason = (f"subcritical: {subcritical}; horizon too short" if subcritical
               else "no global witness")
@@ -262,13 +256,10 @@ class SweepSpec:
     base: RunSpec
     axes: tuple               # 1 or 2 entries of (name, values)
     escalation: tuple = field(default_factory=default_escalation)
-    with_criteria: bool = True
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError("a sweep needs 1 or 2 axes")
-        if not isinstance(self.with_criteria, bool):
-            raise ConfigError(f"with_criteria must be true or false, got {self.with_criteria!r}")
         names = [name for name, _ in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"sweep axes must differ, got {names}")
@@ -299,9 +290,9 @@ class SweepSpec:
 
 
 def _eval_point(job):
-    values, run, escalation, with_criteria, traces = job
+    values, run, escalation, traces = job
     try:
-        point = classify_point(run, escalation, with_criteria, traces)
+        point = classify_point(run, escalation, traces)
     except ConfigError as exc:
         point = PhasePoint((), "Undetermined", None,
                            escalation[-1].horizon, None, None, f"config error: {exc}")
@@ -312,24 +303,22 @@ def _eval_point(job):
 def run_sweep(spec: SweepSpec, worker_count: int = 1):
     """Evaluate every grid point in ``points`` order, whatever the worker count.
 
-    A pool starts all its workers at once, so it gets at most one per point;
-    one worker or one point runs in process.  Every cell gets the sweep's one
-    table of unit linear traces, filled as cells ask or, pooled, in this
-    process before the pool starts; it is not kept past the call.
+    The sweep first fills one table with every unit linear trace its cells
+    read (``_trace_reads``), then maps the cells, each with the table; it is
+    not kept past the call.  A pool starts all its workers at once, so it gets
+    at most one per point; one worker or one point maps in process.
     """
     traces = {}
-    jobs = [(values, run, spec.escalation, spec.with_criteria, traces)
-            for values, run in spec.points()]
-    worker_count = min(worker_count, len(jobs))
-    if worker_count <= 1:
-        return [_eval_point(job) for job in jobs]
-    for _, run, escalation, with_criteria, _ in jobs:
-        reads = _trace_reads(run, _rungs(run, escalation))
-        for horizon, grid in reads if with_criteria else reads[1:]:
+    jobs = [(values, run, spec.escalation, traces) for values, run in spec.points()]
+    for _, run, escalation, _ in jobs:
+        for horizon, grid in _trace_reads(run, _rungs(run, escalation)):
             try:
                 linear_trace(run, horizon, grid, traces)
             except (ConfigError, NumericError):
                 pass    # the cell meets the same error, and handles it
+    worker_count = min(worker_count, len(jobs))
+    if worker_count <= 1:
+        return list(map(_eval_point, jobs))
     # imported here, its only use: the pool loads multiprocessing, which a
     # serial sweep does not need
     from concurrent.futures import ProcessPoolExecutor

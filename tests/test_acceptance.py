@@ -48,7 +48,7 @@ def _fujita_sweep_spec(alpha: float, p_values, escalation) -> SweepSpec:
     )
     return SweepSpec(run, (("p", list(p_values)),
                            ("amplitude", [1e-3, 1e-1, 1.0, 10.0, 1e3])),
-                     tuple(escalation), with_criteria=True)
+                     tuple(escalation))
 
 
 def _line(extent, nodes):

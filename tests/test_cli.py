@@ -38,7 +38,6 @@ SWEEP_CONFIG = {
     "diffusionless": True,
     "axes": [{"name": "amplitude", "values": [0.5, 1.0, 2.0]}],
     "escalation": [{"horizon": 5.0}],
-    "with_criteria": False,
 }
 LOG_FORCING = {"profile": {"kind": "constant", "value": 0.5},
                "nonlinearity": {"kind": "log_power", "exponent": 4.0}}
@@ -87,6 +86,21 @@ class TestSweep:
         assert rows[-1]["classification"] == "BlowUp"
         assert svg.read_text().startswith("<svg")
 
+    def test_with_criteria_key_is_ignored(self, tmp_path, capsys):
+        # older configs may carry "with_criteria": false; like any unknown key it
+        # is ignored, and every cell still fills index_I and certificate_tau
+        texts = []
+        for name, obj in (("plain", SWEEP_CONFIG),
+                          ("keyed", {**SWEEP_CONFIG, "with_criteria": False})):
+            out = tmp_path / f"{name}.csv"
+            assert main(["sweep", "--config", write_json(tmp_path / f"{name}.json", obj),
+                         "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[1] == texts[0]
+        rows = list(csv.DictReader(texts[0].splitlines()))
+        assert [row["index_I"] for row in rows] == ["inf"] * 3
+        assert all(float(row["certificate_tau"]) > 0.0 for row in rows)
+
 
 class TestCriteria:
     def test_prints_report(self, tmp_path, capsys):
@@ -131,7 +145,7 @@ class TestCriteria:
 
 
     def test_index_below_one_is_no_witness(self, tmp_path, capsys):
-        # u^4 with I = 0.74 < 1 blows up at t* = 3.8: the witness reads 3 I
+        # u^4 with I = 0.79 < 1 blows up at t* = 3.8: the witness reads 3 I
         obj = {"weight": {"case": "axis_power", "alpha": 0.0, "dim": 1},
                "grid": {"geometry": "line", "extent": 100.0, "nodes": 3201},
                "u0": {"kind": "gaussian", "amplitude": 0.9, "sigma": 1.0},
@@ -165,7 +179,7 @@ class TestDivergentTail:
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         obj = {**self.CONFIG, "axes": [{"name": "amplitude", "values": [1e-80]}],
-               "escalation": [{"horizon": 1.0}], "with_criteria": True}
+               "escalation": [{"horizon": 1.0}]}
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", obj),
                      "--out", str(out)]) == 0
@@ -199,15 +213,14 @@ class TestOverflowingProfile:
         assert "smallness index I     divergent\n" in out
         assert err == ""
         obj = {**self.CONFIG, "axes": [{"name": "amplitude", "values": [1e-3]}],
-               "escalation": [{"horizon": 1e160}], "with_criteria": True}
+               "escalation": [{"horizon": 1e160}]}
         sweep = write_json(tmp_path / "sweep.json", obj)
         assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep.csv")]) == 0
         assert "Warning" not in capfd.readouterr().err
 
     def test_sweep_cell_is_undetermined(self, tmp_path):
-        # without criteria, which test_criteria_diverge_quietly covers
         obj = {**self.CONFIG, "axes": [{"name": "amplitude", "values": [1e-3]}],
-               "escalation": [{"horizon": 1e160}], "with_criteria": False}
+               "escalation": [{"horizon": 1e160}]}
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", obj),
                      "--out", str(out)]) == 0
@@ -315,7 +328,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, value", [
         ("diffusionless", "false"), ("diffusionless", "no"), ("diffusionless", 0.5),
-        ("diffusionless", 0), ("with_criteria", "false"), ("with_criteria", 1),
+        ("diffusionless", 0),
     ])
     def test_boolean_fields_take_only_true_or_false(self, tmp_path, capsys, field, value):
         # bool("false") is True: such a field must not read as a truth value

@@ -1,13 +1,12 @@
 """Tests for sweep orchestration, classification, and artifact emission."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
 from degenheat import lab
 from degenheat.criteria import horizon_witness
-from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile
+from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile, simulate
 from degenheat.errors import ConfigError
 from degenheat.grids import InitialProfile
 from degenheat.lab import (EscalationLevel, RunSpec, SweepSpec, apply_axis,
@@ -109,6 +108,20 @@ class TestSweepSpecValidation:
         SweepSpec(run, (("p", [2.0, 3.0]),), (EscalationLevel(5.0, line_grid(4.0, 9)),))
 
 
+@pytest.fixture
+def simulated(monkeypatch):
+    """The horizon of every source run that ``lab`` simulates, in call order."""
+    horizons = []
+
+    def recording(cfg):
+        if cfg.forcings:
+            horizons.append(cfg.horizon)
+        return simulate(cfg)
+
+    monkeypatch.setattr(lab, "simulate", recording)
+    return horizons
+
+
 class TestClassifyPoint:
     def test_zero_data_global(self):
         run = base_run(profile=InitialProfile("constant", 0.0), diffusionless=False)
@@ -116,12 +129,11 @@ class TestClassifyPoint:
         assert pt.classification == "GlobalLike"
 
     def test_ode_point_blows(self):
-        pt = classify_point(base_run(), default_escalation((5.0,)),
-                            with_criteria=False)
+        pt = classify_point(base_run(), default_escalation((5.0,)))
         assert pt.classification == "BlowUp"
         assert pt.t_star == pytest.approx(1.0, abs=0.02)
 
-    def test_supercritical_dichotomy(self):
+    def test_supercritical_dichotomy(self, simulated):
         run = base_run(
             weight=axis_weight(0.0),
             grid=line_grid(40.0, 401),
@@ -130,10 +142,16 @@ class TestClassifyPoint:
             diffusionless=False,
             tol=1e-2,
         )
-        small = classify_point(run, default_escalation((5.0, 50.0)))
-        big = classify_point(apply_axis(run, "amplitude", 1e4),
-                             default_escalation((5.0, 50.0)))
+        ladder = default_escalation((5.0, 50.0))
+        small = classify_point(run, ladder)
         assert small.classification == "GlobalLike"
+        # the horizon witness rules out blow-up on both of the small cell's
+        # rungs, so its global witness decides it with no source run; each
+        # skipped rung completes when run
+        assert simulated == []
+        for horizon, grid in lab._rungs(run, ladder):
+            assert simulate(run.config(horizon, grid)).status == "completed"
+        big = classify_point(apply_axis(run, "amplitude", 1e4), ladder)
         assert big.classification == "BlowUp"
 
     def test_subcritical_decay_is_undetermined(self):
@@ -146,7 +164,7 @@ class TestClassifyPoint:
         )
         pt = classify_point(run, default_escalation((5.0, 50.0)))
         assert pt.classification == "Undetermined"
-        # the linear trace to t = 50 rules out blow-up there: rung 2 is skipped
+        # the linear trace to t = 50 rules out blow-up there: no rung is simulated
         assert pt.reason == ("subcritical: p = 2 <= p* = 3; horizon too short; "
                              "no blow-up before 50: (m-1)*I(T) = 0.00916 < 1")
 
@@ -158,7 +176,7 @@ class TestClassifyPoint:
             profile=InitialProfile("gaussian", 0.9, 1.0), diffusionless=False, tol=1e-2)
         report = lab.point_criteria(run, 1000.0)
         assert report.smallness_index < 1.0
-        assert report.witness == pytest.approx(2.26, rel=1e-2)
+        assert report.witness == pytest.approx(2.38, rel=1e-2)
         assert report.verdict != "global_by_smallness"
         pt = classify_point(run, default_escalation((1000.0,)))
         assert pt.classification == "BlowUp"
@@ -171,19 +189,11 @@ class TestClassifyPoint:
         pt = classify_point(run, default_escalation((10.0, 100.0)))
         assert (pt.classification, pt.reason) == ("Undetermined", "no global witness")
 
-    def test_witnessed_rungs_are_skipped(self, monkeypatch):
+    def test_witnessed_rungs_are_skipped(self, simulated):
         # alpha = 0, p = 2 <= p* = 3: small data blow up late, at t* = 2007, 331 and
-        # 88 for the three amplitudes.  A later rung runs only when the linear trace
-        # to its horizon leaves (m-1)*I(T) >= 1; a skipped rung completes when run.
-        simulated = []
-        real = lab.simulate
-
-        def recording(cfg):
-            if cfg.forcings:
-                simulated.append(cfg.horizon)
-            return real(cfg)
-
-        monkeypatch.setattr(lab, "simulate", recording)
+        # 88 for the three amplitudes.  A rung runs only when the linear trace to
+        # its horizon leaves (m-1)*I(T) >= 1; a skipped rung, the first one
+        # included, completes when run.
         grid = line_grid(100.0, 401)
         ladder = tuple(EscalationLevel(h, grid) for h in (5.0, 50.0, 200.0, 5000.0))
         firsts = []
@@ -193,26 +203,28 @@ class TestClassifyPoint:
             simulated.clear()
             pt = classify_point(run, ladder)
             trace = lab.linear_trace(run, 5000.0, grid)
-            later = [lv.horizon for lv in ladder[1:]]
-            ran = [h for h in later if horizon_witness(trace, run.forcings, h) >= 1.0]
-            assert simulated == [5.0, ran[0]]
-            for h in later[:later.index(ran[0])]:
-                assert not real(run.config(h)).blew_up
+            horizons = [lv.horizon for lv in ladder]
+            ran = [h for h in horizons if horizon_witness(trace, run.forcings, h) >= 1.0]
+            assert simulated == [ran[0]]
+            for h in horizons[:horizons.index(ran[0])]:
+                assert not simulate(run.config(h)).blew_up
             assert pt.classification == "BlowUp"
-            assert pt.t_star == real(run.config(ran[0])).t_star
+            assert pt.t_star == simulate(run.config(ran[0])).t_star
             firsts.append(ran[0])
-        # the two lower amplitudes skip two rungs and still blow up on the last
+        # the two lower amplitudes skip three rungs and still blow up on the last
         assert firsts == [5000.0, 5000.0, 200.0]
 
-    def test_skip_keeps_the_solvers_blowup(self):
+    def test_skip_keeps_the_solvers_blowup(self, simulated):
         # u^1.1 on constant data 1 solves (1 - 0.1 t)^(-10): the horizon witness
         # 0.1 * 9 = 0.9 < 1 rules out blow-up before t = 9, but psi(9) = 1e10
-        # lets the solver cross its threshold 1e8 at t ~ 8.45, so rung 2 runs
+        # lets the solver cross its threshold 1e8 at t ~ 8.45, so rung 2 runs.
+        # Rung 1 runs too: psi(5) = 2^10 is past the 1000-fold growth test.
         run = base_run(forcings=(ForcingTerm(TimeProfile.power(0.0),
                                              Nonlinearity.power(1.1)),))
         trace = lab.linear_trace(run, 9.0, run.grid)
         assert horizon_witness(trace, run.forcings, 9.0) == pytest.approx(0.9)
         pt = classify_point(run, default_escalation((5.0, 9.0)))
+        assert simulated == [5.0, 9.0]
         assert (pt.classification, pt.horizon) == ("BlowUp", 9.0)
         assert pt.t_star == pytest.approx(8.4519, abs=1e-3)
 
@@ -224,11 +236,11 @@ class TestClassifyPoint:
 class TestRunSweep:
     def _spec(self):
         return SweepSpec(base_run(), (("amplitude", [0.5, 1.0, 2.0]),),
-                         default_escalation((5.0,)), with_criteria=False)
+                         default_escalation((5.0,)))
 
     def test_empty_grid_header_only(self):
         spec = SweepSpec(base_run(), (("amplitude", []),),
-                         default_escalation((5.0,)), with_criteria=False)
+                         default_escalation((5.0,)))
         points = run_sweep(spec, 1)
         assert points == []
         assert points_to_csv(points) == \
@@ -269,13 +281,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         spec = SweepSpec(base_run(), (("amplitude", [0.5, 2.0]),),
-                         default_escalation((5.0,)), with_criteria=False)
+                         default_escalation((5.0,)))
         pooled = run_sweep(spec, 64)
         assert started == [2]
         assert pooled == run_sweep(spec, 1)
         # one point runs in process, with no pool at all
         one = SweepSpec(base_run(), (("amplitude", [2.0]),),
-                        default_escalation((5.0,)), with_criteria=False)
+                        default_escalation((5.0,)))
         assert run_sweep(one, 64) == run_sweep(one, 1)
         assert started == [2]
 
@@ -297,7 +309,7 @@ class TestRunSweep:
 
     def test_two_axis_ordering(self):
         spec = SweepSpec(base_run(), (("p", [2.0, 3.0]), ("amplitude", [1.0, 2.0])),
-                         default_escalation((5.0,)), with_criteria=False)
+                         default_escalation((5.0,)))
         points = run_sweep(spec, 1)
         assert [pt.axis_values for pt in points] == \
             [(2.0, 1.0), (2.0, 2.0), (3.0, 1.0), (3.0, 2.0)]
@@ -326,9 +338,9 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
     shared = [(1.0, 121, 40.0), (1.0, 241, 100.0)]
     assert sorted(linear) == shared
     assert [pt.classification for pt in points] == ["Undetermined"] * 2 + ["GlobalLike"] * 4
-    # a globally witnessed cell skips its second rung, and so does a p = 2 cell,
-    # whose horizon witness rules out blow-up before t = 100
-    assert sorted(rungs) == sorted([(1e-3, 121, 40.0), (1e-2, 121, 40.0)] * 3)
+    # the trace's horizon witness rules out blow-up on both rungs of every cell:
+    # the p = 2 cells are Undetermined and the others GlobalLike, with no source run
+    assert rungs == []
     assert all("; no blow-up before 100: " in pt.reason for pt in points[:2])
     assert all(pt.horizon == 100.0 for pt in points)
     # a shared trace still meets each point's own sources: p = 4 and 6 index differently
@@ -345,11 +357,6 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
         alone.axis_values = values
         assert alone == point
     assert len(linear) == 6 + 6
-    # the witness does not read with_criteria, which fills index_I and certificate_tau
-    bare = run_sweep(replace(spec, with_criteria=False), 1)
-    assert [(pt.classification, pt.reason) for pt in bare] == \
-        [(pt.classification, pt.reason) for pt in points]
-    assert all(pt.index_I is None and pt.certificate_tau is None for pt in bare)
 
 
 def test_pooled_traces_come_from_the_parent(monkeypatch):
@@ -401,7 +408,7 @@ class TestSweepSvg:
     def test_heat_map_with_boundary(self):
         run = base_run()
         spec = SweepSpec(run, (("p", [2.0, 2.5, 3.5, 4.0]),),
-                         default_escalation((5.0,)), with_criteria=False)
+                         default_escalation((5.0,)))
         points = run_sweep(spec, 1)
         svg = sweep_svg(spec, points)
         assert svg.startswith("<svg")
@@ -412,13 +419,13 @@ class TestSweepSvg:
     def test_no_boundary_outside_range(self):
         run = base_run()
         spec = SweepSpec(run, (("amplitude", [1.0, 2.0]),),
-                         default_escalation((5.0,)), with_criteria=False)
+                         default_escalation((5.0,)))
         svg = sweep_svg(spec, run_sweep(spec, 1))
         assert "stroke-dasharray" not in svg
 
     def test_empty_p_axis(self):
         spec = SweepSpec(base_run(), (("p", []), ("amplitude", [1.0, 2.0])),
-                         default_escalation((5.0,)), with_criteria=False)
+                         default_escalation((5.0,)))
         svg = sweep_svg(spec, run_sweep(spec, 1))
         assert svg.startswith("<svg")
         assert "stroke-dasharray" not in svg
