@@ -18,7 +18,7 @@ from .dynamics import ForcingTerm, Nonlinearity, TimeProfile, simulate
 from .errors import ConfigError, NumericError
 from .grids import Geometry, GridSpec, InitialProfile
 from .lab import (EscalationLevel, RunSpec, SweepSpec, default_escalation,
-                  linear_trace, points_to_csv, run_sweep, sweep_svg)
+                  kernel_bound, linear_trace, points_to_csv, run_sweep, sweep_svg)
 from .semigroup import apply_semigroup, build_operator, kernel_column
 from .weight import WeightCase, WeightSpec
 
@@ -136,6 +136,13 @@ def cmd_criteria(args) -> int:
     print(f"{'smallness index I':<21} {fmt(report.smallness_index)}")
     print(f"{'global witness':<21} {fmt(report.witness)}")
     print(f"{'witness to horizon':<21} {fmt(witness_t)}")
+    # the kernel bound's witnesses, as a sweep cell reads them
+    kernel = kernel_bound(run, horizon)
+    if kernel is not None:
+        print(f"{'kernel t0, A':<21} {fmt(kernel.t0)}, {fmt(kernel.constant)}")
+        print(f"{'kernel witness':<21} {fmt(kernel.witness(run.forcings, horizon))}")
+        print(f"{'kernel witness to horizon':<21} "
+              f"{fmt(crit.horizon_witness(kernel.trace(horizon), run.forcings, horizon))}")
     print(f"{'certificate tau':<21} {fmt(report.certificate_tau)}")
     print(f"{'p_star':<21} {fmt(report.p_star)}")
     print(f"{'q_star':<21} {fmt(report.q_star)}")

@@ -1,9 +1,11 @@
 """Analytic decision machinery: Osgood tails, smallness index, the global
-witness, certificates, critical exponents, and decay-envelope fitting.
+witness, certificates, critical exponents, the exact kernel's bound of
+Gaussian data, and decay-envelope fitting.
 
-Everything here consumes sup-norm traces of the *linear* flow plus the forcing
-data; nothing re-runs the PDE.  Closed forms are used wherever the built-in
-nonlinearities admit them, with quadrature reserved for cross-validation.
+Everything here consumes sup-norm traces of the *linear* flow, or the kernel
+bound's closed form, plus the forcing data; nothing re-runs the PDE.  Closed
+forms are used wherever the built-in nonlinearities admit them, with
+quadrature reserved for cross-validation.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ def _rate_integral(times, sups, forcings, t: float) -> float:
     at t, of [H_i(t_(j+1)) - H_i(t_j)] f_i(s_j)/s_j, with the exact profile
     primitives H_i (exact through integrable profile singularities at 0).  It
     bounds the integral from above: a backward-Euler solve never raises the
-    sup norm, so the linear trace's sup never increases along a panel, and
-    f(s)/s is nondecreasing.  ``math.inf`` when a primitive is past the float
-    range.
+    sup norm, so the linear trace's sup never increases along a panel, nor
+    does a kernel bound's (``KernelBound.trace``), and f(s)/s is
+    nondecreasing.  ``math.inf`` when a primitive is past the float range.
     """
     n = int(np.searchsorted(times, t))          # the panels with t_j < t
     edges = np.append(times[:n], t)
@@ -146,10 +148,11 @@ def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
     """The global-existence index: int_0^inf sum_i h_i f_i(s)/s with s the trace.
 
     The part on [0, t_num] is the trace's left-endpoint sum I(t_num)
-    (``_rate_integral``); the tail substitutes the fitted envelope and
-    integrates in closed form.  Returns math.inf when the tail integral
-    diverges, or when a profile's integral over [0, t_num] is past the float
-    range: blow-up-side evidence.
+    (``_rate_integral``); the tail substitutes the envelope, fitted or the
+    kernel bound's exact one, and integrates in closed form.  Returns math.inf
+    when the tail integral diverges, or when a profile's integral over
+    [0, t_num] or the envelope's power is past the float range: blow-up-side
+    evidence.
     """
     times, sups = _as_trace(sup_trace)
     if times.size < 2 or times[-1] < t_num * (1.0 - 1e-12):
@@ -164,9 +167,87 @@ def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
         for scale, exponent, power_of_s in _tail_exponents(term, theta):
             if exponent >= -1.0:
                 return math.inf
-            amp = scale * (c_env ** power_of_s)
+            try:
+                amp = scale * (c_env ** power_of_s)
+            except OverflowError:
+                return math.inf
             total += amp * t_num ** (exponent + 1.0) / (-exponent - 1.0)
     return total
+
+
+# Samples per decade of t + t0 in a kernel trace.  On each panel the bound
+# falls by the ratio 10^(-theta / K) at most, so the left-endpoint sum
+# overstates the integral of a u^m rate by a factor 10^(theta (m - 1) / K) at
+# most: 1.055 for theta = 1/2, m = 4.
+_KERNEL_SAMPLES_PER_DECADE = 64
+
+
+@dataclass(frozen=True)
+class KernelBound:
+    """The comparison bound of the exact kernel of the power weight.
+
+    Gamma(x, t) = t^(-theta) exp(-|x|^beta / (beta^2 t)), beta = 2 - alpha and
+    theta = N / beta, solves u_t = div(|x|^alpha grad u) on R^N (the line
+    weight, N = 1, and the radial weight).  Data u0 <= A Gamma(., t0) give, by
+    comparison, sup S(t)u0 <= min(cap, A (t + t0)^(-theta)) on R^N, with cap =
+    sup u0: no fit and no truncation.  The bound is for the flow on R^N, not
+    for a solver's truncated, discretised one.
+    """
+
+    t0: float
+    constant: float     # A
+    theta: float
+    cap: float
+
+    def trace(self, horizon: float):
+        """The bound sampled on a geometric grid in t + t0 from t0 to
+        horizon + t0: times run from exactly 0 to exactly ``horizon``.
+
+        The times are t0 expm1(u) for u evenly spaced in [0, log1p(horizon /
+        t0)], which stays exact when t0 dwarfs the horizon.  The bound never
+        increases, so the left-endpoint sums of ``_rate_integral`` stay upper
+        bounds on it.
+        """
+        u_end = math.log1p(horizon / self.t0)
+        panels = math.ceil(_KERNEL_SAMPLES_PER_DECADE * u_end / math.log(10.0))
+        times = self.t0 * np.expm1(np.linspace(0.0, u_end, max(panels, 2) + 1))
+        times[-1] = horizon
+        # (t + t0)^(-theta) past the float range only meets the cap
+        with np.errstate(over="ignore"):
+            decay = (times + self.t0) ** -self.theta
+        return times, np.minimum(self.cap, self.constant * decay)
+
+    def witness(self, forcings, horizon: float) -> float:
+        """The global witness (m - 1) I of the bound: the left-endpoint sum of
+        its trace to ``horizon``, and past it the exact tail A t^(-theta),
+        which lies above A (t + t0)^(-theta)."""
+        envelope = DecayEnvelope(self.theta, self.constant, (horizon, math.inf), 0.0)
+        return (growth_exponent(forcings) - 1.0) * smallness_index(
+            self.trace(horizon), envelope, forcings, horizon)
+
+
+def gaussian_kernel_bound(alpha: float, dim: int, amplitude: float,
+                          sigma: float) -> KernelBound:
+    """The kernel bound of Gaussian data a exp(-|x|^2 / (2 sigma^2)) in R^dim.
+
+    u0 <= A Gamma(., t0) needs A >= a t0^(N/beta) exp(max_x g), with
+    g(x) = x^beta / (beta^2 t0) - x^2 / (2 sigma^2).  For alpha > 0, g peaks
+    at x* = (sigma^2 / (beta t0))^(1/alpha), where g = x*^2 alpha / (2 beta
+    sigma^2).  Minimising log A = log a + (N/beta) log t0 + g(x*) over t0 gives
+    x*^2 = N sigma^2, so t0 = (sigma^2 / beta) (N sigma^2)^(-alpha/2) and
+    A = a (t0 e^(alpha/2))^(N/beta).  At alpha = 0, t0 = sigma^2 / 2 is the
+    smallest t0 with g <= 0, A = a t0^(N/2), and the bound is exact: t0 is
+    sigma^beta / beta, which at alpha = 0 rounds as the data's 2 sigma^2
+    does.  A t0 or A past the float range is ``math.inf``.
+    """
+    beta = 2.0 - alpha
+    theta = dim / beta
+    try:
+        t0 = sigma ** beta / beta * dim ** (-alpha / 2.0)
+        scale = (t0 * math.exp(alpha / 2.0)) ** theta
+    except OverflowError:
+        t0 = scale = math.inf
+    return KernelBound(t0, amplitude * scale, theta, amplitude)
 
 
 def growth_exponent(forcings) -> float:
@@ -278,9 +359,11 @@ def evaluate(sup_trace, forcings, weight: WeightSpec) -> CriteriaReport:
     exponents.
 
     The envelope is fitted over the trace's last decade, and the index switches
-    from the trace to the envelope at the trace's end.  The verdict is
-    ``global_by_smallness`` when the witness is below 1 and no certificate
-    fires.
+    from the trace to the envelope at the trace's end.  A trace that stops
+    before its asymptotic decay may get no witness however small its data;
+    ``KernelBound.witness`` closes the tail of Gaussian data exactly.  The
+    verdict is ``global_by_smallness`` when the witness is below 1 and no
+    certificate fires.
     """
     times, sups = _as_trace(sup_trace)
     if times.size < 4:

@@ -1,13 +1,16 @@
 """Sweep orchestration: classify parameter points as blow-up or global-like.
 
-"Global" is undecidable numerically.  Each point first reads the linear trace
-of its data on the final escalation rung's grid to the final horizon.  Its
-global witness (m - 1) I < 1 of ``criteria`` makes the point GlobalLike, once
-a rung has run and completed or when every rung is ruled out, as below.  Zero
-data are witnessed trivially.  Data that are nontrivial, with a source family
-at or below its Fujita exponent, get no witness: the theory rules global
-existence out there.  Blow-up is the solver's threshold crossing.  Everything
-else is Undetermined.
+"Global" is undecidable numerically.  Each point first reads a sup trace of
+its data's linear flow to the final horizon.  For centred Gaussian data on a
+run with diffusion that is the exact kernel's bound (``kernel_bound``), which
+holds for the flow on R^N with no fit and no truncation; other data read the
+linear trace on the final escalation rung's grid.  The trace's global witness
+(m - 1) I < 1 of ``criteria`` makes the point GlobalLike, once a rung has run
+and completed or when every rung is ruled out, as below.  Zero data are
+witnessed trivially.  Data that are nontrivial, with a source family at or
+below its Fujita exponent, get no witness: the theory rules global existence
+out there.  Blow-up is the solver's threshold crossing.  Everything else is
+Undetermined.
 
 The same trace gives each rung its horizon witness (m - 1) I(T): a rung it
 puts below 1, with the lifespan bound's psi(T) too small for the solver's
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import evaluate as evaluate_criteria
-from .criteria import (family_exponents, fujita_exponents, growth_exponent,
-                       horizon_witness)
+from .criteria import (KernelBound, family_exponents, fujita_exponents,
+                       gaussian_kernel_bound, growth_exponent, horizon_witness)
 from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, simulate
 from .errors import ConfigError, NumericError
 from .grids import GridSpec, InitialProfile
@@ -98,10 +101,31 @@ def _rungs(run: RunSpec, escalation) -> list:
     return rungs
 
 
+def kernel_bound(run: RunSpec, horizon: float) -> KernelBound | None:
+    """The exact kernel's bound on the linear flow of ``run``'s data
+    (``criteria.KernelBound``) to ``horizon``, or None where it does not apply.
+
+    It covers centred Gaussian data of positive amplitude, on a line or a
+    radial grid in R^N, with t0 > 0 and A > 0 finite and horizon / t0 too,
+    so that the bound's trace can be sampled.  A diffusionless run has no
+    diffusion, so no kernel bounds its flow.
+    """
+    prof = run.profile
+    if prof.kind != "gaussian" or run.diffusionless or not prof.amplitude > 0.0:
+        return None
+    bound = gaussian_kernel_bound(run.weight.alpha, run.weight.dim, prof.amplitude,
+                                  prof.sigma)
+    finite = (0.0 < bound.t0 and 0.0 < bound.constant < math.inf
+              and horizon / bound.t0 < math.inf)
+    return bound if finite else None
+
+
 def _trace_reads(run: RunSpec, rungs: list) -> tuple:
     """The (horizon, grid) of the unit linear traces a cell reads: ``point_criteria``'s,
-    on the base grid, and the witnesses', on the final rung's grid."""
-    return (rungs[0][0], run.grid), rungs[-1]
+    on the base grid, and the witnesses', on the final rung's grid, unless the
+    kernel bound stands in for the latter."""
+    base = (rungs[0][0], run.grid)
+    return (base,) if kernel_bound(run, rungs[-1][0]) is not None else (base, rungs[-1])
 
 
 def linear_trace(run: RunSpec, horizon: float, grid: GridSpec,
@@ -169,12 +193,18 @@ def _rules_out_blowup(run: RunSpec, trace, horizon: float) -> float | None:
 
 
 def classify_point(run: RunSpec, escalation, traces: dict | None = None) -> PhasePoint:
-    """Read the linear trace on the final rung's grid to the final horizon,
-    then climb the rungs: a rung whose horizon witness rules out the solver's
+    """Read a sup trace of the data's linear flow to the final horizon, then
+    climb the rungs: a rung whose horizon witness rules out the solver's
     blow-up (``_rules_out_blowup``) is not simulated, and one that blows up or
     fails decides the point.  Once a rung completes, or every rung is ruled
-    out, the global witness (m - 1) I < 1 of ``criteria.evaluate``, which a
-    subcritical source family never gets, makes the point GlobalLike.
+    out, the global witness (m - 1) I < 1, which a subcritical source family
+    never gets, makes the point GlobalLike.
+
+    Where ``kernel_bound`` covers the data, the trace is that bound and the
+    global witness its exact tail (``KernelBound.witness``); the reasons that
+    rest on it end in " (kernel bound)", since it bounds the flow on R^N, not
+    the solver's.  Other data read the linear trace on the final rung's grid
+    and the witness of ``criteria.evaluate``.
 
     ``index_I`` and ``certificate_tau`` are read at the first horizon on the
     base grid.  ``traces`` is passed on to ``linear_trace``; without it, one
@@ -184,7 +214,9 @@ def classify_point(run: RunSpec, escalation, traces: dict | None = None) -> Phas
     if not rungs:
         raise ConfigError("escalation ladder is empty")
     traces = {} if traces is None else traces
-    (first_horizon, _), (final_horizon, final_grid) = _trace_reads(run, rungs)
+    first_horizon, final_horizon = rungs[0][0], rungs[-1][0]
+    kernel = kernel_bound(run, final_horizon)
+    basis = "" if kernel is None else " (kernel bound)"
 
     try:
         report = point_criteria(run, first_horizon, traces)
@@ -193,14 +225,16 @@ def classify_point(run: RunSpec, escalation, traces: dict | None = None) -> Phas
     index = report.smallness_index if report else None
     tau = report.certificate_tau if report else None
 
-    # zero data are witnessed trivially; others read the final rung's trace
+    # zero data are witnessed trivially; others read the final horizon's trace
     trace, witness, subcritical = None, 0.0, ""
     if run.config(*rungs[0]).u0.sup() > 0.0:
         witness, subcritical = None, _subcritical(run)
         try:
-            trace = linear_trace(run, final_horizon, final_grid, traces)
+            trace = (linear_trace(run, *rungs[-1], traces) if kernel is None
+                     else kernel.trace(final_horizon))
             if not subcritical:
-                witness = evaluate_criteria(trace, list(run.forcings), run.weight).witness
+                witness = (evaluate_criteria(trace, list(run.forcings), run.weight).witness
+                           if kernel is None else kernel.witness(run.forcings, final_horizon))
         except (ConfigError, NumericError):
             pass
     witnessed = witness is not None and witness < 1.0
@@ -220,12 +254,13 @@ def classify_point(run: RunSpec, escalation, traces: dict | None = None) -> Phas
             break
     if witnessed:
         return PhasePoint((), "GlobalLike", None, final_horizon, index, tau,
-                          f"global witness (m-1)*I = {witness:.3g} < 1")
+                          f"global witness (m-1)*I = {witness:.3g} < 1{basis}")
 
     reason = (f"subcritical: {subcritical}; horizon too short" if subcritical
               else "no global witness")
     if bound is not None:
-        reason += f"; no blow-up before {final_horizon:.3g}: (m-1)*I(T) = {bound:.3g} < 1"
+        reason += (f"; no blow-up before {final_horizon:.3g}: "
+                   f"(m-1)*I(T) = {bound:.3g} < 1{basis}")
     return PhasePoint((), "Undetermined", None, final_horizon, index, tau, reason)
 
 

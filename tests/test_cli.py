@@ -11,7 +11,7 @@ from degenheat.criteria import horizon_witness
 from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig, TimeProfile,
                                 simulate)
 from degenheat.grids import InitialProfile
-from degenheat.lab import RunSpec, linear_trace, point_criteria
+from degenheat.lab import RunSpec, kernel_bound, linear_trace, point_criteria
 
 from conftest import axis_weight, line_grid
 
@@ -143,6 +143,29 @@ class TestCriteria:
         # a label that fits keeps its padding to 22 columns
         assert any(line.startswith("osgood tail power(2)  ") for line in lines)
 
+    def test_reports_kernel_bound(self, tmp_path, capsys):
+        # the kernel rows come from lab.kernel_bound, as a sweep cell's witnesses do
+        obj = {**SIM_CONFIG, "horizon": 50.0,
+               "forcings": [{"profile": {"kind": "power", "exponent": 0.0},
+                             "nonlinearity": {"kind": "power", "exponent": 4.0}}]}
+        assert main(["criteria", "--config", write_json(tmp_path / "crit.json", obj)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        run = RunSpec(axis_weight(0.5), line_grid(20.0, 201), (power_forcing(4.0),),
+                      InitialProfile("gaussian", 0.5, 1.0), tol=1e-3)
+        kernel = kernel_bound(run, 50.0)
+        witness_t = horizon_witness(kernel.trace(50.0), run.forcings, 50.0)
+        assert [line for line in lines if line.startswith("kernel ")] == [
+            f"kernel t0, A          {kernel.t0:.6g}, {kernel.constant:.6g}",
+            f"kernel witness        {kernel.witness(run.forcings, 50.0):.6g}",
+            f"kernel witness to horizon {witness_t:.6g}",
+        ]
+        # power-tail and diffusionless data have no kernel bound, and no rows
+        for extra in ({"u0": {"kind": "power_tail", "amplitude": 0.5, "rho": 1.0}},
+                      {"diffusionless": True}):
+            cfg = write_json(tmp_path / "other.json", {**obj, **extra})
+            assert main(["criteria", "--config", cfg]) == 0
+            assert "kernel" not in capsys.readouterr().out
+
 
     def test_index_below_one_is_no_witness(self, tmp_path, capsys):
         # u^4 with I = 0.79 < 1 blows up at t* = 3.8: the witness reads 3 I
@@ -185,6 +208,11 @@ class TestDivergentTail:
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [row["axis1"] for row in rows] == ["1e-80"]
+        # the data are 1e-160 times a unit Gaussian: the kernel bound's exact
+        # tail witnesses the cell, where a fit over the trace's last decade
+        # of [0, 1] gives a divergent index
+        assert [(row["classification"], row["index_I"]) for row in rows] == \
+            [("GlobalLike", "inf")]
 
 
 class TestOverflowingProfile:

@@ -12,13 +12,13 @@ from scipy.integrate import quad
 
 from degenheat.criteria import (DecayEnvelope, blowup_certificate,
                                 critical_mass_growth, decay_fit, evaluate,
-                                fujita_exponents, growth_exponent, horizon_witness,
-                                osgood_tail, second_critical_exponent,
-                                smallness_index)
+                                fujita_exponents, gaussian_kernel_bound,
+                                growth_exponent, horizon_witness, osgood_tail,
+                                second_critical_exponent, smallness_index)
 from degenheat.dynamics import ForcingTerm, Nonlinearity, SimConfig, TimeProfile, simulate
 from degenheat.errors import ConfigError
 from degenheat.grids import gaussian_field
-from degenheat.semigroup import build_operator, kernel_column
+from degenheat.semigroup import apply_semigroup, build_operator, kernel_column
 from degenheat.weight import ScaleFunction, doubling_defect, h_ball, h_ball_inverse
 
 from conftest import axis_weight, line_grid, radial_grid, radial_weight
@@ -180,6 +180,12 @@ class TestSmallnessIndex:
         env = DecayEnvelope(0.5, 1.0, (10.0, 100.0), 0.0)
         assert smallness_index((times, sups), env, [power_term(2.0)], 100.0) == math.inf
 
+    def test_envelope_past_the_float_range(self):
+        # C^(p - 1) = 1e1000 is past the float range: the index diverges
+        times, sups = self._trace(0.1)
+        env = DecayEnvelope(2.0, 1e200, (10.0, 100.0), 0.0)
+        assert smallness_index((times, sups), env, [power_term(6.0)], 100.0) == math.inf
+
     def test_log_term_finite(self):
         times, sups = self._trace(0.1)
         env = DecayEnvelope(0.5, 0.1, (10.0, 100.0), 0.0)
@@ -288,6 +294,99 @@ def test_horizon_witness_bounds_the_solution(run):
     m = growth_exponent(forcings)
     psi = (1.0 - witness) ** (-1.0 / (m - 1.0))
     assert res.sup_history.max() <= psi * u0.sup() * (1.0 + 1e-3)
+
+
+class TestKernelBound:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 5.0])
+    def test_dominates_the_data_with_least_constant(self, alpha, dim, sigma):
+        # u0 <= A Gamma(., t0) at every node, and the closed-form t0 minimises A
+        # = a t^(N/beta) exp(max_x g(x, t)) over a log scan of t around it
+        beta, amp = 2.0 - alpha, 0.7
+        bound = gaussian_kernel_bound(alpha, dim, amp, sigma)
+        assert bound.theta == dim / beta and bound.cap == amp
+        grid = radial_grid(8.0 * sigma, 1601, dim)
+        r = grid.positions()
+        u0 = gaussian_field(grid, amp, sigma).values
+        kernel = bound.t0 ** -bound.theta * np.exp(-r ** beta / (beta ** 2 * bound.t0))
+        assert np.all(u0 <= bound.constant * kernel * (1.0 + 1e-12))
+
+        x = np.linspace(0.0, 50.0 * sigma, 20001)
+        scan = bound.t0 * np.exp(np.linspace(-1.4, 1.4, 81))
+        log_a = [math.log(amp) + bound.theta * math.log(t)
+                 + float(np.max(x ** beta / (beta ** 2 * t) - x ** 2 / (2.0 * sigma ** 2)))
+                 for t in scan]
+        assert int(np.argmin(log_a)) == 40
+        assert log_a[40] == pytest.approx(math.log(bound.constant), abs=1e-5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("sigma", [1.0, 5.0])
+    def test_bounds_the_semigroup(self, alpha, sigma):
+        # criterion 15's setting: 2001 nodes on extent 100, Krylov tol 1e-10,
+        # where its relative errors are 5.6e-5, 2.1e-4 and 7.9e-4; at alpha = 0
+        # the bound is exact
+        grid = line_grid(100.0, 2001)
+        op = build_operator(grid, axis_weight(alpha))
+        u0 = gaussian_field(grid, 1.0, sigma)
+        bound = gaussian_kernel_bound(alpha, 1, 1.0, sigma)
+        for t in (1.0, 10.0, 100.0):
+            sup = apply_semigroup(op, u0, t, tol=1e-10).sup()
+            cap = min(1.0, bound.constant * (t + bound.t0) ** -bound.theta)
+            assert sup <= cap * (1.0 + 1e-3)
+            if alpha == 0.0:
+                assert sup >= cap * (1.0 - 1e-3)
+
+    def test_trace_spans_the_horizon(self):
+        bound = gaussian_kernel_bound(0.5, 1, 1e-3, 5.0)
+        times, sups = bound.trace(1e5)
+        assert times[0] == 0.0 and times[-1] == 1e5
+        assert np.all(np.diff(times) > 0.0) and np.all(np.diff(sups) <= 0.0)
+        assert sups[0] == 1e-3
+        # 64 samples per decade of t + t0
+        assert len(times) == math.ceil(64 * math.log10(1.0 + 1e5 / bound.t0)) + 1
+
+    def test_trace_when_t0_dwarfs_the_horizon(self):
+        # sigma = 1e10 at alpha = 0: t0 = 5e19, where t + t0 - t0 would lose t
+        bound = gaussian_kernel_bound(0.0, 1, 1.0, 1e10)
+        times, sups = bound.trace(10.0)
+        assert times[0] == 0.0 and times[-1] == 10.0 and np.all(np.diff(times) > 0.0)
+        assert np.allclose(sups, 1.0, rtol=1e-15, atol=0.0)
+
+    def test_exact_witness_at_alpha_zero(self):
+        # alpha = 0, u^4, sigma = 5: t0 = 12.5 and the witness is 3 A^3 / (2 t0^(1/2))
+        # = 75 a^3 for the exact bound; the left-endpoint sum over 64 samples
+        # per decade overstates it by at most 10^(1.5 / 64)
+        bound = gaussian_kernel_bound(0.0, 1, 1e-3, 5.0)
+        assert (bound.t0, bound.theta) == (12.5, 0.5)
+        assert bound.constant == pytest.approx(1e-3 * math.sqrt(12.5), rel=1e-15)
+        witness = bound.witness([power_term(4.0)], 1e5)
+        assert 75e-9 < witness < 75e-9 * 10.0 ** (1.5 / 64)
+        # at or below p* = 3 the tail diverges
+        assert bound.witness([power_term(3.0)], 1e5) == math.inf
+
+
+# The discrete linear sup exceeds the kernel bound by at most 0.29% over these
+# examples (alpha = 0, radial N = 3, 201 nodes, tol 1e-4), and never at
+# alpha = 0.5
+_KERNEL_EXCESS = 3e-3
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(witness_runs())
+def test_kernel_horizon_witness_bounds_the_solution(run):
+    """A fired kernel horizon witness: the run completes to the horizon, with
+    sup u <= psi(T) * a * (1 + delta)."""
+    weight, grid, forcings, u0 = run
+    horizon, amp = 10.0, u0.sup()
+    bound = gaussian_kernel_bound(weight.alpha, weight.dim, amp, 1.0)
+    witness = horizon_witness(bound.trace(horizon), forcings, horizon)
+    if not witness < 1.0:
+        return
+    res = simulate(SimConfig(weight, grid, forcings, u0, horizon, tol=1e-4))
+    assert res.status == "completed"
+    psi = (1.0 - witness) ** (-1.0 / (growth_exponent(forcings) - 1.0))
+    assert res.sup_history.max() <= psi * amp * (1.0 + _KERNEL_EXCESS)
 
 
 class TestCriticalExponents:

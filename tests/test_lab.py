@@ -1,6 +1,7 @@
 """Tests for sweep orchestration, classification, and artifact emission."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -164,9 +165,9 @@ class TestClassifyPoint:
         )
         pt = classify_point(run, default_escalation((5.0, 50.0)))
         assert pt.classification == "Undetermined"
-        # the linear trace to t = 50 rules out blow-up there: no rung is simulated
+        # the kernel bound to t = 50 rules out blow-up there: no rung is simulated
         assert pt.reason == ("subcritical: p = 2 <= p* = 3; horizon too short; "
-                             "no blow-up before 50: (m-1)*I(T) = 0.00916 < 1")
+                             "no blow-up before 50: (m-1)*I(T) = 0.00913 < 1 (kernel bound)")
 
     # Two runs that blow up with no witness: one with I < 1, and one whose sup
     # falls from t = 10 to t = 305 before the blow-up at t = 640.
@@ -227,6 +228,18 @@ class TestClassifyPoint:
         assert simulated == [5.0, 9.0]
         assert (pt.classification, pt.horizon) == ("BlowUp", 9.0)
         assert pt.t_star == pytest.approx(8.4519, abs=1e-3)
+
+    def test_diffusionless_run_takes_no_kernel_bound(self):
+        # u' = u^4 from 1e-2 blows up near 1/(3e-6); with no diffusion no kernel
+        # bounds the flow, whose bound would witness the cell as global
+        run = base_run(forcings=(ForcingTerm(TimeProfile.power(0.0),
+                                             Nonlinearity.power(4.0)),),
+                       profile=InitialProfile("gaussian", 1e-2, 1.0), tol=1e-2)
+        assert lab.kernel_bound(run, 1e7) is None
+        assert lab.kernel_bound(replace(run, diffusionless=False), 1e7) is not None
+        pt = classify_point(run, default_escalation((5.0, 1e7)))
+        assert (pt.classification, pt.horizon) == ("BlowUp", 1e7)
+        assert pt.t_star == pytest.approx(359720.68955750595, rel=1e-12)
 
     def test_empty_escalation(self):
         with pytest.raises(ConfigError):
@@ -315,6 +328,16 @@ class TestRunSweep:
             [(2.0, 1.0), (2.0, 2.0), (3.0, 1.0), (3.0, 2.0)]
 
 
+def _shared_trace_sweep(profile: InitialProfile) -> SweepSpec:
+    """3 x 2 cells on two rungs whose p and amplitude axes leave the
+    unit-amplitude linear run alone."""
+    run = base_run(weight=axis_weight(0.5), grid=line_grid(60.0, 121), diffusionless=False,
+                   profile=profile, tol=1e-2)
+    escalation = (EscalationLevel(40.0), EscalationLevel(100.0, line_grid(120.0, 241)))
+    return SweepSpec(run, (("p", [2.0, 4.0, 6.0]), ("amplitude", [1e-3, 1e-2])),
+                     escalation)
+
+
 def test_serial_sweep_shares_linear_traces(monkeypatch):
     # The p and amplitude axes leave the unit-amplitude linear run
     # (forcings=()) alone: 3 x 2 cells, 2 linear runs.
@@ -327,11 +350,8 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
         return real(cfg)
 
     monkeypatch.setattr(lab, "simulate", counting)
-    run = base_run(weight=axis_weight(0.5), grid=line_grid(60.0, 121), diffusionless=False,
-                   profile=InitialProfile("gaussian", 1.0, 1.0), tol=1e-2)
-    escalation = (EscalationLevel(40.0), EscalationLevel(100.0, line_grid(120.0, 241)))
-    spec = SweepSpec(run, (("p", [2.0, 4.0, 6.0]), ("amplitude", [1e-3, 1e-2])),
-                     escalation)
+    # power-tail data: no kernel bound stands in for the final rung's trace
+    spec = _shared_trace_sweep(InitialProfile("power_tail", 1.0, rho=1.0))
     points = run_sweep(spec, 1)
     # one unit trace at the first horizon on the base grid, and one on the
     # final rung's grid to the final horizon
@@ -392,16 +412,52 @@ def test_pooled_traces_come_from_the_parent(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
     monkeypatch.setattr(lab, "simulate", counting)
-    run = base_run(weight=axis_weight(0.5), grid=line_grid(60.0, 121), diffusionless=False,
-                   profile=InitialProfile("gaussian", 1.0, 1.0), tol=1e-2)
-    escalation = (EscalationLevel(40.0), EscalationLevel(100.0, line_grid(120.0, 241)))
-    spec = SweepSpec(run, (("p", [2.0, 4.0, 6.0]), ("amplitude", [1e-3, 1e-2])),
-                     escalation)
+    spec = _shared_trace_sweep(InitialProfile("power_tail", 1.0, rho=1.0))
     pooled = run_sweep(spec, 2)
     # one per (unit run, grid, horizon): the first horizon on the base grid,
     # and the final horizon on the final rung's grid
     assert sorted(linear) == [("parent", 1.0, 121, 40.0), ("parent", 1.0, 241, 100.0)]
     assert pooled == run_sweep(spec, 1)
+
+
+def test_gaussian_sweep_runs_only_base_grid_traces(monkeypatch):
+    # The kernel bound stands in for the final rung's trace of Gaussian data:
+    # serial or pooled, the only linear run is point_criteria's on the base grid.
+    import concurrent.futures
+
+    linear, rungs = [], []
+    real = lab.simulate
+
+    def counting(cfg):
+        runs = rungs if cfg.forcings else linear
+        runs.append((float(cfg.u0.values.max()), cfg.grid.nodes, cfg.horizon))
+        return real(cfg)
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(lab, "simulate", counting)
+    spec = _shared_trace_sweep(InitialProfile("gaussian", 1.0, 1.0))
+    points = run_sweep(spec, 1)
+    assert linear == [(1.0, 121, 40.0)]
+    assert [pt.classification for pt in points] == ["Undetermined"] * 2 + ["GlobalLike"] * 4
+    # the bound rules out blow-up on both rungs of every cell: no source run
+    assert rungs == []
+    assert all(pt.reason.endswith(" < 1 (kernel bound)") for pt in points)
+    linear.clear()
+    assert run_sweep(spec, 2) == points
+    assert linear == [(1.0, 121, 40.0)]
 
 
 class TestSweepSvg:
