@@ -155,10 +155,19 @@ class InitialProfile:
         if not 0.0 <= self.amplitude < math.inf:
             raise ConfigError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         # each kind checks only the parameters it reads
-        if self.kind == "gaussian" and not 0.0 < self.sigma < math.inf:
-            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
+        if self.kind == "gaussian" and not (0.0 < self.sigma
+                                            and 0.0 < self._two_sigma_sq() < math.inf):
+            raise ConfigError(f"sigma must be positive, with 2*sigma**2 a positive "
+                              f"finite float, got {self.sigma}")
         if self.kind == "power_tail" and not math.isfinite(self.rho):
             raise ConfigError(f"rho must be finite, got {self.rho}")
+
+    def _two_sigma_sq(self) -> float:
+        """A gaussian's 2 sigma^2, inf where it overflows a float."""
+        try:
+            return 2.0 * self.sigma ** 2
+        except OverflowError:
+            return math.inf
 
     def scaled(self, factor: float) -> "InitialProfile":
         return replace(self, amplitude=self.amplitude * factor)
@@ -166,7 +175,9 @@ class InitialProfile:
     def realize(self, grid: GridSpec) -> Field:
         r = grid.radii()
         if self.kind == "gaussian":
-            vals = self.amplitude * np.exp(-(r ** 2) / (2.0 * self.sigma ** 2))
+            # a tiny sigma leaves a spike at r = 0: r**2 / (2 sigma^2) overflows to inf
+            with np.errstate(over="ignore"):
+                vals = self.amplitude * np.exp(-(r ** 2) / self._two_sigma_sq())
         elif self.kind == "constant":
             vals = np.full(grid.nodes, self.amplitude)
         else:

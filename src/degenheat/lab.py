@@ -3,7 +3,8 @@
 "Global" is undecidable numerically.  Each point first reads a sup trace of
 its data's linear flow to the final horizon.  For centred Gaussian data on a
 run with diffusion that is the exact kernel's bound (``kernel_bound``), which
-holds for the flow on R^N with no fit and no truncation; other data read the
+holds for the flow on R^N, not the solver's, with no fit and no truncation:
+the reasons that rest on it end in " (kernel bound)".  Other data read the
 linear trace on the final escalation rung's grid.  The trace's global witness
 (m - 1) I < 1 of ``criteria`` makes the point GlobalLike, once a rung has run
 and completed or when every rung is ruled out, as below.  Zero data are
@@ -14,11 +15,10 @@ Undetermined.
 
 The same trace gives each rung its horizon witness (m - 1) I(T): a rung it
 puts below 1, with the lifespan bound's psi(T) too small for the solver's
-blow-up test to fire, is not simulated.
-Every linear trace is read off one unit-amplitude run, scaled by the
-amplitude, so the points of a sweep that differ only in their sources and
-amplitude share it, from one table that ``run_sweep`` fills before it hands
-it to every cell.
+blow-up test to fire, is not simulated.  ``cell_evidence`` takes every such
+linear reading of a point off one unit-amplitude run, scaled by the amplitude,
+and ``run_sweep`` shares that run between points that differ only in their
+sources and amplitude.
 """
 
 from __future__ import annotations
@@ -120,14 +120,6 @@ def kernel_bound(run: RunSpec, horizon: float) -> KernelBound | None:
     return bound if finite else None
 
 
-def _trace_reads(run: RunSpec, rungs: list) -> tuple:
-    """The (horizon, grid) of the unit linear traces a cell reads: ``point_criteria``'s,
-    on the base grid, and the witnesses', on the final rung's grid, unless the
-    kernel bound stands in for the latter."""
-    base = (rungs[0][0], run.grid)
-    return (base,) if kernel_bound(run, rungs[-1][0]) is not None else (base, rungs[-1])
-
-
 def linear_trace(run: RunSpec, horizon: float, grid: GridSpec,
                  traces: dict | None = None):
     """Sup trace of the linear flow of ``run``'s data on ``grid`` to ``horizon``.
@@ -192,38 +184,21 @@ def _rules_out_blowup(run: RunSpec, trace, horizon: float) -> float | None:
     return w
 
 
-def classify_point(run: RunSpec, escalation, traces: dict | None = None) -> PhasePoint:
-    """Read a sup trace of the data's linear flow to the final horizon, then
-    climb the rungs: a rung whose horizon witness rules out the solver's
-    blow-up (``_rules_out_blowup``) is not simulated, and one that blows up or
-    fails decides the point.  Once a rung completes, or every rung is ruled
-    out, the global witness (m - 1) I < 1, which a subcritical source family
-    never gets, makes the point GlobalLike.
-
-    Where ``kernel_bound`` covers the data, the trace is that bound and the
-    global witness its exact tail (``KernelBound.witness``); the reasons that
-    rest on it end in " (kernel bound)", since it bounds the flow on R^N, not
-    the solver's.  Other data read the linear trace on the final rung's grid
-    and the witness of ``criteria.evaluate``.
-
-    ``index_I`` and ``certificate_tau`` are read at the first horizon on the
-    base grid.  ``traces`` is passed on to ``linear_trace``; without it, one
-    call shares its own traces.
+def cell_evidence(run: RunSpec, rungs: list, traces: dict | None = None) -> tuple:
+    """Every linear reading of a point on ``rungs`` (``_rungs``'s list), as the
+    module docstring sets out: each rung's ``_rules_out_blowup`` value, and the
+    PhasePoint that the point gets when no rung decides it, with
+    ``point_criteria``'s columns at the first horizon.  ``traces`` is passed
+    on to ``linear_trace``.
     """
-    rungs = _rungs(run, escalation)
-    if not rungs:
-        raise ConfigError("escalation ladder is empty")
     traces = {} if traces is None else traces
-    first_horizon, final_horizon = rungs[0][0], rungs[-1][0]
+    final_horizon = rungs[-1][0]
     kernel = kernel_bound(run, final_horizon)
     basis = "" if kernel is None else " (kernel bound)"
-
     try:
-        report = point_criteria(run, first_horizon, traces)
+        report = point_criteria(run, rungs[0][0], traces)
     except (ConfigError, NumericError):
         report = None
-    index = report.smallness_index if report else None
-    tau = report.certificate_tau if report else None
 
     # zero data are witnessed trivially; others read the final horizon's trace
     trace, witness, subcritical = None, 0.0, ""
@@ -237,31 +212,50 @@ def classify_point(run: RunSpec, escalation, traces: dict | None = None) -> Phas
                            if kernel is None else kernel.witness(run.forcings, final_horizon))
         except (ConfigError, NumericError):
             pass
-    witnessed = witness is not None and witness < 1.0
+    bounds = tuple(None if trace is None else _rules_out_blowup(run, trace, horizon)
+                   for horizon, _ in rungs)
 
-    for horizon, grid in rungs:
-        bound = None if trace is None else _rules_out_blowup(run, trace, horizon)
+    witnessed = witness is not None and witness < 1.0
+    if witnessed:
+        reason = f"global witness (m-1)*I = {witness:.3g} < 1{basis}"
+    else:
+        reason = (f"subcritical: {subcritical}; horizon too short" if subcritical
+                  else "no global witness")
+        if bounds[-1] is not None:
+            reason += (f"; no blow-up before {final_horizon:.3g}: "
+                       f"(m-1)*I(T) = {bounds[-1]:.3g} < 1{basis}")
+    return bounds, PhasePoint((), "GlobalLike" if witnessed else "Undetermined", None,
+                              final_horizon, report.smallness_index if report else None,
+                              report.certificate_tau if report else None, reason)
+
+
+def classify_point(run: RunSpec, escalation, evidence: tuple | None = None) -> PhasePoint:
+    """Climb the rungs: one that ``evidence`` rules out is not simulated, and
+    one that blows up or fails decides the point.  Once a rung completes, or
+    every rung is ruled out, the point is the one ``evidence`` settles:
+    GlobalLike when witnessed, else Undetermined.
+
+    ``evidence`` is ``cell_evidence``'s for ``_rungs(run, escalation)``;
+    without it the call reads its own.
+    """
+    rungs = _rungs(run, escalation)
+    if not rungs:
+        raise ConfigError("escalation ladder is empty")
+    bounds, settled = cell_evidence(run, rungs) if evidence is None else evidence
+    for (horizon, grid), bound in zip(rungs, bounds):
         if bound is not None:
             continue
         try:
             result = simulate(run.config(horizon, grid))
         except NumericError as exc:
-            return PhasePoint((), "Undetermined", None, horizon, index, tau,
-                              f"numeric failure: {exc}")
+            return replace(settled, classification="Undetermined", horizon=horizon,
+                           reason=f"numeric failure: {exc}")
         if result.blew_up:
-            return PhasePoint((), "BlowUp", result.t_star, horizon, index, tau)
-        if witnessed:
+            return replace(settled, classification="BlowUp", t_star=result.t_star,
+                           horizon=horizon, reason="")
+        if settled.classification == "GlobalLike":
             break
-    if witnessed:
-        return PhasePoint((), "GlobalLike", None, final_horizon, index, tau,
-                          f"global witness (m-1)*I = {witness:.3g} < 1{basis}")
-
-    reason = (f"subcritical: {subcritical}; horizon too short" if subcritical
-              else "no global witness")
-    if bound is not None:
-        reason += (f"; no blow-up before {final_horizon:.3g}: "
-                   f"(m-1)*I(T) = {bound:.3g} < 1{basis}")
-    return PhasePoint((), "Undetermined", None, final_horizon, index, tau, reason)
+    return replace(settled)
 
 
 def apply_axis(run: RunSpec, name: str, value: float) -> RunSpec:
@@ -325,9 +319,11 @@ class SweepSpec:
 
 
 def _eval_point(job):
-    values, run, escalation, traces = job
+    values, run, escalation, evidence = job
     try:
-        point = classify_point(run, escalation, traces)
+        if isinstance(evidence, ConfigError):
+            raise evidence
+        point = classify_point(run, escalation, evidence)
     except ConfigError as exc:
         point = PhasePoint((), "Undetermined", None,
                            escalation[-1].horizon, None, None, f"config error: {exc}")
@@ -338,19 +334,19 @@ def _eval_point(job):
 def run_sweep(spec: SweepSpec, worker_count: int = 1):
     """Evaluate every grid point in ``points`` order, whatever the worker count.
 
-    The sweep first fills one table with every unit linear trace its cells
-    read (``_trace_reads``), then maps the cells, each with the table; it is
-    not kept past the call.  A pool starts all its workers at once, so it gets
-    at most one per point; one worker or one point maps in process.
+    Every cell's ``cell_evidence`` is read in process first, with one table of
+    unit traces not kept past the call; each job carries its cell's evidence,
+    or the ``ConfigError`` its reading raised, so a map runs source rungs
+    only.  A pool starts all its workers at once, so it gets at most one per
+    point; one worker or one point maps in process.
     """
-    traces = {}
-    jobs = [(values, run, spec.escalation, traces) for values, run in spec.points()]
-    for _, run, escalation, _ in jobs:
-        for horizon, grid in _trace_reads(run, _rungs(run, escalation)):
-            try:
-                linear_trace(run, horizon, grid, traces)
-            except (ConfigError, NumericError):
-                pass    # the cell meets the same error, and handles it
+    traces, jobs = {}, []
+    for values, run in spec.points():
+        try:
+            evidence = cell_evidence(run, _rungs(run, spec.escalation), traces)
+        except ConfigError as exc:
+            evidence = exc
+        jobs.append((values, run, spec.escalation, evidence))
     worker_count = min(worker_count, len(jobs))
     if worker_count <= 1:
         return list(map(_eval_point, jobs))

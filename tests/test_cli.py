@@ -354,6 +354,32 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_gaussian_width_past_the_float_range(self, tmp_path, capfd, sigma):
+        # 2 sigma^2 overflows or underflows a float: both commands exit 2, with
+        # no traceback, no numpy warning and no CSV
+        u0 = {"kind": "gaussian", "amplitude": 0.5, "sigma": sigma}
+        sim = write_json(tmp_path / "sim.json", {**SIM_CONFIG, "u0": u0})
+        assert main(["simulate", "--config", sim]) == 2
+        sweep = write_json(tmp_path / "sweep.json", {**SWEEP_CONFIG, "u0": u0})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", sweep, "--out", str(out)]) == 2
+        assert not out.exists()
+        _, err = capfd.readouterr()
+        assert err == f"config error: sigma must be positive, with 2*sigma**2 a positive " \
+                      f"finite float, got {sigma}\n" * 2
+
+    def test_gaussian_spike_runs_quietly(self, tmp_path, capfd):
+        # 2 sigma^2 = 2e-320 is still a positive float: the data are a spike at x = 0
+        u0 = {"kind": "gaussian", "amplitude": 0.5, "sigma": 1e-160}
+        values = InitialProfile(**u0).realize(line_grid(20.0, 201)).values
+        assert values[100] == 0.5 and values.sum() == 0.5
+        sim = write_json(tmp_path / "sim.json", {**SIM_CONFIG, "u0": u0})
+        assert main(["simulate", "--config", sim]) == 0
+        sweep = write_json(tmp_path / "sweep.json", {**SWEEP_CONFIG, "u0": u0})
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert "Warning" not in capfd.readouterr().err
+
     @pytest.mark.parametrize("field, value", [
         ("diffusionless", "false"), ("diffusionless", "no"), ("diffusionless", 0.5),
         ("diffusionless", 0),

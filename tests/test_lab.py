@@ -1,8 +1,12 @@
 """Tests for sweep orchestration, classification, and artifact emission."""
 
+import io
 import math
+import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from degenheat import lab
@@ -190,20 +194,23 @@ class TestClassifyPoint:
         pt = classify_point(run, default_escalation((10.0, 100.0)))
         assert (pt.classification, pt.reason) == ("Undetermined", "no global witness")
 
-    def test_witnessed_rungs_are_skipped(self, simulated):
-        # alpha = 0, p = 2 <= p* = 3: small data blow up late, at t* = 2007, 331 and
-        # 88 for the three amplitudes.  A rung runs only when the linear trace to
-        # its horizon leaves (m-1)*I(T) >= 1; a skipped rung, the first one
-        # included, completes when run.
+    @staticmethod
+    def _first_rungs(simulated, profile: InitialProfile, amplitudes, read_trace) -> list:
+        """The first rung that ``profile`` simulates at each of ``amplitudes``.
+
+        A rung runs only when the sup trace ``read_trace(run, horizon, grid)``
+        of the final rung leaves (m-1)*I(T) >= 1 to its horizon; a skipped rung, the first one included,
+        completes when run, and the first rung that runs blows up.
+        """
         grid = line_grid(100.0, 401)
         ladder = tuple(EscalationLevel(h, grid) for h in (5.0, 50.0, 200.0, 5000.0))
         firsts = []
-        for amplitude in (0.02, 0.05, 0.1):
-            run = base_run(grid=grid, profile=InitialProfile("gaussian", amplitude, 1.0),
+        for amplitude in amplitudes:
+            run = base_run(grid=grid, profile=replace(profile, amplitude=amplitude),
                            diffusionless=False, tol=1e-2)
             simulated.clear()
             pt = classify_point(run, ladder)
-            trace = lab.linear_trace(run, 5000.0, grid)
+            trace = read_trace(run, 5000.0, grid)
             horizons = [lv.horizon for lv in ladder]
             ran = [h for h in horizons if horizon_witness(trace, run.forcings, h) >= 1.0]
             assert simulated == [ran[0]]
@@ -212,7 +219,23 @@ class TestClassifyPoint:
             assert pt.classification == "BlowUp"
             assert pt.t_star == simulate(run.config(ran[0])).t_star
             firsts.append(ran[0])
+        return firsts
+
+    def test_witnessed_rungs_are_skipped(self, simulated):
+        # alpha = 0, p = 2 <= p* = 3: small data blow up late, at t* = 2007, 331 and
+        # 88 for the three amplitudes.  Gaussian data read the kernel bound.
+        firsts = self._first_rungs(simulated, InitialProfile("gaussian", sigma=1.0),
+                                   (0.02, 0.05, 0.1),
+                                   lambda run, horizon, grid:
+                                   lab.kernel_bound(run, horizon).trace(horizon))
         # the two lower amplitudes skip three rungs and still blow up on the last
+        assert firsts == [5000.0, 5000.0, 200.0]
+
+    def test_witnessed_power_tail_rungs_are_skipped(self, simulated):
+        # The same for power-tail data, at t* = 1269, 442 and 112, which read the
+        # linear trace on the final rung's grid.
+        firsts = self._first_rungs(simulated, InitialProfile("power_tail", rho=1.0),
+                                   (0.01, 0.02, 0.05), lab.linear_trace)
         assert firsts == [5000.0, 5000.0, 200.0]
 
     def test_skip_keeps_the_solvers_blowup(self, simulated):
@@ -379,15 +402,14 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
     assert len(linear) == 6 + 6
 
 
-def test_pooled_traces_come_from_the_parent(monkeypatch):
-    # A pooled sweep runs each distinct unit linear trace once, before its pool
-    # starts, and every job carries the table.  The fake pool pickles each job,
-    # as a process pool does, and runs it here: no linear run happens in a job.
+@pytest.fixture
+def pickling_pool(monkeypatch):
+    """A process pool stand-in that pickles each job, as a process pool does,
+    and runs it here.  Returns the linear runs, each with where it ran, and
+    every numpy array that a job's pickle held."""
     import concurrent.futures
-    import pickle
 
-    linear = []
-    where = ["parent"]
+    linear, arrays, where = [], [], ["parent"]
     real = lab.simulate
 
     def counting(cfg):
@@ -395,6 +417,12 @@ def test_pooled_traces_come_from_the_parent(monkeypatch):
             linear.append((where[0], float(cfg.u0.values.max()), cfg.grid.nodes,
                            cfg.horizon))
         return real(cfg)
+
+    class ArrayPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            return NotImplemented
 
     class PicklingPool:
         def __init__(self, max_workers):
@@ -408,16 +436,75 @@ def test_pooled_traces_come_from_the_parent(monkeypatch):
 
         def map(self, fn, jobs):
             where[0] = "worker"
-            return [fn(pickle.loads(pickle.dumps(job))) for job in jobs]
+            points = []
+            for job in jobs:
+                buffer = io.BytesIO()
+                ArrayPickler(buffer).dump(job)
+                points.append(fn(pickle.loads(buffer.getvalue())))
+            where[0] = "parent"
+            return points
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
     monkeypatch.setattr(lab, "simulate", counting)
+    return SimpleNamespace(linear=linear, arrays=arrays)
+
+
+def test_pooled_traces_come_from_the_parent(pickling_pool):
+    # A pooled sweep runs each distinct unit linear trace once, in the parent,
+    # before its pool starts, and each job carries only its cell's evidence:
+    # no linear run happens in a job.
     spec = _shared_trace_sweep(InitialProfile("power_tail", 1.0, rho=1.0))
     pooled = run_sweep(spec, 2)
     # one per (unit run, grid, horizon): the first horizon on the base grid,
     # and the final horizon on the final rung's grid
-    assert sorted(linear) == [("parent", 1.0, 121, 40.0), ("parent", 1.0, 241, 100.0)]
+    assert sorted(pickling_pool.linear) == [("parent", 1.0, 121, 40.0),
+                                            ("parent", 1.0, 241, 100.0)]
     assert pooled == run_sweep(spec, 1)
+
+
+def test_pooled_jobs_carry_no_trace(pickling_pool):
+    # The amplitude 1e6 leaves the blow-up threshold 1e8 below 1e3 * sup(u0):
+    # those cells' evidence raises ConfigError in the parent, and their jobs
+    # carry the error.  No job pickles an array, and no linear run happens in one.
+    spec = replace(_shared_trace_sweep(InitialProfile("power_tail", 1.0, rho=1.0)),
+                   axes=(("p", [2.0, 4.0]), ("amplitude", [1e-3, 1e6])))
+    pooled = run_sweep(spec, 2)
+    assert sorted(pickling_pool.linear) == [("parent", 1.0, 121, 40.0),
+                                            ("parent", 1.0, 241, 100.0)]
+    assert pickling_pool.arrays == []
+    assert [pt.reason.startswith("config error: blowup_threshold") for pt in pooled] == \
+        [False, True, False, True]
+    assert pooled == run_sweep(spec, 1)
+
+
+@pytest.mark.parametrize("profile", [InitialProfile("gaussian", 0.1, 1.0),
+                                     InitialProfile("power_tail", 0.05, rho=1.0)])
+def test_evidence_in_hand_runs_only_source_rungs(monkeypatch, profile):
+    # Handed its cell_evidence, a cell takes no linear reading: it simulates
+    # only the source rung its horizon witnesses leave open (t = 200, where
+    # it blows up) and returns the point it returns without the record.
+    grid = line_grid(100.0, 401)
+    ladder = tuple(EscalationLevel(h, grid) for h in (5.0, 50.0, 200.0, 5000.0))
+    run = base_run(grid=grid, profile=profile, diffusionless=False, tol=1e-2)
+    alone = classify_point(run, ladder)
+    evidence = lab.cell_evidence(run, lab._rungs(run, ladder))
+    runs = []
+    real = lab.simulate
+
+    def recording(cfg):
+        runs.append((bool(cfg.forcings), cfg.horizon))
+        return real(cfg)
+
+    def no_linear_reading(*args, **kwargs):
+        raise AssertionError("a linear reading with the evidence in hand")
+
+    monkeypatch.setattr(lab, "simulate", recording)
+    for name in ("linear_trace", "point_criteria", "kernel_bound", "horizon_witness",
+                 "evaluate_criteria"):
+        monkeypatch.setattr(lab, name, no_linear_reading)
+    assert classify_point(run, ladder, evidence) == alone
+    assert alone.classification == "BlowUp"
+    assert runs == [(True, 200.0)]
 
 
 def test_gaussian_sweep_runs_only_base_grid_traces(monkeypatch):
