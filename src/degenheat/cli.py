@@ -104,6 +104,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"sweep needs --workers >= 1, got {args.workers}")
     spec = parse_sweep_spec(_load(args.config))
     points = run_sweep(spec, worker_count=args.workers)
     csv_text = points_to_csv(points)

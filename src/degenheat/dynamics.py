@@ -15,7 +15,9 @@ only the work its result needs: one update, one solve and one scan of the
 change.  The accepted state's max |u| per column is scanned once, scales the
 next trials' change, and goes out with the state, so neither caller scans it
 again.  ``simulate`` sums mass with ``grids.volume_sum``, whose order does
-not depend on the BLAS thread count.
+not depend on the BLAS thread count.  A caller that reads only the sup
+trace, as every march of a sweep does, asks for no mass histories and skips
+the sums.
 
 The march's explicit update, ``_explicit_update``, skips the nodes where the
 source sum cannot change a bit.  With k terms of weight w_i > 0, take
@@ -197,8 +199,8 @@ class SimResult:
     t_star: float | None
     times: np.ndarray
     sup_history: np.ndarray
-    mass_history: np.ndarray
-    window_mass_history: np.ndarray
+    mass_history: np.ndarray | None        # None when the march summed no mass
+    window_mass_history: np.ndarray | None
     step_count: int
     final: Field | None = None
 
@@ -362,23 +364,30 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
     raise NumericError("IMEX march exceeded the step cap")
 
 
-def simulate(config: SimConfig) -> SimResult:
-    """March the semilinear problem to its horizon or to blow-up."""
-    grid = config.grid
-    vols = grid.node_volumes()
-    # ascending node positions: the window |x| <= rad is one index range
-    pos = grid.positions()
-    scale_exp = config.weight.scaling_exponent
+def simulate(config: SimConfig, *, masses: bool = True) -> SimResult:
+    """March the semilinear problem to its horizon or to blow-up.
 
+    With ``masses`` false no step sums the mass or the window mass, and both
+    histories are None: a caller that reads only the sup trace skips them.
+    """
+    grid = config.grid
     u = config.u0.values
     times = [0.0]
     sups = [float(np.abs(u).max())]
-    masses = [volume_sum(u, vols)]
-    window = [masses[0]]
+    mass = window = None
+    if masses:
+        vols = grid.node_volumes()
+        # ascending node positions: the window |x| <= rad is one index range
+        pos = grid.positions()
+        scale_exp = config.weight.scaling_exponent
+        mass = [volume_sum(u, vols)]
+        window = [mass[0]]
 
     def result(status, t_star=None, final=None):
         return SimResult(status, config.horizon, t_star, np.array(times), np.array(sups),
-                         np.array(masses), np.array(window), len(times) - 1, final)
+                         None if mass is None else np.array(mass),
+                         None if window is None else np.array(window),
+                         len(times) - 1, final)
 
     for t, floored, u, sup in _imex_steps(config, u):
         sup_new = float(sup)
@@ -390,11 +399,12 @@ def simulate(config: SimConfig) -> SimResult:
             )
         times.append(t)
         sups.append(sup_new)
-        masses.append(volume_sum(u, vols) if finite else math.inf)
-        rad = t ** (1.0 / scale_exp)
-        lo = pos.searchsorted(-rad, side="left")
-        hi = pos.searchsorted(rad, side="right")
-        window.append(volume_sum(u[lo:hi], vols[lo:hi]) if finite else math.inf)
+        if masses:
+            mass.append(volume_sum(u, vols) if finite else math.inf)
+            rad = t ** (1.0 / scale_exp)
+            lo = pos.searchsorted(-rad, side="left")
+            hi = pos.searchsorted(rad, side="right")
+            window.append(volume_sum(u[lo:hi], vols[lo:hi]) if finite else math.inf)
 
         if sup_new >= config.blowup_threshold or (floored and _growth_runaway(sups)):
             return result("blown_up", t)

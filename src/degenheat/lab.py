@@ -19,6 +19,10 @@ blow-up test to fire, is not simulated.  ``cell_evidence`` takes every such
 linear reading of a point off one unit-amplitude run, scaled by the amplitude,
 and ``run_sweep`` shares that run between points that differ only in their
 sources and amplitude.
+
+Every march here, source rung or linear trace, goes through ``_march``: a
+line runs as its half, the radial N = 1 problem on [0, L], and no march sums
+mass.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ import numpy as np
 from .criteria import evaluate as evaluate_criteria
 from .criteria import (KernelBound, family_exponents, fujita_exponents,
                        gaussian_kernel_bound, growth_exponent, horizon_witness)
-from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, simulate
+from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, SimResult, simulate
 from .errors import ConfigError, NumericError
-from .grids import GridSpec, InitialProfile
-from .weight import WeightSpec
+from .grids import Geometry, GridSpec, InitialProfile
+from .weight import WeightCase, WeightSpec
 
 AXIS_NAMES = ("p", "q", "r", "s", "alpha", "amplitude")
 
@@ -101,6 +105,27 @@ def _rungs(run: RunSpec, escalation) -> list:
     return rungs
 
 
+def _march(run: RunSpec, horizon: float, grid: GridSpec) -> SimResult:
+    """``simulate`` of ``run.config(horizon, grid)``, summing no mass.
+
+    A line of M >= 5 nodes runs as the radial N = 1 problem on its
+    (M + 1) / 2 nodes x >= 0.  Its weight |x|^alpha is even, and so is every
+    ``InitialProfile``, which reads only |x|, so the line's solution is even.
+    On x >= 0 the radial grid's node volumes and conductances are twice the
+    line's (|S^0| = 2), its centre cell is the line's, and its reflecting
+    centre row is the line's centre row for even values.  The Dirichlet row
+    at L, the source, the step control and the sup are the line's, so the
+    march is the line's on half the nodes, up to roundoff.  A 3-node line,
+    whose half would have 2 nodes, runs as it is.
+    """
+    half = (grid.nodes + 1) // 2
+    if grid.geometry is Geometry.LINE and half >= 3:
+        grid = GridSpec(Geometry.RADIAL, grid.extent, half, 1)
+        run = replace(run, grid=grid,
+                      weight=WeightSpec(WeightCase.RADIAL_POWER, run.weight.alpha, 1))
+    return simulate(run.config(horizon, grid), masses=False)
+
+
 def kernel_bound(run: RunSpec, horizon: float) -> KernelBound | None:
     """The exact kernel's bound on the linear flow of ``run``'s data
     (``criteria.KernelBound``) to ``horizon``, or None where it does not apply.
@@ -134,7 +159,7 @@ def linear_trace(run: RunSpec, horizon: float, grid: GridSpec,
     traces = {} if traces is None else traces
     key = (unit, grid, horizon)
     if key not in traces:
-        traces[key] = simulate(unit.config(horizon, grid)).trace()
+        traces[key] = _march(unit, horizon, grid).trace()
     times, sups = traces[key]
     return times, run.profile.amplitude * sups
 
@@ -246,7 +271,7 @@ def classify_point(run: RunSpec, escalation, evidence: tuple | None = None) -> P
         if bound is not None:
             continue
         try:
-            result = simulate(run.config(horizon, grid))
+            result = _march(run, horizon, grid)
         except NumericError as exc:
             return replace(settled, classification="Undetermined", horizon=horizon,
                            reason=f"numeric failure: {exc}")

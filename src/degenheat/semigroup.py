@@ -44,23 +44,27 @@ For c > 0, ``pttrs`` runs only over a window of free rows lo..hi outside
 which the exact solution is provably below the smallest normal number,
 2^-1022; those rows come back as exact zeros, a flush to zero of values that
 can only be subnormal.  The entries of L^{-1} are products of the multipliers
-l_k of L, |L^{-1}_{ij}| <= r^(i-j) for i >= j with r = max |l_k| < 1, so
-beyond the support [s, t] of the free rows b of V rhs, with rho = -log r,
+l_m of L: with the prefix sums P_k = sum_{m<k} log|l_m|, which never
+increase, |L^{-1}_{ij}| = exp(P_i - P_j) for i >= j.  So beyond the support
+[s, t] of the free rows b of V rhs
 
-    log|x_i| <= log(n Q) + max_{s<=j<=t} (log|b_j| - rho (i - j)),    i > t,
+    log|x_i| <= log(n Q) + max_{s<=j<=t} (log|b_j| - P_j) + P_i,    i > t,
 
 and mirrored for i < s, where n = t - s + 1 and Q = min(F, 1 / (1 - r^2)) /
-min D, F the number of free rows, bounds sum_{k>=i} |L^{-1}_{ki}|^2 / D_k.
-Entries of rhs below 2^-1022 outside the support count as zero: I - cA has a
-non-negative inverse with row sums <= 1, so they move x by less than 2^-1022.
-When both end free rows hold normal values the window is every free row.  The
-bound grows with |b|, so data 0 <= lo <= hi get nested windows, and
-positivity and order stay exact.  One rate per factorisation suffices where
-the tails live: on a uniform grid |l_k| is the same on every row away from
-the ends, while a prefix sum of log|l_k| per factorisation would cost about
-one more solve.  Flushing only the output would not do: a sweep whose tail
-goes subnormal keeps it there, since a multiplier above 1/2 rounds 2^-1074
-back to 2^-1074, and it runs subnormal arithmetic out to the last free row.
+min D, F the number of free rows and r = max |l_m| < 1, bounds
+sum_{k>=i} |L^{-1}_{ki}|^2 / D_k.  P is monotone, so each end of the window
+is one binary search.  P_i - P_j sums only the multipliers between rows j and
+i, so a large multiplier, such as the one at the reflecting centre of a
+radial grid, widens no window away from it.  Entries of rhs below 2^-1022
+outside the support count as zero in the bound: I - cA has a non-negative
+inverse with row sums <= 1, so they move x by less than the largest of them,
+a share rest < 1 of 2^-1022, and the bound's target is (1 - rest) 2^-1022.
+When both end free rows hold normal values the window is every free row.
+The bound grows with |b|, so data 0 <= lo <= hi get nested windows, and
+positivity and order stay exact.  Flushing only the output would not do: a
+sweep whose tail goes subnormal keeps it there, since a multiplier above 1/2
+rounds 2^-1074 back to 2^-1074, and it runs subnormal arithmetic out to the
+last free row.
 """
 
 from __future__ import annotations
@@ -212,26 +216,43 @@ class _Factors:
 
     ``d`` holds the pivots D and ``e`` the multipliers l_i = L[i+1, i], then
     a spare 0.  ``couple_lo`` and ``couple_hi`` are c K on the faces next to
-    the Dirichlet rows, ``rows`` the free rows.  The window bound's decay
-    ``rate`` rho, ``log_q`` = log Q and ``floor`` 2^-1022 min V are computed
-    with the factors; c <= 0 has rate 0, no window.
+    the Dirichlet rows, ``rows`` the free rows.  The window bound's
+    ``reach`` log Q + slack - log 2^-1022 and ``floor`` 2^-1022 min V are
+    computed with the factors; ``drop`` = -P, the negated prefix sums of the
+    module docstring, on the first windowed solve.  c <= 0, or a multiplier
+    that rounds to modulus 1, has no window.
     """
 
-    __slots__ = ("d", "e", "rows", "couple_lo", "couple_hi", "rate", "log_q", "floor")
+    __slots__ = ("d", "e", "rows", "couple_lo", "couple_hi", "windowed", "reach", "floor",
+                 "drop")
 
     def __init__(self, d: np.ndarray, e: np.ndarray, c: float, k: np.ndarray,
                  rows: slice, volumes: np.ndarray):
         self.d, self.e = d, e
         self.rows = rows
         self.couple_lo, self.couple_hi = c * float(k[0]), c * float(k[-1])
-        # Every multiplier lies in [-r, 0] with r < 1, so |L^{-1}_{ij}| <= r^(i-j);
-        # decoupled rows (r = 0) bound like the smallest subnormal.
+        # For c > 0 every multiplier lies in [-r, 0], with r < 1 unless it rounds up
         n = d.size
         r = max(-float(e.min()), _SMALLEST)
         terms = n if r * r >= 1.0 - 1.0 / n else 1.0 / (1.0 - r * r)
-        self.rate = -math.log(r) if c > 0.0 else 0.0
-        self.log_q = math.log(terms / float(d.min()))
+        self.windowed = c > 0.0 and r < 1.0
+        self.reach = _LOG_SLACK + math.log(terms / float(d.min())) - _LOG_NORMAL
         self.floor = max(_NORMAL * float(volumes.min()), _SMALLEST)
+        self.drop = None
+
+    def _sum_drops(self) -> None:
+        """``drop`` = -P, from 0 up; each |l_m| is floored at the smallest
+        subnormal, which bounds a multiplier that rounded to 0.  The sums' and
+        logarithms' rounding, under 2^-50 n max(drop), widens ``reach``."""
+        n = self.d.size
+        drop = np.zeros(n)
+        tail = drop[1:]
+        np.negative(self.e[:n - 1], out=tail)
+        np.log(np.maximum(tail, _SMALLEST, out=tail), out=tail)
+        np.cumsum(tail, out=tail)
+        np.negative(tail, out=tail)
+        self.reach += 2.0 ** -50 * n * float(drop[-1])
+        self.drop = drop
 
     def window(self, b: np.ndarray) -> tuple[int, int]:
         """(lo, hi) such that the solution is below 2^-1022 off rows lo..hi.
@@ -241,10 +262,10 @@ class _Factors:
         support [s, t] of the rest; an empty support gives (n, -1).
         """
         n = b.size
-        rate, floor = self.rate, self.floor
-        # c <= 0, or r rounds to 1 or just above: no decay to bound; or both end
-        # rows hold normal values, so the support is every row
-        if not rate > 0.0 or (abs(b[0]) >= floor and abs(b[-1]) >= floor):
+        floor = self.floor
+        # no decay to bound, or both end rows hold normal values, so the
+        # support is every row
+        if not self.windowed or (abs(b[0]) >= floor and abs(b[-1]) >= floor):
             return 0, n - 1
         size = np.abs(b)
         # find and rfind scan the mask's bytes in C
@@ -252,19 +273,24 @@ class _Factors:
         s, t = normal.find(1), normal.rfind(1)
         if s < 0:
             return n, -1
-        reach = _LOG_SLACK + self.log_q + math.log(t - s + 1) - _LOG_NORMAL
+        if self.drop is None:
+            self._sum_drops()
+        # the rows off [s, t] move x by less than the largest of their |rhs_j|,
+        # under 2^-1022 by the share ``rest``; the bound keeps to what they leave
+        rest = max(size[:s].max(initial=0.0), size[t + 1:].max(initial=0.0)) / floor
+        reach = self.reach + math.log(t - s + 1) - math.log1p(-rest)
         # in place on the scratch array; entries raised to the floor never raise
         # a maximum, since the terms at s and t bound them
         logs = size[s:t + 1]
         np.log(np.maximum(logs, floor, out=logs), out=logs)
-        ramp = np.arange(t - s + 1, dtype=float)
-        ramp *= rate
-        # the window reaches rate * (hi - s) <= right and rate * (s - lo) <= left
-        right = (reach + float((logs + ramp).max())) / rate
-        left = (reach + float(np.subtract(logs, ramp, out=ramp).max())) / rate
-        lo = s - math.floor(left) if left < n else 0
-        hi = s + math.floor(right) if right < n else n - 1
-        return max(min(lo, s), 0), min(max(hi, t), n - 1)
+        drop = self.drop
+        span = drop[s:t + 1]
+        # row i > t is kept while drop_i <= right, row i < s while drop_i >= -left
+        right = reach + float(np.add(logs, span).max())
+        left = reach + float(np.subtract(logs, span, out=logs).max())
+        hi = int(drop.searchsorted(right, side="right")) - 1
+        lo = int(drop.searchsorted(-left, side="left"))
+        return min(lo, s), max(hi, t)
 
 
 def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:

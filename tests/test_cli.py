@@ -421,6 +421,16 @@ class TestExitCodes:
             assert out == ""
             assert err == f"config error: decay-probe needs --samples >= 3, got {samples}\n"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_needs_a_worker(self, tmp_path, capfd, workers):
+        # checked before the config is read: no rows, no CSV, the option named
+        cfg = write_json(tmp_path / "sweep.json", SWEEP_CONFIG)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), f"--workers={workers}"]) == 2
+        assert not out.exists()
+        assert capfd.readouterr() == ("", f"config error: sweep needs --workers >= 1, "
+                                          f"got {workers}\n")
+
     @pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
     def test_bad_probe_tol(self, tol, capsys):
         assert main(["kernel-probe", "--alpha", "0.5", "--times", "0.5,1",

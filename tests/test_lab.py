@@ -8,12 +8,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenheat import lab
 from degenheat.criteria import horizon_witness
 from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile, simulate
-from degenheat.errors import ConfigError
-from degenheat.grids import InitialProfile
+from degenheat.errors import ConfigError, NumericError
+from degenheat.grids import Geometry, InitialProfile
 from degenheat.lab import (EscalationLevel, RunSpec, SweepSpec, apply_axis,
                            classify_point, default_escalation, points_to_csv,
                            points_to_json, run_sweep, sweep_svg)
@@ -118,10 +120,10 @@ def simulated(monkeypatch):
     """The horizon of every source run that ``lab`` simulates, in call order."""
     horizons = []
 
-    def recording(cfg):
+    def recording(cfg, **kwargs):
         if cfg.forcings:
             horizons.append(cfg.horizon)
-        return simulate(cfg)
+        return simulate(cfg, **kwargs)
 
     monkeypatch.setattr(lab, "simulate", recording)
     return horizons
@@ -367,18 +369,19 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
     linear, rungs = [], []
     real = lab.simulate
 
-    def counting(cfg):
+    def counting(cfg, **kwargs):
         runs = rungs if cfg.forcings else linear
         runs.append((float(cfg.u0.values.max()), cfg.grid.nodes, cfg.horizon))
-        return real(cfg)
+        return real(cfg, **kwargs)
 
     monkeypatch.setattr(lab, "simulate", counting)
     # power-tail data: no kernel bound stands in for the final rung's trace
     spec = _shared_trace_sweep(InitialProfile("power_tail", 1.0, rho=1.0))
     points = run_sweep(spec, 1)
     # one unit trace at the first horizon on the base grid, and one on the
-    # final rung's grid to the final horizon
-    shared = [(1.0, 121, 40.0), (1.0, 241, 100.0)]
+    # final rung's grid to the final horizon: lines of 121 and 241 nodes, each
+    # marched on its half
+    shared = [(1.0, 61, 40.0), (1.0, 121, 100.0)]
     assert sorted(linear) == shared
     assert [pt.classification for pt in points] == ["Undetermined"] * 2 + ["GlobalLike"] * 4
     # the trace's horizon witness rules out blow-up on both rungs of every cell:
@@ -412,11 +415,11 @@ def pickling_pool(monkeypatch):
     linear, arrays, where = [], [], ["parent"]
     real = lab.simulate
 
-    def counting(cfg):
+    def counting(cfg, **kwargs):
         if not cfg.forcings:
             linear.append((where[0], float(cfg.u0.values.max()), cfg.grid.nodes,
                            cfg.horizon))
-        return real(cfg)
+        return real(cfg, **kwargs)
 
     class ArrayPickler(pickle.Pickler):
         def reducer_override(self, obj):
@@ -457,8 +460,8 @@ def test_pooled_traces_come_from_the_parent(pickling_pool):
     pooled = run_sweep(spec, 2)
     # one per (unit run, grid, horizon): the first horizon on the base grid,
     # and the final horizon on the final rung's grid
-    assert sorted(pickling_pool.linear) == [("parent", 1.0, 121, 40.0),
-                                            ("parent", 1.0, 241, 100.0)]
+    assert sorted(pickling_pool.linear) == [("parent", 1.0, 61, 40.0),
+                                            ("parent", 1.0, 121, 100.0)]
     assert pooled == run_sweep(spec, 1)
 
 
@@ -469,8 +472,8 @@ def test_pooled_jobs_carry_no_trace(pickling_pool):
     spec = replace(_shared_trace_sweep(InitialProfile("power_tail", 1.0, rho=1.0)),
                    axes=(("p", [2.0, 4.0]), ("amplitude", [1e-3, 1e6])))
     pooled = run_sweep(spec, 2)
-    assert sorted(pickling_pool.linear) == [("parent", 1.0, 121, 40.0),
-                                            ("parent", 1.0, 241, 100.0)]
+    assert sorted(pickling_pool.linear) == [("parent", 1.0, 61, 40.0),
+                                            ("parent", 1.0, 121, 100.0)]
     assert pickling_pool.arrays == []
     assert [pt.reason.startswith("config error: blowup_threshold") for pt in pooled] == \
         [False, True, False, True]
@@ -491,9 +494,9 @@ def test_evidence_in_hand_runs_only_source_rungs(monkeypatch, profile):
     runs = []
     real = lab.simulate
 
-    def recording(cfg):
+    def recording(cfg, **kwargs):
         runs.append((bool(cfg.forcings), cfg.horizon))
-        return real(cfg)
+        return real(cfg, **kwargs)
 
     def no_linear_reading(*args, **kwargs):
         raise AssertionError("a linear reading with the evidence in hand")
@@ -515,10 +518,10 @@ def test_gaussian_sweep_runs_only_base_grid_traces(monkeypatch):
     linear, rungs = [], []
     real = lab.simulate
 
-    def counting(cfg):
+    def counting(cfg, **kwargs):
         runs = rungs if cfg.forcings else linear
         runs.append((float(cfg.u0.values.max()), cfg.grid.nodes, cfg.horizon))
-        return real(cfg)
+        return real(cfg, **kwargs)
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -537,14 +540,87 @@ def test_gaussian_sweep_runs_only_base_grid_traces(monkeypatch):
     monkeypatch.setattr(lab, "simulate", counting)
     spec = _shared_trace_sweep(InitialProfile("gaussian", 1.0, 1.0))
     points = run_sweep(spec, 1)
-    assert linear == [(1.0, 121, 40.0)]
+    assert linear == [(1.0, 61, 40.0)]
     assert [pt.classification for pt in points] == ["Undetermined"] * 2 + ["GlobalLike"] * 4
     # the bound rules out blow-up on both rungs of every cell: no source run
     assert rungs == []
     assert all(pt.reason.endswith(" < 1 (kernel bound)") for pt in points)
     linear.clear()
     assert run_sweep(spec, 2) == points
-    assert linear == [(1.0, 121, 40.0)]
+    assert linear == [(1.0, 61, 40.0)]
+
+
+@st.composite
+def line_runs(draw):
+    """A line run with diffusion: any data kind, u^p with h = t^r, and a horizon."""
+    kind = draw(st.sampled_from(["gaussian", "constant", "power_tail"]))
+    amplitude = 10.0 ** draw(st.floats(-2.0, 0.5))
+    run = base_run(
+        weight=axis_weight(draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))),
+        grid=line_grid(draw(st.floats(2.0, 40.0)), 2 * draw(st.integers(2, 100)) + 1),
+        forcings=(ForcingTerm(TimeProfile.power(draw(st.sampled_from([0.0, 0.5]))),
+                              Nonlinearity.power(draw(st.floats(1.5, 5.0)))),),
+        profile=InitialProfile(kind, amplitude, draw(st.floats(0.5, 5.0)),
+                               draw(st.floats(0.25, 2.0))),
+        diffusionless=False, tol=draw(st.sampled_from([1e-2, 1e-3])))
+    return run, draw(st.floats(0.5, 20.0))
+
+
+def _outcome(march):
+    try:
+        return march()
+    except NumericError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(line_runs())
+def test_half_line_march_is_the_line_march(case):
+    # The line's solution is even, so its march on x >= 0 is the radial N = 1
+    # march on (M + 1) / 2 nodes: the same status, t* and final sup, up to roundoff.
+    run, horizon = case
+    line = _outcome(lambda: simulate(run.config(horizon)))
+    half = _outcome(lambda: lab._march(run, horizon, run.grid))
+    if isinstance(line, str):
+        assert half == line
+        return
+    assert half.final is None or half.final.grid.nodes == (run.grid.nodes + 1) // 2
+    assert half.status == line.status
+    if line.blew_up:
+        assert half.t_star == pytest.approx(line.t_star, rel=1e-9)
+    else:
+        assert half.final.sup() == pytest.approx(line.final.sup(), rel=1e-10)
+
+
+def test_line_marches_run_on_their_half(monkeypatch):
+    # Every march of a line cell reaches lab.simulate as the radial N = 1
+    # problem on (M + 1) / 2 nodes, with no mass sums; a 3-node line, whose
+    # half would have 2 nodes, runs as it is.  The CSV is the line marches' own.
+    seen = []
+    real = lab.simulate
+
+    def recording(cfg, **kwargs):
+        seen.append((cfg.grid.geometry, cfg.grid.nodes, cfg.grid.dim, cfg.weight,
+                     bool(cfg.forcings), kwargs))
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(lab, "simulate", recording)
+    run = base_run(weight=axis_weight(0.5), grid=line_grid(2.0, 3),
+                   profile=InitialProfile("power_tail", 1.0, rho=1.0), diffusionless=False,
+                   tol=1e-2)
+    spec = SweepSpec(run, (("amplitude", [0.1, 1.0, 10.0]),),
+                     (EscalationLevel(1.0), EscalationLevel(5.0, line_grid(2.0, 9))))
+    assert points_to_csv(run_sweep(spec, 1)) == (
+        "axis1,axis2,classification,t_star,horizon,index_I,certificate_tau\n"
+        "0.1,,Undetermined,,5,inf,\n"
+        "1,,BlowUp,2.180109214,5,inf,\n"
+        "10,,BlowUp,0.1060961151,1,inf,0.1535\n")
+    line = (Geometry.LINE, 3, 1, axis_weight(0.5))
+    half = (Geometry.RADIAL, 5, 1, radial_weight(0.5))
+    no_mass = {"masses": False}
+    # the unit linear runs on both grids, then the source rungs each cell leaves open
+    assert seen == [(*line, False, no_mass), (*half, False, no_mass),
+                    (*half, True, no_mass), (*line, True, no_mass)]
 
 
 class TestSweepSvg:

@@ -391,7 +391,7 @@ def shifted_systems(draw):
     The data span zeros, subnormals and O(100) values at every node, the
     Dirichlet ends included.
     """
-    kind = draw(st.sampled_from(["line0", "line0.5", "radial2", "radial3"]))
+    kind = draw(st.sampled_from(["line0", "line0.5", "radial1", "radial2", "radial3"]))
     extent = draw(st.floats(0.5, 50.0))
     if kind.startswith("line"):
         nodes = 2 * draw(st.integers(2, 60)) + 1
@@ -437,7 +437,7 @@ _NORMAL = np.finfo(float).tiny   # 2^-1022
 def tailed_systems(draw):
     """An operator, a shift 0 or in [1e-6, 1e4] and a signed bump anywhere on
     the grid whose tails are exact zeros or subnormal numbers."""
-    kind = draw(st.sampled_from(["line0", "line0.5", "radial2", "radial3"]))
+    kind = draw(st.sampled_from(["line0", "line0.5", "radial1", "radial2", "radial3"]))
     extent = draw(st.floats(10.0, 1000.0))
     if kind.startswith("line"):
         op = build_operator(line_grid(extent, 2 * draw(st.integers(50, 1000)) + 1),
@@ -521,6 +521,34 @@ def test_window_skips_the_subnormal_tail():
     x = op.solve_shifted(10.0, gaussian_field(g, 1.0, 5.0).values)
     assert np.count_nonzero((x != 0.0) & (np.abs(x) < _NORMAL)) <= 48
     assert np.count_nonzero(x) < 10000
+
+
+def test_radial_window_skips_the_subnormal_tail():
+    # The same rung marched on its half: 8001 radial nodes in N = 1.  The
+    # reflecting centre's multiplier, 0.988 against 0.854 in the interior,
+    # must not set the decay of the bound far from it.  A window from the
+    # largest multiplier alone returns 224 subnormal entries here.
+    g = radial_grid(4000.0, 8001, 1)
+    op = build_operator(g, radial_weight(0.0, 1))
+    x = op.solve_shifted(10.0, gaussian_field(g, 1.0, 5.0).values)
+    assert np.count_nonzero((x != 0.0) & (np.abs(x) < _NORMAL)) <= 48
+    assert np.count_nonzero(x) < 5000
+
+
+def test_window_counts_the_rows_it_flushes():
+    # A bump's tail first drops below 2^-1022 at row k, where the right-hand
+    # side holds 0.99 * 2^-1022, too small to join the bump's support.  Their
+    # sum passes 2^-1022 at k, so the window must keep row k.
+    op = build_operator(line_grid(10.0, 101), axis_weight(0.0))
+    rhs = np.zeros(101)
+    rhs[18] = 1e-4
+    k = np.flatnonzero(op.solve_shifted(5e-6, rhs))[-1] + 1
+    rhs[k] = 0.99 * _NORMAL
+    x = op.solve_shifted(5e-6, rhs)
+    full, info = _full_pttrs(op._factors[5e-6], _free_rhs(op, 5e-6, rhs))
+    assert info == 0 and full[k - 1] >= _NORMAL
+    assert x[k] > 0.0
+    assert np.all((x[1:-1] != 0.0) | (np.abs(full) < _NORMAL))
 
 
 @st.composite
