@@ -218,11 +218,12 @@ class SimResult:
             "status": self.status,
             "horizon": self.horizon,
             "steps": self.step_count,
-            "history": [
-                {"t": float(t), "sup": float(s), "mass": float(m)}
-                for t, s, m in zip(self.times, self.sup_history, self.mass_history)
-            ],
+            "history": [{"t": float(t), "sup": float(s)}
+                        for t, s in zip(self.times, self.sup_history)],
         }
+        if self.mass_history is not None:
+            for entry, m in zip(payload["history"], self.mass_history):
+                entry["mass"] = float(m)
         if self.t_star is not None:
             payload["t_star"] = float(self.t_star)
         return json.dumps(payload, indent=2)

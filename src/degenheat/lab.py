@@ -38,8 +38,8 @@ from .criteria import (KernelBound, family_exponents, fujita_exponents,
                        gaussian_kernel_bound, growth_exponent, horizon_witness)
 from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, SimResult, simulate
 from .errors import ConfigError, NumericError
-from .grids import Geometry, GridSpec, InitialProfile
-from .weight import WeightCase, WeightSpec
+from .grids import GridSpec, InitialProfile, half_line
+from .weight import WeightSpec
 
 AXIS_NAMES = ("p", "q", "r", "s", "alpha", "amplitude")
 
@@ -108,21 +108,19 @@ def _rungs(run: RunSpec, escalation) -> list:
 def _march(run: RunSpec, horizon: float, grid: GridSpec) -> SimResult:
     """``simulate`` of ``run.config(horizon, grid)``, summing no mass.
 
-    A line of M >= 5 nodes runs as the radial N = 1 problem on its
-    (M + 1) / 2 nodes x >= 0.  Its weight |x|^alpha is even, and so is every
-    ``InitialProfile``, which reads only |x|, so the line's solution is even.
-    On x >= 0 the radial grid's node volumes and conductances are twice the
-    line's (|S^0| = 2), its centre cell is the line's, and its reflecting
-    centre row is the line's centre row for even values.  The Dirichlet row
-    at L, the source, the step control and the sup are the line's, so the
-    march is the line's on half the nodes, up to roundoff.  A 3-node line,
+    A line of M >= 5 nodes runs on its half (``grids.half_line``), the radial
+    N = 1 problem on its (M + 1) / 2 nodes x >= 0.  Its weight |x|^alpha is
+    even, and so is every ``InitialProfile``, which reads only |x|, so the
+    line's solution is even.  On even values the half's operator is the
+    line's rows x >= 0 exactly, not up to roundoff (``half_line``), and the
+    Dirichlet row at L, the source, the step control and the sup are the
+    line's, so the march is the line's on half the nodes.  A 3-node line,
     whose half would have 2 nodes, runs as it is.
     """
-    half = (grid.nodes + 1) // 2
-    if grid.geometry is Geometry.LINE and half >= 3:
-        grid = GridSpec(Geometry.RADIAL, grid.extent, half, 1)
-        run = replace(run, grid=grid,
-                      weight=WeightSpec(WeightCase.RADIAL_POWER, run.weight.alpha, 1))
+    half = half_line(grid, run.weight)
+    if half is not None:
+        grid, weight = half
+        run = replace(run, grid=grid, weight=weight)
     return simulate(run.config(horizon, grid), masses=False)
 
 

@@ -23,6 +23,15 @@ Given ``n_steps`` it marches that many uniform backward-Euler (positivity
 preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
 ``scheme`` governs only this path.
 
+Both paths fold even data.  Line grids are exactly mirror-symmetric, and on
+a line of M >= 5 nodes, data with v == v[::-1] exactly evolve on the line
+operator's ``half``, built once: the radial N = 1 operator on the (M + 1) / 2
+nodes x >= 0, which for even values is the line's operator there, bit for bit
+(``grids.half_line``).  The result is mirrored, so it is exactly even and the
+next flow from it folds too.  In the volume-weighted inner product the half's
+Krylov basis is the line's, so the basis sizes do not change.  Uneven data,
+and a kernel probe off the centre, run on the whole line.
+
 Every Krylov vector and every step solves (I - c A) x = rhs.  A Dirichlet
 row passes through, x_b = rhs_b; the free rows form the symmetric positive
 definite system
@@ -59,7 +68,9 @@ radial grid, widens no window away from it.  Entries of rhs below 2^-1022
 outside the support count as zero in the bound: I - cA has a non-negative
 inverse with row sums <= 1, so they move x by less than the largest of them,
 a share rest < 1 of 2^-1022, and the bound's target is (1 - rest) 2^-1022.
-When both end free rows hold normal values the window is every free row.
+When both end free rows hold normal values the window is every free row,
+and so it is, with no pass over the support, when the terms of the support's
+end rows alone keep both end rows by a margin.
 The bound grows with |b|, so data 0 <= lo <= hi get nested windows, and
 positivity and order stay exact.  Flushing only the output would not do: a
 sweep whose tail goes subnormal keeps it there, since a multiplier above 1/2
@@ -71,6 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 
@@ -78,7 +90,7 @@ import numpy as np
 import scipy
 
 from .errors import ConfigError, NumericError
-from .grids import Field, Geometry, GridSpec
+from .grids import Field, Geometry, GridSpec, half_line
 from .weight import WeightSpec, _sphere_area
 
 _TINY = 1e-300
@@ -127,8 +139,10 @@ dpttrf, dpttrs = _load_lapack()
 class DiffusionOperator:
     """Finite-volume form of div(omega grad .): node volumes, face conductances.
 
-    Equality and hashing go by identity: each operator owns the factors of
-    its latest shift.
+    The free rows' face sums K_{i-1} + K_i, their V and the K of the faces
+    between them, and min V are kept with the arrays, so a factorisation
+    assembles only its shift's two bands.  Equality and hashing go by
+    identity: each operator owns the factors of its latest shift.
     """
 
     grid: GridSpec
@@ -136,12 +150,34 @@ class DiffusionOperator:
     volumes: np.ndarray       # V, the grid's node volumes, length M
     conductances: np.ndarray  # K, one per face between nodes i and i+1, length M-1
     _factors: dict = field(default_factory=dict, init=False, repr=False)
+    _face_sums: np.ndarray = field(init=False, repr=False)
+    _free_volumes: np.ndarray = field(init=False, repr=False)
+    _free_faces: np.ndarray = field(init=False, repr=False)
+    _min_volume: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k, rows = self.conductances, self.free
+        sums = np.add(k[:-1], k[1:])
+        if rows.start == 0:     # K_{-1} = 0 at the reflecting centre
+            sums = np.concatenate((k[:1], sums))
+        object.__setattr__(self, "_face_sums", sums)
+        object.__setattr__(self, "_free_volumes", self.volumes[rows])
+        # K[rows] are the faces between free rows
+        object.__setattr__(self, "_free_faces", k[rows])
+        object.__setattr__(self, "_min_volume", float(self._free_volumes.min()))
 
     @property
     def free(self) -> slice:
         """The rows that are not Dirichlet rows: all but the outer end radially,
         all but both ends on a line."""
         return slice(0 if self.grid.geometry is Geometry.RADIAL else 1, -1)
+
+    @cached_property
+    def half(self) -> "DiffusionOperator | None":
+        """The operator of this line's even data (``grids.half_line``), built
+        on first use; None where the grid has no half."""
+        pair = half_line(self.grid, self.weight)
+        return None if pair is None else build_operator(*pair)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         flux = np.zeros(values.size + 1)
@@ -189,25 +225,23 @@ class DiffusionOperator:
         """``pttrf`` of the free rows of V (I - c A), kept in place of the last."""
         if not math.isfinite(c):
             raise ValueError(f"shift must be finite, got {c}")
-        k, rows = self.conductances, self.free
         # V + c (K_{i-1} + K_i): summing the faces before scaling rounds once
         # less than adding c K face by face
-        d = np.zeros_like(self.volumes)
-        np.add(k[:-1], k[1:], out=d[1:-1])
-        d[0] = k[0]
-        d *= c
-        d += self.volumes
-        d = d[rows]
-        # K[rows] are the faces between free rows.  The LAPACK wrappers want n - 1
-        # off-diagonals but at least one, so e keeps a spare 0 at its end.
-        e = np.zeros_like(d)
-        np.multiply(k[rows], -c, out=e[:-1])
+        d = np.multiply(self._face_sums, c)
+        d += self._free_volumes
+        # The LAPACK wrappers want n - 1 off-diagonals but at least one, so e
+        # keeps a spare 0 at its end.
+        e = np.empty_like(d)
+        np.multiply(self._free_faces, -c, out=e[:-1])
+        e[-1] = 0.0
         m = max(d.size - 1, 1)
         d, e[:m], info = dpttrf(d, e[:m], overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
         self._factors.clear()
-        self._factors[c] = factors = _Factors(d, e, c, k, rows, self.volumes[rows])
+        k = self.conductances
+        self._factors[c] = factors = _Factors(d, e, c, float(k[0]), float(k[-1]), self.free,
+                                              self._min_volume)
         return factors
 
 
@@ -226,18 +260,18 @@ class _Factors:
     __slots__ = ("d", "e", "rows", "couple_lo", "couple_hi", "windowed", "reach", "floor",
                  "drop")
 
-    def __init__(self, d: np.ndarray, e: np.ndarray, c: float, k: np.ndarray,
-                 rows: slice, volumes: np.ndarray):
+    def __init__(self, d: np.ndarray, e: np.ndarray, c: float, k_lo: float, k_hi: float,
+                 rows: slice, min_volume: float):
         self.d, self.e = d, e
         self.rows = rows
-        self.couple_lo, self.couple_hi = c * float(k[0]), c * float(k[-1])
+        self.couple_lo, self.couple_hi = c * k_lo, c * k_hi
         # For c > 0 every multiplier lies in [-r, 0], with r < 1 unless it rounds up
         n = d.size
         r = max(-float(e.min()), _SMALLEST)
         terms = n if r * r >= 1.0 - 1.0 / n else 1.0 / (1.0 - r * r)
         self.windowed = c > 0.0 and r < 1.0
         self.reach = _LOG_SLACK + math.log(terms / float(d.min())) - _LOG_NORMAL
-        self.floor = max(_NORMAL * float(volumes.min()), _SMALLEST)
+        self.floor = max(_NORMAL * min_volume, _SMALLEST)
         self.drop = None
 
     def _sum_drops(self) -> None:
@@ -279,11 +313,18 @@ class _Factors:
         # under 2^-1022 by the share ``rest``; the bound keeps to what they leave
         rest = max(size[:s].max(initial=0.0), size[t + 1:].max(initial=0.0)) / floor
         reach = self.reach + math.log(t - s + 1) - math.log1p(-rest)
+        drop = self.drop
+        # The terms at s and t alone bound the maxima below.  Where they keep
+        # the end rows by a margin of 1, far over any rounding, so do the
+        # maxima, and the window is every row: the Krylov vectors of a centre
+        # spike on a half line hold an exact 0 at the centre row, and no more.
+        if ((s == 0 or reach + math.log(size[s]) - drop[s] >= 1.0)
+                and (t == n - 1 or reach + math.log(size[t]) + drop[t] - drop[-1] >= 1.0)):
+            return 0, n - 1
         # in place on the scratch array; entries raised to the floor never raise
         # a maximum, since the terms at s and t bound them
         logs = size[s:t + 1]
         np.log(np.maximum(logs, floor, out=logs), out=logs)
-        drop = self.drop
         span = drop[s:t + 1]
         # row i > t is kept while drop_i <= right, row i < s while drop_i >= -left
         right = reach + float(np.add(logs, span).max())
@@ -407,6 +448,10 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
     With ``n_steps`` the march uses that many uniform ``scheme`` steps
     ("be" or "cn") and no error control, which is what refinement studies
     and fixed monotone panels want.  Without it, "cn" is a ``ConfigError``.
+
+    Exactly even data on a line of M >= 5 nodes, ``v == v[::-1]``, run on
+    ``op.half``, the radial N = 1 operator on the (M + 1) / 2 nodes x >= 0,
+    and the result is mirrored, so it is exactly even too.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
@@ -423,13 +468,23 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
     if t == 0.0:
         return u0.copy()
     v = u0.values
+    half = op.half
+    if half is not None and np.array_equal(v, v[::-1]):
+        right = _flow(half, v[v.size // 2:], t, tol, scheme, n_steps)
+        return Field(op.grid, np.concatenate((right[:0:-1], right)))
+    return Field(op.grid, _flow(op, v, t, tol, scheme, n_steps))
+
+
+def _flow(op: DiffusionOperator, v: np.ndarray, t: float, tol: float, scheme: str,
+          n_steps: int | None) -> np.ndarray:
+    """``apply_semigroup``'s flow of the values ``v`` on ``op`` itself, t > 0."""
     if n_steps is None:
         out = _krylov_semigroup(op, v, t, tol)
-        return Field(op.grid, np.maximum(out, min(0.0, float(v.min())), out=out))
+        return np.maximum(out, min(0.0, float(v.min())), out=out)
     dt = t / n_steps
     for _ in range(n_steps):
         v = _step(op, v, dt, scheme)
-    return Field(op.grid, v)
+    return v
 
 
 def kernel_column(op: DiffusionOperator, y_index: int, t: float, tol: float = 1e-6) -> Field:

@@ -285,6 +285,16 @@ class TestSimulate:
         assert {"t", "sup", "mass"} <= set(payload["history"][0])
         assert "t_star" not in payload
 
+    def test_json_without_masses(self):
+        # a march that summed no mass writes its history without "mass"
+        g = line_grid(5.0, 41)
+        cfg = SimConfig(axis_weight(0.0), g, [], gaussian_field(g, 0.5), 0.5)
+        full, lean = simulate(cfg), simulate(cfg, masses=False)
+        assert lean.mass_history is None
+        history = json.loads(lean.to_json())["history"]
+        assert history == [{"t": e["t"], "sup": e["sup"]}
+                           for e in json.loads(full.to_json())["history"]]
+
     @pytest.mark.parametrize("t_star", [2e2, 2e4, 2e6])
     def test_clock_moves_at_large_t(self, monkeypatch, t_star):
         # u' = u^2 blows up at 1/u0; past t ~ 1e3 an absolute 1e-12 floor is

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenheat.errors import ConfigError
 from degenheat.grids import (Field, Geometry, GridSpec, InitialProfile,
-                             constant_field, gaussian_field, power_tail_field)
+                             constant_field, gaussian_field, half_line, power_tail_field)
 
-from conftest import line_grid, radial_grid
+from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
 
 class TestGridSpec:
@@ -47,6 +49,26 @@ class TestGridSpec:
         for dim, exact in ((2, math.pi * 4.0), (3, 4.0 / 3.0 * math.pi * 8.0)):
             g = radial_grid(2.0, 81, dim)
             assert g.node_volumes().sum() == pytest.approx(exact, rel=1e-12)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(extent=st.floats(1e-3, 1e6), half=st.integers(2, 20000))
+    def test_line_positions_mirror_the_half_grid(self, extent, half):
+        g = line_grid(extent, 2 * half + 1)
+        x = g.positions()
+        assert np.array_equal(x, -x[::-1])
+        assert x[half] == 0.0 and x[-1] == extent
+        radial = GridSpec(Geometry.RADIAL, extent, half + 1, 1)
+        assert np.array_equal(x[half:], radial.positions())
+
+    def test_half_line(self):
+        g = line_grid(7.3, 45)
+        assert half_line(g, axis_weight(0.9)) == (radial_grid(7.3, 23, 1),
+                                                  radial_weight(0.9, 1))
+        assert half_line(line_grid(7.3, 5), axis_weight(0.0)) == (radial_grid(7.3, 3, 1),
+                                                                   radial_weight(0.0, 1))
+        # a 3-node line's half would have 2 nodes; radial grids have no half
+        assert half_line(line_grid(7.3, 3), axis_weight(0.0)) is None
+        assert half_line(radial_grid(7.3, 45, 1), radial_weight(0.0, 1)) is None
 
     def test_refined(self):
         g = line_grid(3.0, 13)

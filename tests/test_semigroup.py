@@ -310,6 +310,29 @@ class TestSolveShifted:
         assert len(calls) == 4 + 3      # this operator's four, the fresh three
         assert all(np.array_equal(x, again[0.1]) for x in first)
 
+    def test_factors_match_the_full_grid_assembly(self):
+        # the bands from the operator's kept face sums are the ones assembled
+        # over all M rows, bit for bit, and so are their factors
+        for grid, weight in self.CASES + ((line_grid(7.3, 5), axis_weight(0.9)),
+                                          (radial_grid(7.3, 3, 1), radial_weight(0.9, 1))):
+            op = build_operator(grid, weight)
+            k, rows = op.conductances, op.free
+            for c in (1e-4, 0.1, 2.0):
+                d = np.zeros_like(op.volumes)
+                np.add(k[:-1], k[1:], out=d[1:-1])
+                d[0] = k[0]
+                d *= c
+                d += op.volumes
+                d = d[rows]
+                e = np.zeros_like(d)
+                np.multiply(k[rows], -c, out=e[:-1])
+                m = max(d.size - 1, 1)
+                d, e[:m], info = scipy.linalg.lapack.dpttrf(d, e[:m])
+                factors = op._factor(c)
+                assert info == 0
+                assert np.array_equal(factors.d, d) and np.array_equal(factors.e, e)
+                assert factors.floor == semigroup._NORMAL * op.volumes[rows].min()
+
     def test_cache_is_per_operator(self):
         g = line_grid(10.0, 201)
         flat = build_operator(g, axis_weight(0.0))
@@ -760,6 +783,76 @@ def test_krylov_properties(alpha, t, half, kind, tol):
     g = line_grid(10.0, 2 * half + 1)
     op = build_operator(g, axis_weight(alpha))
     _check_krylov(op, InitialProfile(kind, 1.0).realize(g), t, tol)
+
+
+@st.composite
+def even_line_flows(draw):
+    """Exactly even data on a line, and a flow of either path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    half = draw(st.integers(2, 150))
+    g = line_grid(rng.uniform(1.0, 50.0), 2 * half + 1)
+    op = build_operator(g, axis_weight(draw(st.sampled_from([0.0, 0.5, 0.9]))))
+    kind = draw(st.sampled_from(["gaussian", "power_tail", "signed"]))
+    if kind == "signed":
+        right = rng.uniform(-1.0, 1.0, half + 1)
+        values = np.concatenate((right[:0:-1], right))
+    else:
+        values = InitialProfile(kind, 1.0, sigma=rng.uniform(0.3, 3.0)).realize(g).values
+    n_steps = draw(st.sampled_from([None, 1, 8]))
+    scheme = "be" if n_steps is None else draw(st.sampled_from(["be", "cn"]))
+    return (op, Field(g, values), 10.0 ** rng.uniform(-3.0, 3.0),
+            draw(st.sampled_from([1e-4, 1e-6, 1e-9])), scheme, n_steps)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(even_line_flows())
+def test_even_data_fold_onto_the_half_line(flow):
+    op, u0, t, tol, scheme, n_steps = flow
+    out = apply_semigroup(op, u0, t, tol=tol, scheme=scheme, n_steps=n_steps).values
+    assert np.array_equal(out, out[::-1])
+    # the same flow on the line's own operator, unfolded
+    line = semigroup._flow(op, u0.values, t, tol, scheme, n_steps)
+    bound = tol if n_steps is None else 1e-12
+    assert np.max(np.abs(out - line)) <= bound * np.max(np.abs(line))
+
+
+def _solve_sizes(monkeypatch):
+    """A list of the row count of every ``solve_shifted`` call from now on."""
+    sizes = []
+    solve = semigroup.DiffusionOperator.solve_shifted
+
+    def recorded(self, c, rhs):
+        sizes.append(rhs.shape[0])
+        return solve(self, c, rhs)
+
+    monkeypatch.setattr(semigroup.DiffusionOperator, "solve_shifted", recorded)
+    return sizes
+
+
+def test_even_probes_solve_on_the_half_line(monkeypatch):
+    # a centre kernel probe and a criterion-4-style chain of power-tail data:
+    # every output is exactly even, so every apply runs on the (M + 1) / 2 nodes
+    g = line_grid(400.0, 1201)
+    op = build_operator(g, axis_weight(0.5))
+    sizes = _solve_sizes(monkeypatch)
+    kernel_column(op, g.nodes // 2, 2.0, tol=1e-6)
+    state, prev = InitialProfile("power_tail", 1.0, rho=0.5).realize(g), 0.0
+    for t in np.geomspace(40.0, 480.0, 6):
+        state = apply_semigroup(op, state, t - prev, tol=1e-5)
+        prev = t
+        assert np.array_equal(state.values, state.values[::-1])
+    assert sizes and set(sizes) == {601}
+
+
+def test_uneven_probes_solve_on_the_whole_line(monkeypatch):
+    g = line_grid(40.0, 201)
+    op = build_operator(g, axis_weight(0.5))
+    sizes = _solve_sizes(monkeypatch)
+    kernel_column(op, g.nodes // 2 + 1, 2.0, tol=1e-6)
+    tail = InitialProfile("power_tail", 1.0, rho=0.5).realize(g).values
+    apply_semigroup(op, Field(g, tail * np.linspace(0.5, 2.0, g.nodes)), 2.0)
+    apply_semigroup(op, Field(g, tail * np.linspace(0.5, 2.0, g.nodes)), 2.0, n_steps=4)
+    assert sizes and set(sizes) == {201}
 
 
 def _count_solves(monkeypatch):
