@@ -10,10 +10,13 @@ source acts on the free rows only: the Dirichlet rows, those outside
 
 One march, ``_imex_steps``, advances an (M,) state or an (M, k) block under
 shared step control: ``simulate`` is a one-column run of it, and
-``compare_runs`` a two-column run of the ordered pair (u, v).  A trial does
-only the work its result needs: one update, one solve and one scan of the
-change.  The accepted state's max |u| per column is scanned once, scales the
-next trials' change, and goes out with the state, so neither caller scans it
+``compare_runs`` a two-column run of the ordered pair (u, v).  Both, and
+``monotone_iterates``, fold exactly even line data once at entry onto the
+line operator's half (``semigroup.fold``); a diffusionless run has no
+operator and runs the line as given.  A trial does only the work its
+result needs: one update, one solve and one scan of the change.  The
+accepted state's max |u| per column is scanned once, scales the next
+trials' change, and goes out with the state, so neither caller scans it
 again.  ``simulate`` sums mass with ``grids.volume_sum``, whose order does
 not depend on the BLAS thread count.  A caller that reads only the sup
 trace, as every march of a sweep does, asks for no mass histories and skips
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .grids import Field, GridSpec, volume_sum
-from .semigroup import apply_semigroup, build_operator
+from .semigroup import apply_semigroup, build_operator, fold, unfold
 from .weight import WeightSpec
 
 _TINY = 1e-300
@@ -305,9 +308,10 @@ def _growth_runaway(sups) -> bool:
         b >= _RUNAWAY_FACTOR * a for a, b in zip(recent, recent[1:]))
 
 
-def _imex_steps(config: SimConfig, u: np.ndarray):
-    """Adaptive IMEX march of an (M,) or (M, k) state; yields (t, floored, u, sup),
-    ``sup`` the accepted state's max |u| per column (a scalar for an (M,) state).
+def _imex_steps(config: SimConfig, op, u: np.ndarray):
+    """Adaptive IMEX march of an (M,) or (M, k) state on the operator ``op``,
+    None for a diffusionless run; yields (t, floored, u, sup), ``sup`` the
+    accepted state's max |u| per column (a scalar for an (M,) state).
 
     All columns share one step size.  A trial whose largest per-column
     relative change, against the accepted state's ``sup``, exceeds ``rc_hi``
@@ -321,7 +325,6 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
     the sup norm.  Each accepted state is scanned once more, for ``sup``.
     ``_STEP_CAP`` trials raise ``NumericError``.
     """
-    op = None if config.diffusionless else build_operator(config.grid, config.weight)
     rows = None if op is None else op.free
     horizon = config.horizon
     rc_hi = min(0.1, math.sqrt(config.tol))
@@ -365,14 +368,23 @@ def _imex_steps(config: SimConfig, u: np.ndarray):
     raise NumericError("IMEX march exceeded the step cap")
 
 
+def _folded(config: SimConfig, u: np.ndarray):
+    """``semigroup.fold`` of ``config``'s operator and ``u``; (None, u) for a
+    diffusionless run."""
+    if config.diffusionless:
+        return None, u
+    return fold(build_operator(config.grid, config.weight), u)
+
+
 def simulate(config: SimConfig, *, masses: bool = True) -> SimResult:
     """March the semilinear problem to its horizon or to blow-up.
 
     With ``masses`` false no step sums the mass or the window mass, and both
     histories are None: a caller that reads only the sup trace skips them.
+    Folded data sum them on the half grid.
     """
-    grid = config.grid
-    u = config.u0.values
+    op, u = _folded(config, config.u0.values)
+    grid = config.grid if op is None else op.grid
     times = [0.0]
     sups = [float(np.abs(u).max())]
     mass = window = None
@@ -390,7 +402,7 @@ def simulate(config: SimConfig, *, masses: bool = True) -> SimResult:
                          None if window is None else np.array(window),
                          len(times) - 1, final)
 
-    for t, floored, u, sup in _imex_steps(config, u):
+    for t, floored, u, sup in _imex_steps(config, op, u):
         sup_new = float(sup)
         finite = math.isfinite(sup_new)
         if not finite and not _growth_runaway(sups):
@@ -409,7 +421,7 @@ def simulate(config: SimConfig, *, masses: bool = True) -> SimResult:
 
         if sup_new >= config.blowup_threshold or (floored and _growth_runaway(sups)):
             return result("blown_up", t)
-    return result("completed", final=Field(grid, u))
+    return result("completed", final=Field(config.grid, unfold(config.grid, u)))
 
 
 @dataclass
@@ -445,6 +457,7 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
     a source over the whole array would turn a zero-weight panel's 0 * inf
     into NaN.  Violations run per k and mesh point, "monotone" before "cap",
     and a "nonfinite" iterate ends the run; the flags are read off them.
+    Exactly even data fold once, so every array holds the half's rows.
     """
     # "not" tests, so that NaN is rejected too
     if not 0.0 < beta < math.inf:
@@ -463,8 +476,8 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
         raise ConfigError("mesh must be a finite 1-D array that starts at 0 "
                           "and increases strictly")
 
-    grid = config.grid
-    op = build_operator(grid, config.weight)
+    op, u0 = fold(build_operator(config.grid, config.weight), delta * v0.values)
+    grid = op.grid
     rows = op.free
 
     def panel(values, j):
@@ -473,7 +486,7 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
 
     # linear baseline S(t_j) u0 along the mesh
     lin = np.empty((mesh.size, grid.nodes))
-    lin[0] = Field(grid, delta * v0.values).values
+    lin[0] = Field(grid, u0).values
     for j in range(1, mesh.size):
         lin[j] = panel(lin[j - 1], j)
     cap = (1.0 + beta) * lin
@@ -536,7 +549,8 @@ def compare_runs(config: SimConfig, u0: Field, v0: Field) -> ComparisonReport:
     defect = 0.0
     scale = max(v0.sup(), _TINY)
     t_end = 0.0
-    for t, _, uv, sups in _imex_steps(config, np.column_stack([u0.values, v0.values])):
+    op, uv = _folded(config, np.column_stack([u0.values, v0.values]))
+    for t, _, uv, sups in _imex_steps(config, op, uv):
         if not np.isfinite(sups).all():
             break
         t_end = t

@@ -3,8 +3,8 @@
 The solver works on a uniform 1-D grid: either a truncated line [-L, L] with a
 node exactly at the degeneracy point x = 0, or a radial interval [0, R] that
 represents a radially symmetric function in N dimensions.  A line's nodes are
-exactly mirror-symmetric, and its nodes x >= 0 are those of its half grid
-(``half_line``), the radial N = 1 grid on [0, L].
+exactly mirror-symmetric, and its nodes x >= 0 are those of the radial N = 1
+grid on [0, L]: ``semigroup`` folds the flows of even line data onto it.
 """
 
 from __future__ import annotations
@@ -93,23 +93,6 @@ class GridSpec:
     def refined(self) -> "GridSpec":
         """One refinement notch: halve the spacing, keep the extent."""
         return GridSpec(self.geometry, self.extent, 2 * self.nodes - 1, self.dim)
-
-
-def half_line(grid: GridSpec, weight: WeightSpec) -> tuple[GridSpec, WeightSpec] | None:
-    """The grid and weight on which a line's even functions live: the radial
-    N = 1 problem on the line's (M + 1) / 2 nodes x >= 0, with weight |x|^alpha.
-
-    On those nodes its node volumes and face conductances are twice the
-    line's (|S^0| = 2) and its centre cell is the line's, bit for bit, and
-    its reflecting centre row is the line's centre row for even values.  So
-    for even data the line's discrete flow is the half's, mirrored.  None
-    unless ``grid`` is a line of M >= 5 nodes, whose half has 3 or more.
-    """
-    half = (grid.nodes + 1) // 2
-    if grid.geometry is not Geometry.LINE or half < 3:
-        return None
-    return (GridSpec(Geometry.RADIAL, grid.extent, half, 1),
-            WeightSpec(WeightCase.RADIAL_POWER, weight.alpha, 1))
 
 
 def volume_sum(values: np.ndarray, volumes: np.ndarray) -> float:

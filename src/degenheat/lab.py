@@ -20,9 +20,8 @@ linear reading of a point off one unit-amplitude run, scaled by the amplitude,
 and ``run_sweep`` shares that run between points that differ only in their
 sources and amplitude.
 
-Every march here, source rung or linear trace, goes through ``_march``: a
-line runs as its half, the radial N = 1 problem on [0, L], and no march sums
-mass.
+No march here, source rung or linear trace, sums mass.  ``simulate`` runs
+each on the grid its config names, and folds even line data itself.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ import numpy as np
 from .criteria import evaluate as evaluate_criteria
 from .criteria import (KernelBound, family_exponents, fujita_exponents,
                        gaussian_kernel_bound, growth_exponent, horizon_witness)
-from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, SimResult, simulate
+from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, simulate
 from .errors import ConfigError, NumericError
-from .grids import GridSpec, InitialProfile, half_line
+from .grids import GridSpec, InitialProfile
 from .weight import WeightSpec
 
 AXIS_NAMES = ("p", "q", "r", "s", "alpha", "amplitude")
@@ -105,25 +104,6 @@ def _rungs(run: RunSpec, escalation) -> list:
     return rungs
 
 
-def _march(run: RunSpec, horizon: float, grid: GridSpec) -> SimResult:
-    """``simulate`` of ``run.config(horizon, grid)``, summing no mass.
-
-    A line of M >= 5 nodes runs on its half (``grids.half_line``), the radial
-    N = 1 problem on its (M + 1) / 2 nodes x >= 0.  Its weight |x|^alpha is
-    even, and so is every ``InitialProfile``, which reads only |x|, so the
-    line's solution is even.  On even values the half's operator is the
-    line's rows x >= 0 exactly, not up to roundoff (``half_line``), and the
-    Dirichlet row at L, the source, the step control and the sup are the
-    line's, so the march is the line's on half the nodes.  A 3-node line,
-    whose half would have 2 nodes, runs as it is.
-    """
-    half = half_line(grid, run.weight)
-    if half is not None:
-        grid, weight = half
-        run = replace(run, grid=grid, weight=weight)
-    return simulate(run.config(horizon, grid), masses=False)
-
-
 def kernel_bound(run: RunSpec, horizon: float) -> KernelBound | None:
     """The exact kernel's bound on the linear flow of ``run``'s data
     (``criteria.KernelBound``) to ``horizon``, or None where it does not apply.
@@ -157,7 +137,7 @@ def linear_trace(run: RunSpec, horizon: float, grid: GridSpec,
     traces = {} if traces is None else traces
     key = (unit, grid, horizon)
     if key not in traces:
-        traces[key] = _march(unit, horizon, grid).trace()
+        traces[key] = simulate(unit.config(horizon, grid), masses=False).trace()
     times, sups = traces[key]
     return times, run.profile.amplitude * sups
 
@@ -269,7 +249,7 @@ def classify_point(run: RunSpec, escalation, evidence: tuple | None = None) -> P
         if bound is not None:
             continue
         try:
-            result = _march(run, horizon, grid)
+            result = simulate(run.config(horizon, grid), masses=False)
         except NumericError as exc:
             return replace(settled, classification="Undetermined", horizon=horizon,
                            reason=f"numeric failure: {exc}")

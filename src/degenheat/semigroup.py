@@ -23,14 +23,12 @@ Given ``n_steps`` it marches that many uniform backward-Euler (positivity
 preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
 ``scheme`` governs only this path.
 
-Both paths fold even data.  Line grids are exactly mirror-symmetric, and on
-a line of M >= 5 nodes, data with v == v[::-1] exactly evolve on the line
-operator's ``half``, built once: the radial N = 1 operator on the (M + 1) / 2
-nodes x >= 0, which for even values is the line's operator there, bit for bit
-(``grids.half_line``).  The result is mirrored, so it is exactly even and the
-next flow from it folds too.  In the volume-weighted inner product the half's
-Krylov basis is the line's, so the basis sizes do not change.  Uneven data,
-and a kernel probe off the centre, run on the whole line.
+Every flow of even line data folds here.  Line grids are exactly
+mirror-symmetric, and on a line of M >= 5 nodes, data with v == v[::-1]
+exactly evolve on the line operator's ``half``, its rows x >= 0 (``fold``),
+and a result is mirrored back (``unfold``), so it is exactly even and the
+next flow from it folds too.  The half's Krylov basis is the line's in the
+volume-weighted inner product, so the basis sizes do not change.
 
 Every Krylov vector and every step solves (I - c A) x = rhs.  A Dirichlet
 row passes through, x_b = rhs_b; the free rows form the symmetric positive
@@ -84,14 +82,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, NumericError
-from .grids import Field, Geometry, GridSpec, half_line
-from .weight import WeightSpec, _sphere_area
+from .grids import Field, Geometry, GridSpec
+from .weight import WeightCase, WeightSpec, _sphere_area
 
 _TINY = 1e-300
 # The smallest normal float 2^-1022 and the smallest subnormal 2^-1074; the
@@ -114,13 +111,14 @@ def _load_lapack():
 
     The extension is loaded on its own, not through ``scipy.linalg``, whose
     package init pulls in ``numpy.testing``, ``numpy.f2py`` and more, over half
-    of this package's import time.  The functions are the very objects
-    ``scipy.linalg.lapack`` exports.  Where the extension cannot be loaded on
-    its own (a source checkout with no built module there), they come from
-    ``scipy.linalg.lapack``.
+    of this package's import time; scipy's directory comes from its import
+    spec, which does not run ``scipy/__init__`` either.  The functions are the
+    very objects ``scipy.linalg.lapack`` exports.  Where the extension cannot
+    be loaded on its own (a source checkout with no built module there), they
+    come from ``scipy.linalg.lapack``.
     """
-    spec = PathFinder.find_spec("scipy.linalg._flapack",
-                                [p + "/linalg" for p in scipy.__path__])
+    dirs = find_spec("scipy").submodule_search_locations
+    spec = PathFinder.find_spec("scipy.linalg._flapack", [p + "/linalg" for p in dirs])
     if spec is not None:
         try:
             lapack = module_from_spec(spec)
@@ -174,10 +172,19 @@ class DiffusionOperator:
 
     @cached_property
     def half(self) -> "DiffusionOperator | None":
-        """The operator of this line's even data (``grids.half_line``), built
-        on first use; None where the grid has no half."""
-        pair = half_line(self.grid, self.weight)
-        return None if pair is None else build_operator(*pair)
+        """The operator of this line's even data, sliced from its arrays on
+        first use: on a line of M = 2c + 1 >= 5 nodes, the radial N = 1
+        operator on the nodes x >= 0 bit for bit, whose V and K are twice the
+        line's (|S^0| = 2), the centre V aside.  None on other grids."""
+        grid = self.grid
+        c = grid.nodes // 2
+        if grid.geometry is not Geometry.LINE or c < 2:
+            return None
+        volumes = 2.0 * self.volumes[c:]
+        volumes[0] = self.volumes[c]
+        return DiffusionOperator(GridSpec(Geometry.RADIAL, grid.extent, c + 1, 1),
+                                 WeightSpec(WeightCase.RADIAL_POWER, self.weight.alpha, 1),
+                                 volumes, 2.0 * self.conductances[c:])
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         flux = np.zeros(values.size + 1)
@@ -349,6 +356,23 @@ def build_operator(grid: GridSpec, weight: WeightSpec) -> DiffusionOperator:
                              area * fw * faces ** (n - 1) / grid.spacing)
 
 
+def fold(op: DiffusionOperator, values: np.ndarray) -> tuple[DiffusionOperator, np.ndarray]:
+    """The operator and rows a flow of ``values`` runs on: ``op.half`` and the
+    rows x >= 0 when ``op`` has a half and the (M,) or (M, k) ``values`` are
+    exactly even, ``values == values[::-1]``; else ``op`` and ``values``."""
+    half = op.half
+    if half is not None and np.array_equal(values, values[::-1]):
+        return half, values[len(values) // 2:]
+    return op, values
+
+
+def unfold(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Values on ``grid`` from values on it or, mirrored, on its half's."""
+    if len(values) == grid.nodes:
+        return values
+    return np.concatenate((values[:0:-1], values))
+
+
 def _step(op: DiffusionOperator, values: np.ndarray, dt: float, scheme: str) -> np.ndarray:
     if scheme == "be":
         return op.solve_shifted(dt, values)
@@ -449,8 +473,7 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
     ("be" or "cn") and no error control, which is what refinement studies
     and fixed monotone panels want.  Without it, "cn" is a ``ConfigError``.
 
-    Exactly even data on a line of M >= 5 nodes, ``v == v[::-1]``, run on
-    ``op.half``, the radial N = 1 operator on the (M + 1) / 2 nodes x >= 0,
+    Exactly even data on a line of M >= 5 nodes run on ``op.half`` (``fold``),
     and the result is mirrored, so it is exactly even too.
     """
     if not tol > 0.0:
@@ -467,12 +490,8 @@ def apply_semigroup(op: DiffusionOperator, u0: Field, t: float, tol: float = 1e-
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if t == 0.0:
         return u0.copy()
-    v = u0.values
-    half = op.half
-    if half is not None and np.array_equal(v, v[::-1]):
-        right = _flow(half, v[v.size // 2:], t, tol, scheme, n_steps)
-        return Field(op.grid, np.concatenate((right[:0:-1], right)))
-    return Field(op.grid, _flow(op, v, t, tol, scheme, n_steps))
+    flow_op, v = fold(op, u0.values)
+    return Field(op.grid, unfold(op.grid, _flow(flow_op, v, t, tol, scheme, n_steps)))
 
 
 def _flow(op: DiffusionOperator, v: np.ndarray, t: float, tol: float, scheme: str,

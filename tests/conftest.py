@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import degenheat.semigroup as semigroup
 from degenheat.grids import Geometry, GridSpec
 from degenheat.weight import WeightCase, WeightSpec
 
@@ -32,6 +33,20 @@ def rel():
         return abs(a - b) / max(abs(b), 1e-300)
 
     return _rel
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """A list of the row count of every ``solve_shifted`` call from now on."""
+    sizes = []
+    solve = semigroup.DiffusionOperator.solve_shifted
+
+    def recorded(self, c, rhs):
+        sizes.append(rhs.shape[0])
+        return solve(self, c, rhs)
+
+    monkeypatch.setattr(semigroup.DiffusionOperator, "solve_shifted", recorded)
+    return sizes
 
 
 def assert_close(a: float, b: float, tol: float):

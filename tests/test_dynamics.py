@@ -361,7 +361,8 @@ def test_dirichlet_rows_keep_the_data():
     assert res.sup_history[-1] == pytest.approx(u0.values[-1], rel=1e-4)
     block = np.column_stack([0.5 * u0.values, u0.values])
     t = 0.0
-    for t, _, uv, _ in dynamics._imex_steps(cfg, block.copy()):
+    op = build_operator(g, cfg.weight)
+    for t, _, uv, _ in dynamics._imex_steps(cfg, op, block.copy()):
         assert np.array_equal(uv[dirichlet], block[dirichlet])
     assert t == cfg.horizon
 
@@ -377,15 +378,15 @@ def test_largest_finite_horizon_blows_up():
     assert res.step_count == 8498
 
 
-def reference_march(config, u, counts=None):
+def reference_march(config, op, u, counts=None):
     """The IMEX march before its lean rewrite, kept as the bit-for-bit reference.
 
     Each trial makes the whole-grid exact update and rescans the accepted
-    state for its scale.  Yields (t, floored, u); ``counts`` tallies rejected
+    state for its scale.  Yields (t, floored, u); ``op`` is the operator
+    marched, None for a diffusionless run, and ``counts`` tallies rejected
     and floored steps.
     """
     counts = {} if counts is None else counts
-    op = None if config.diffusionless else build_operator(config.grid, config.weight)
     rows = None if op is None else op.free
     horizon = config.horizon
     rc_hi = min(0.1, math.sqrt(config.tol))
@@ -423,8 +424,8 @@ def reference_march(config, u, counts=None):
 
 def with_sups(march):
     """A march of (t, floored, u) as the lean march yields it, sups added."""
-    def steps(config, u):
-        for t, floored, v in march(config, u):
+    def steps(config, op, u):
+        for t, floored, v in march(config, op, u):
             yield t, floored, v, np.max(np.abs(v), axis=0)
     return steps
 
@@ -436,8 +437,9 @@ def bits(a):
 def assert_same_march(config, u, max_steps=300):
     """The lean march against the reference, step by step and bit for bit."""
     counts = {}
-    lean = dynamics._imex_steps(config, u.copy())
-    ref = reference_march(config, u.copy(), counts)
+    op = None if config.diffusionless else build_operator(config.grid, config.weight)
+    lean = dynamics._imex_steps(config, op, u.copy())
+    ref = reference_march(config, op, u.copy(), counts)
     steps = 0
     for (t, floored, v, sup), (t_ref, floored_ref, v_ref) in zip(lean, ref):
         assert (t, floored) == (t_ref, floored_ref)
@@ -562,6 +564,25 @@ def test_mass_does_not_depend_on_blas_threads():
                                   capture_output=True, text=True).stdout)
     assert out[0].count("\n") == 4
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_even_runs_solve_on_the_half_line(solve_sizes, even):
+    # simulate, compare_runs and monotone_iterates fold exactly even line data
+    # once at entry: every solve has (M + 1) / 2 rows.  Uneven data solve all M.
+    g = line_grid(20.0, 201)
+    v0 = gaussian_field(g, 0.5)
+    if not even:
+        v0 = Field(g, v0.values * np.linspace(0.5, 1.5, g.nodes))
+    cfg = SimConfig(axis_weight(0.5), g, [power_forcing(2.0)], v0, 2.0)
+    res = simulate(cfg)
+    compare_runs(cfg, Field(g, 0.5 * v0.values), v0)
+    monotone_iterates(cfg, v0, beta=1.0, k_max=2)
+    assert solve_sizes and set(solve_sizes) == {101 if even else 201}
+    # the histories and the final state are the line's
+    assert res.status == "completed" and res.final.grid == g
+    assert res.mass_history[0] == pytest.approx(v0.mass(), rel=1e-14)
+    assert np.array_equal(res.final.values, res.final.values[::-1]) == even
 
 
 class TestCompareRuns:

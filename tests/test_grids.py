@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from degenheat.errors import ConfigError
 from degenheat.grids import (Field, Geometry, GridSpec, InitialProfile,
-                             constant_field, gaussian_field, half_line, power_tail_field)
+                             constant_field, gaussian_field, power_tail_field)
 
-from conftest import axis_weight, line_grid, radial_grid, radial_weight
+from conftest import line_grid, radial_grid
 
 
 class TestGridSpec:
@@ -59,16 +59,6 @@ class TestGridSpec:
         assert x[half] == 0.0 and x[-1] == extent
         radial = GridSpec(Geometry.RADIAL, extent, half + 1, 1)
         assert np.array_equal(x[half:], radial.positions())
-
-    def test_half_line(self):
-        g = line_grid(7.3, 45)
-        assert half_line(g, axis_weight(0.9)) == (radial_grid(7.3, 23, 1),
-                                                  radial_weight(0.9, 1))
-        assert half_line(line_grid(7.3, 5), axis_weight(0.0)) == (radial_grid(7.3, 3, 1),
-                                                                   radial_weight(0.0, 1))
-        # a 3-node line's half would have 2 nodes; radial grids have no half
-        assert half_line(line_grid(7.3, 3), axis_weight(0.0)) is None
-        assert half_line(radial_grid(7.3, 45, 1), radial_weight(0.0, 1)) is None
 
     def test_refined(self):
         g = line_grid(3.0, 13)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenheat import lab
+from degenheat import dynamics, lab
 from degenheat.criteria import horizon_witness
 from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile, simulate
 from degenheat.errors import ConfigError, NumericError
@@ -379,9 +379,8 @@ def test_serial_sweep_shares_linear_traces(monkeypatch):
     spec = _shared_trace_sweep(InitialProfile("power_tail", 1.0, rho=1.0))
     points = run_sweep(spec, 1)
     # one unit trace at the first horizon on the base grid, and one on the
-    # final rung's grid to the final horizon: lines of 121 and 241 nodes, each
-    # marched on its half
-    shared = [(1.0, 61, 40.0), (1.0, 121, 100.0)]
+    # final rung's grid to the final horizon: lines of 121 and 241 nodes
+    shared = [(1.0, 121, 40.0), (1.0, 241, 100.0)]
     assert sorted(linear) == shared
     assert [pt.classification for pt in points] == ["Undetermined"] * 2 + ["GlobalLike"] * 4
     # the trace's horizon witness rules out blow-up on both rungs of every cell:
@@ -460,8 +459,8 @@ def test_pooled_traces_come_from_the_parent(pickling_pool):
     pooled = run_sweep(spec, 2)
     # one per (unit run, grid, horizon): the first horizon on the base grid,
     # and the final horizon on the final rung's grid
-    assert sorted(pickling_pool.linear) == [("parent", 1.0, 61, 40.0),
-                                            ("parent", 1.0, 121, 100.0)]
+    assert sorted(pickling_pool.linear) == [("parent", 1.0, 121, 40.0),
+                                            ("parent", 1.0, 241, 100.0)]
     assert pooled == run_sweep(spec, 1)
 
 
@@ -472,8 +471,8 @@ def test_pooled_jobs_carry_no_trace(pickling_pool):
     spec = replace(_shared_trace_sweep(InitialProfile("power_tail", 1.0, rho=1.0)),
                    axes=(("p", [2.0, 4.0]), ("amplitude", [1e-3, 1e6])))
     pooled = run_sweep(spec, 2)
-    assert sorted(pickling_pool.linear) == [("parent", 1.0, 61, 40.0),
-                                            ("parent", 1.0, 121, 100.0)]
+    assert sorted(pickling_pool.linear) == [("parent", 1.0, 121, 40.0),
+                                            ("parent", 1.0, 241, 100.0)]
     assert pickling_pool.arrays == []
     assert [pt.reason.startswith("config error: blowup_threshold") for pt in pooled] == \
         [False, True, False, True]
@@ -540,14 +539,14 @@ def test_gaussian_sweep_runs_only_base_grid_traces(monkeypatch):
     monkeypatch.setattr(lab, "simulate", counting)
     spec = _shared_trace_sweep(InitialProfile("gaussian", 1.0, 1.0))
     points = run_sweep(spec, 1)
-    assert linear == [(1.0, 61, 40.0)]
+    assert linear == [(1.0, 121, 40.0)]
     assert [pt.classification for pt in points] == ["Undetermined"] * 2 + ["GlobalLike"] * 4
     # the bound rules out blow-up on both rungs of every cell: no source run
     assert rungs == []
     assert all(pt.reason.endswith(" < 1 (kernel bound)") for pt in points)
     linear.clear()
     assert run_sweep(spec, 2) == points
-    assert linear == [(1.0, 61, 40.0)]
+    assert linear == [(1.0, 121, 40.0)]
 
 
 @st.composite
@@ -576,16 +575,20 @@ def _outcome(march):
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(line_runs())
 def test_half_line_march_is_the_line_march(case):
-    # The line's solution is even, so its march on x >= 0 is the radial N = 1
-    # march on (M + 1) / 2 nodes: the same status, t* and final sup, up to roundoff.
+    # The line's solution is even, so simulate marches it on x >= 0, the radial
+    # N = 1 operator on (M + 1) / 2 nodes.  Handed the line operator itself,
+    # _imex_steps gives the same status, t* and final sup, up to roundoff.
     run, horizon = case
-    line = _outcome(lambda: simulate(run.config(horizon)))
-    half = _outcome(lambda: lab._march(run, horizon, run.grid))
+    config = run.config(horizon)
+    half = _outcome(lambda: simulate(config))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "fold", lambda op, values: (op, values))
+        line = _outcome(lambda: simulate(config))
     if isinstance(line, str):
         assert half == line
         return
-    assert half.final is None or half.final.grid.nodes == (run.grid.nodes + 1) // 2
-    assert half.status == line.status
+    assert half.final is None or half.final.grid == run.grid
+    assert (half.status, half.step_count) == (line.status, line.step_count)
     if line.blew_up:
         assert half.t_star == pytest.approx(line.t_star, rel=1e-9)
     else:
@@ -593,9 +596,9 @@ def test_half_line_march_is_the_line_march(case):
 
 
 def test_line_marches_run_on_their_half(monkeypatch):
-    # Every march of a line cell reaches lab.simulate as the radial N = 1
-    # problem on (M + 1) / 2 nodes, with no mass sums; a 3-node line, whose
-    # half would have 2 nodes, runs as it is.  The CSV is the line marches' own.
+    # Every march of a line cell reaches lab.simulate on the line its config
+    # names, with no mass sums; simulate folds it onto its half.  The CSV is
+    # the line marches' own.
     seen = []
     real = lab.simulate
 
@@ -616,11 +619,11 @@ def test_line_marches_run_on_their_half(monkeypatch):
         "1,,BlowUp,2.180109214,5,inf,\n"
         "10,,BlowUp,0.1060961151,1,inf,0.1535\n")
     line = (Geometry.LINE, 3, 1, axis_weight(0.5))
-    half = (Geometry.RADIAL, 5, 1, radial_weight(0.5))
+    fine = (Geometry.LINE, 9, 1, axis_weight(0.5))
     no_mass = {"masses": False}
     # the unit linear runs on both grids, then the source rungs each cell leaves open
-    assert seen == [(*line, False, no_mass), (*half, False, no_mass),
-                    (*half, True, no_mass), (*line, True, no_mass)]
+    assert seen == [(*line, False, no_mass), (*fine, False, no_mass),
+                    (*fine, True, no_mass), (*line, True, no_mass)]
 
 
 class TestSweepSvg:

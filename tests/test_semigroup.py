@@ -785,6 +785,39 @@ def test_krylov_properties(alpha, t, half, kind, tol):
     _check_krylov(op, InitialProfile(kind, 1.0).realize(g), t, tol)
 
 
+_OPERATOR_ARRAYS = ("volumes", "conductances", "_face_sums", "_free_volumes", "_free_faces")
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(extent=st.floats(1e-3, 1e6), half=st.integers(2, 20000),
+       alpha=st.floats(0.0, 1.0, exclude_max=True))
+def test_half_is_the_radial_half_operator(extent, half, alpha):
+    # sliced from the line's arrays, the half is the radial N = 1 operator on
+    # the nodes x >= 0 bit for bit, and fold hands it the even data's rows there
+    g = line_grid(extent, 2 * half + 1)
+    op = build_operator(g, axis_weight(alpha))
+    radial = build_operator(radial_grid(extent, half + 1, 1), radial_weight(alpha, 1))
+    assert (op.half.grid, op.half.weight) == (radial.grid, radial.weight)
+    for name in _OPERATOR_ARRAYS:
+        assert np.array_equal(getattr(op.half, name), getattr(radial, name)), name
+    assert op.half._min_volume == radial._min_volume
+    even = InitialProfile("gaussian", 1.0, extent / 4.0).realize(g).values
+    flow_op, rows = semigroup.fold(op, even)
+    assert flow_op is op.half and np.array_equal(rows, even[half:])
+    assert np.array_equal(semigroup.unfold(g, rows), even)
+    uneven = even * np.linspace(0.5, 2.0, g.nodes)
+    flow_op, rows = semigroup.fold(op, uneven)
+    assert flow_op is op and rows is uneven
+
+
+def test_no_half_off_a_line_of_five_or_more_nodes():
+    # a 3-node line's half would have 2 nodes; radial grids have no half
+    assert build_operator(line_grid(7.3, 3), axis_weight(0.0)).half is None
+    assert build_operator(radial_grid(7.3, 45, 1), radial_weight(0.0, 1)).half is None
+    assert build_operator(line_grid(7.3, 5), axis_weight(0.0)).half.grid == \
+        radial_grid(7.3, 3, 1)
+
+
 @st.composite
 def even_line_flows(draw):
     """Exactly even data on a line, and a flow of either path."""
@@ -816,43 +849,28 @@ def test_even_data_fold_onto_the_half_line(flow):
     assert np.max(np.abs(out - line)) <= bound * np.max(np.abs(line))
 
 
-def _solve_sizes(monkeypatch):
-    """A list of the row count of every ``solve_shifted`` call from now on."""
-    sizes = []
-    solve = semigroup.DiffusionOperator.solve_shifted
-
-    def recorded(self, c, rhs):
-        sizes.append(rhs.shape[0])
-        return solve(self, c, rhs)
-
-    monkeypatch.setattr(semigroup.DiffusionOperator, "solve_shifted", recorded)
-    return sizes
-
-
-def test_even_probes_solve_on_the_half_line(monkeypatch):
+def test_even_probes_solve_on_the_half_line(solve_sizes):
     # a centre kernel probe and a criterion-4-style chain of power-tail data:
     # every output is exactly even, so every apply runs on the (M + 1) / 2 nodes
     g = line_grid(400.0, 1201)
     op = build_operator(g, axis_weight(0.5))
-    sizes = _solve_sizes(monkeypatch)
     kernel_column(op, g.nodes // 2, 2.0, tol=1e-6)
     state, prev = InitialProfile("power_tail", 1.0, rho=0.5).realize(g), 0.0
     for t in np.geomspace(40.0, 480.0, 6):
         state = apply_semigroup(op, state, t - prev, tol=1e-5)
         prev = t
         assert np.array_equal(state.values, state.values[::-1])
-    assert sizes and set(sizes) == {601}
+    assert solve_sizes and set(solve_sizes) == {601}
 
 
-def test_uneven_probes_solve_on_the_whole_line(monkeypatch):
+def test_uneven_probes_solve_on_the_whole_line(solve_sizes):
     g = line_grid(40.0, 201)
     op = build_operator(g, axis_weight(0.5))
-    sizes = _solve_sizes(monkeypatch)
     kernel_column(op, g.nodes // 2 + 1, 2.0, tol=1e-6)
     tail = InitialProfile("power_tail", 1.0, rho=0.5).realize(g).values
     apply_semigroup(op, Field(g, tail * np.linspace(0.5, 2.0, g.nodes)), 2.0)
     apply_semigroup(op, Field(g, tail * np.linspace(0.5, 2.0, g.nodes)), 2.0, n_steps=4)
-    assert sizes and set(sizes) == {201}
+    assert solve_sizes and set(solve_sizes) == {201}
 
 
 def _count_solves(monkeypatch):

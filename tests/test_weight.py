@@ -247,7 +247,7 @@ spec = parse_sweep_spec({
     "escalation": [{"horizon": 1.0}]})
 x = build_operator(spec.base.grid, spec.base.weight).solve_shifted(0.1, np.ones(41))
 assert np.isfinite(x).all() and len(run_sweep(spec, 1)) == 1
-print(sorted(m for m in ("scipy.linalg", "numpy.testing", "numpy.f2py",
+print(sorted(m for m in ("scipy", "scipy.linalg", "numpy.testing", "numpy.f2py",
                          "concurrent.futures.process") if m in sys.modules))
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
