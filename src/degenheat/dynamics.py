@@ -11,9 +11,9 @@ source acts on the free rows only: the Dirichlet rows, those outside
 One march, ``_imex_steps``, advances an (M,) state or an (M, k) block under
 shared step control: ``simulate`` is a one-column run of it, and
 ``compare_runs`` a two-column run of the ordered pair (u, v).  Both, and
-``monotone_iterates``, fold exactly even line data once at entry onto the
-line operator's half (``semigroup.fold``); a diffusionless run has no
-operator and runs the line as given.  A trial does only the work its
+``monotone_iterates``, enter through ``_folded``: exactly even line data fold
+once onto the line operator's half (``semigroup.fold``), and a diffusionless
+run has no operator and runs the line as given.  A trial does only the work its
 result needs: one update, one solve and one scan of the change.  The
 accepted state's max |u| per column is scanned once, scales the next
 trials' change, and goes out with the state, so neither caller scans it
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .grids import Field, GridSpec, volume_sum
-from .semigroup import apply_semigroup, build_operator, fold, unfold
+from .semigroup import build_operator, fold, unfold
 from .weight import WeightSpec
 
 _TINY = 1e-300
@@ -204,8 +204,11 @@ class SimResult:
     sup_history: np.ndarray
     mass_history: np.ndarray | None        # None when the march summed no mass
     window_mass_history: np.ndarray | None
-    step_count: int
     final: Field | None = None
+
+    @property
+    def step_count(self) -> int:
+        return len(self.times) - 1
 
     @property
     def blew_up(self) -> bool:
@@ -399,8 +402,7 @@ def simulate(config: SimConfig, *, masses: bool = True) -> SimResult:
     def result(status, t_star=None, final=None):
         return SimResult(status, config.horizon, t_star, np.array(times), np.array(sups),
                          None if mass is None else np.array(mass),
-                         None if window is None else np.array(window),
-                         len(times) - 1, final)
+                         None if window is None else np.array(window), final)
 
     for t, floored, u, sup in _imex_steps(config, op, u):
         sup_new = float(sup)
@@ -451,13 +453,15 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
     (deliberate violations are reported, not raised: a falsification mode).
     Checks nodewise monotonicity in k and the cap u^k <= (1+beta) S(t)u0.
     Each mesh panel is advanced with ``_PANEL_STEPS`` fixed backward-Euler
-    substeps so the discrete semigroup is one fixed monotone matrix per panel.
+    substeps so the discrete semigroup is one fixed monotone matrix per panel
+    (the identity in a diffusionless run, whose source acts on every row).
 
-    Each iterate is one (mesh points, nodes) array, advanced panel by panel:
-    a source over the whole array would turn a zero-weight panel's 0 * inf
-    into NaN.  Violations run per k and mesh point, "monotone" before "cap",
-    and a "nonfinite" iterate ends the run; the flags are read off them.
-    Exactly even data fold once, so every array holds the half's rows.
+    Iterates 0 (the linear flow) to k_max are the rows of one array, advanced
+    panel by panel: iterate k takes iterate k-1's source, and the live ones
+    are solved as one block, so each panel factors its shift once.  The first
+    iterate in k order to go non-finite ends the report with a "nonfinite"
+    violation and leaves the block with those after it.  Violations run per
+    k and mesh point, "monotone" before "cap"; the flags are read off them.
     """
     # "not" tests, so that NaN is rejected too
     if not 0.0 < beta < math.inf:
@@ -468,6 +472,10 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
         raise ConfigError("v0 grid does not match the config grid")
     if delta is None:
         delta = 0.9 / (1.0 + beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = delta * v0.values
+    if not np.isfinite(u0).all():    # a non-finite delta, or delta * v0 overflows
+        raise ConfigError(f"delta must keep delta * v0 finite, got {delta}")
     if mesh is None:
         mesh = default_mesh(config.horizon)
     mesh = np.asarray(mesh, dtype=float)
@@ -476,55 +484,46 @@ def monotone_iterates(config: SimConfig, v0: Field, beta: float, k_max: int,
         raise ConfigError("mesh must be a finite 1-D array that starts at 0 "
                           "and increases strictly")
 
-    op, u0 = fold(build_operator(config.grid, config.weight), delta * v0.values)
-    grid = op.grid
-    rows = op.free
-
-    def panel(values, j):
-        return apply_semigroup(op, Field(grid, values), mesh[j] - mesh[j - 1],
-                               n_steps=_PANEL_STEPS).values
-
-    # linear baseline S(t_j) u0 along the mesh
-    lin = np.empty((mesh.size, grid.nodes))
-    lin[0] = Field(grid, u0).values
+    op, u0 = _folded(config, u0)
+    # the rows the source acts on; not slice(None), whose start would zero them all
+    rows = slice(0, len(u0)) if op is None else op.free
+    its = np.empty((k_max + 1, mesh.size, len(u0)))
+    its[:, 0] = u0
+    live, nonfinite = k_max + 1, []
     for j in range(1, mesh.size):
-        lin[j] = panel(lin[j - 1], j)
-    cap = (1.0 + beta) * lin
+        block = its[:live, j - 1].copy()
+        with np.errstate(over="ignore"):
+            src = _source_increment(config.forcings, block[:-1], mesh[j - 1], mesh[j])
+            src[:, :rows.start] = 0.0    # the Dirichlet rows hold
+            src[:, rows.stop:] = 0.0
+            block[1:] += src
+        bad = np.flatnonzero(~np.isfinite(block[1:]).all(axis=1))
+        if bad.size:
+            # a runaway iterate, a cap violation in the making: it ends the report
+            live = int(bad[0]) + 1
+            nonfinite = [("nonfinite", live, float(mesh[j]), math.inf)]
+            block = block[:live]
+        # (nodes, live) columns, each solved as if alone; no solve without diffusion
+        for _ in range(0 if op is None else _PANEL_STEPS):
+            block = op.solve_shifted((mesh[j] - mesh[j - 1]) / _PANEL_STEPS, block.T).T
+        its[:live, j] = block
+
+    lin, cur = its[0], its[1:live]
     slack = 1e-10 * max(float(np.abs(lin).max()), _TINY)
-    prev = lin
-    gaps, violations = [], []
-
-    def report():
-        kinds = {v[0] for v in violations}
-        return IterateReport(mesh, gaps, "monotone" not in kinds,
-                             not kinds & {"cap", "nonfinite"}, violations, delta, beta)
-
-    for k in range(1, k_max + 1):
-        cur = lin.copy()    # row 0 is u0; the panels overwrite the rest
-        for j in range(1, mesh.size):
-            with np.errstate(over="ignore"):
-                src = _source_increment(config.forcings, prev[j - 1], mesh[j - 1], mesh[j])
-            src[:rows.start] = 0.0    # the Dirichlet rows hold
-            src[rows.stop:] = 0.0
-            carried = cur[j - 1] + src
-            if not np.isfinite(carried).all():
-                # runaway iterate: a cap violation in the making; record and stop
-                violations.append(("nonfinite", k, float(mesh[j]), math.inf))
-                return report()
-            cur[j] = panel(carried, j)
-
-        rise = cur - prev
-        gaps.append(float(np.abs(rise).max()))
-        drops = rise.min(axis=1)
-        overs = (cur - cap).max(axis=1)
-        for j in np.flatnonzero((drops < -slack) | (overs > slack)):
-            if drops[j] < -slack:
-                violations.append(("monotone", k, float(mesh[j]), float(drops[j])))
-            if overs[j] > slack:
-                violations.append(("cap", k, float(mesh[j]), float(overs[j])))
-        prev = cur
-
-    return report()
+    rise = cur - its[:live - 1]
+    gaps = [float(gap) for gap in np.abs(rise).max(axis=(1, 2))]
+    drops = rise.min(axis=2)
+    overs = (cur - (1.0 + beta) * lin).max(axis=2)
+    violations = []
+    for k, j in zip(*np.nonzero((drops < -slack) | (overs > slack))):
+        if drops[k, j] < -slack:
+            violations.append(("monotone", int(k) + 1, float(mesh[j]), float(drops[k, j])))
+        if overs[k, j] > slack:
+            violations.append(("cap", int(k) + 1, float(mesh[j]), float(overs[k, j])))
+    violations += nonfinite
+    kinds = {v[0] for v in violations}
+    return IterateReport(mesh, gaps, "monotone" not in kinds,
+                         not kinds & {"cap", "nonfinite"}, violations, delta, beta)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from degenheat.dynamics import (ForcingTerm, IterateReport, Nonlinearity,
                                 default_mesh, monotone_iterates, simulate)
 from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Field, InitialProfile, constant_field, gaussian_field
-from degenheat.semigroup import apply_semigroup, build_operator
+from degenheat.semigroup import DiffusionOperator, apply_semigroup, build_operator
 
 from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
@@ -697,6 +697,14 @@ class TestMonotoneIterates:
             with pytest.raises(ConfigError, match="mesh"):
                 monotone_iterates(cfg, gaussian_field(cfg.grid), beta=1.0, k_max=2,
                                   mesh=np.array(mesh))
+        # a non-finite delta, or a delta * v0 past the float range
+        for delta in (math.nan, math.inf, -math.inf, 1e308):
+            with pytest.raises(ConfigError, match="delta"):
+                monotone_iterates(cfg, gaussian_field(cfg.grid, 10.0), beta=1.0, k_max=2,
+                                  delta=delta)
+        with pytest.raises(ConfigError, match="delta"):
+            monotone_iterates(cfg, constant_field(cfg.grid, 0.0), beta=1.0, k_max=2,
+                              delta=math.inf)
 
     def test_rejects_data_on_another_grid(self):
         cfg = self._config()
@@ -877,3 +885,50 @@ def test_named_iterates_are_the_reference_iterates(name):
     assert hex_report(report) == hex_report(ref)
     if name == "first_sweep_overflow":
         assert [v[0] for v in report.violations] == ["nonfinite"] and not report.cap_ok
+
+
+def plain_picard_gaps(config, u0, k_max, mesh):
+    """Gaps of the Picard iteration without diffusion, node by node:
+    u^k(t_j) = u^k(t_{j-1}) + sum_i [H_i(t_j) - H_i(t_{j-1})] f_i(u^{k-1}(t_{j-1}))."""
+    prev = [u0] * len(mesh)
+    gaps = []
+    for _ in range(k_max):
+        cur = [u0]
+        for t0, t1 in zip(mesh, mesh[1:]):
+            du = np.zeros_like(u0)
+            for term in config.forcings:
+                du += (term.profile.primitive(t1) - term.profile.primitive(t0)) \
+                    * term.nonlinearity(prev[len(cur) - 1])
+            cur.append(cur[-1] + du)
+        gaps.append(max(float(np.abs(c - p).max()) for c, p in zip(cur, prev)))
+        prev = cur
+    return gaps
+
+
+def test_diffusionless_iterates_are_the_plain_picard_recursion():
+    # no diffusion: identity panels, and the source acts on every row, the
+    # Dirichlet rows of the line included, as in the diffusionless IMEX march
+    g = line_grid(10.0, 5)
+    v0 = constant_field(g, 0.5)
+    cfg = SimConfig(axis_weight(0.0), g, [power_forcing(2.0)], v0, 1.0, diffusionless=True)
+    report = monotone_iterates(cfg, v0, beta=1.0, k_max=3, delta=0.4)
+    # the first iterate adds H(1) f(0.2) = 0.04 to the constant linear flow
+    assert report.gaps[0] == pytest.approx(0.04, rel=1e-14)
+    assert report.gaps == plain_picard_gaps(cfg, 0.4 * v0.values, 3, default_mesh(1.0))
+    assert report.monotone_ok and report.cap_ok and not report.violations
+
+
+def test_iterates_factor_once_per_panel(monkeypatch):
+    # all iterates are solved as one block per panel: one factorisation per
+    # panel, where a sweep per iterate refactors every panel's shift
+    config, v0, beta, k_max, delta, mesh = _iterate_case("criterion_7")
+    shifts = []
+    factor = DiffusionOperator._factor
+
+    def counted(self, c):
+        shifts.append(c)
+        return factor(self, c)
+
+    monkeypatch.setattr(DiffusionOperator, "_factor", counted)
+    monotone_iterates(config, v0, beta, k_max, delta=delta)
+    assert len(shifts) == len(set(shifts)) == default_mesh(config.horizon).size - 1 == 24
