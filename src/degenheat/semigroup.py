@@ -19,9 +19,11 @@ from a shift-and-invert Krylov basis of (I - gamma A)^{-1} (van den Eshof &
 Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44, 2004), the
 rows of one array (32 to start) orthonormalised by classical Gram-Schmidt
 applied twice (CGS2; Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
-Given ``n_steps`` it marches that many uniform backward-Euler (positivity
-preserving) or Crank-Nicolson steps, one fixed matrix for the whole march;
-``scheme`` governs only this path.
+The basis is a Lanczos basis, so its coefficients are two vectors, the
+diagonal and the sub-diagonal of a symmetric tridiagonal matrix, whose
+eigenpairs come from LAPACK ``dstev``.  Given ``n_steps`` it marches that
+many uniform backward-Euler (positivity preserving) or Crank-Nicolson steps,
+one fixed matrix for the whole march; ``scheme`` governs only this path.
 
 Every flow of even line data folds here.  Line grids are exactly
 mirror-symmetric, and on a line of M >= 5 nodes, data with v == v[::-1]
@@ -68,7 +70,10 @@ inverse with row sums <= 1, so they move x by less than the largest of them,
 a share rest < 1 of 2^-1022, and the bound's target is (1 - rest) 2^-1022.
 When both end free rows hold normal values the window is every free row,
 and so it is, with no pass over the support, when the terms of the support's
-end rows alone keep both end rows by a margin.
+end rows alone keep both end rows by a margin.  Where the support ends within
+a few rows of both ends, as it does for the Krylov vectors of a centre spike,
+which hold an exact 0 at the centre row, those rows alone find it, and that
+window costs O(1).
 The bound grows with |b|, so data 0 <= lo <= hi get nested windows, and
 positivity and order stay exact.  Flushing only the output would not do: a
 sweep whose tail goes subnormal keeps it there, since a multiplier above 1/2
@@ -104,10 +109,14 @@ _LOG_SLACK = 0.25
 _SHIFT_FRACTION = 0.1
 _KRYLOV_CAP = 80
 _KRYLOV_ROWS = 32
+# A windowed solve looks for the ends of its support this many rows in from
+# each end before it scans every row.
+_END_ROWS = 4
 
 
 def _load_lapack():
-    """LAPACK's ``dpttrf`` and ``dpttrs``, from scipy's ``_flapack`` extension.
+    """LAPACK's ``dpttrf``, ``dpttrs`` and ``dstev``, from scipy's ``_flapack``
+    extension.
 
     The extension is loaded on its own, not through ``scipy.linalg``, whose
     package init pulls in ``numpy.testing``, ``numpy.f2py`` and more, over half
@@ -123,14 +132,14 @@ def _load_lapack():
         try:
             lapack = module_from_spec(spec)
             spec.loader.exec_module(lapack)
-            return lapack.dpttrf, lapack.dpttrs
+            return lapack.dpttrf, lapack.dpttrs, lapack.dstev
         except ImportError:
             pass
     from scipy.linalg import lapack
-    return lapack.dpttrf, lapack.dpttrs
+    return lapack.dpttrf, lapack.dpttrs, lapack.dstev
 
 
-dpttrf, dpttrs = _load_lapack()
+dpttrf, dpttrs, dstev = _load_lapack()
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +194,13 @@ class DiffusionOperator:
         return DiffusionOperator(GridSpec(Geometry.RADIAL, grid.extent, c + 1, 1),
                                  WeightSpec(WeightCase.RADIAL_POWER, self.weight.alpha, 1),
                                  volumes, 2.0 * self.conductances[c:])
+
+    @cached_property
+    def _root_volumes(self) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(V) and 1/sqrt(V), which carry the Krylov path's vectors to and
+        from the volume-weighted inner product; made on first use."""
+        unscale = 1.0 / np.sqrt(self.volumes)
+        return 1.0 / unscale, unscale
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         flux = np.zeros(values.size + 1)
@@ -308,26 +324,43 @@ class _Factors:
         # support is every row
         if not self.windowed or (abs(b[0]) >= floor and abs(b[-1]) >= floor):
             return 0, n - 1
-        size = np.abs(b)
-        # find and rfind scan the mask's bytes in C
-        normal = (size >= floor).tobytes()
-        s, t = normal.find(1), normal.rfind(1)
-        if s < 0:
-            return n, -1
+        # The support [s, t]: from the _END_ROWS rows at each end when it ends
+        # there, as the Krylov vectors of a centre spike do; else from a mask of
+        # every row, whose find and rfind scan its bytes in C.
+        k = min(_END_ROWS, n)
+        head, tail = b[:k].tolist(), b[n - k:].tolist()
+        s, r = 0, k - 1
+        while s < k and abs(head[s]) < floor:
+            s += 1
+        while r >= 0 and abs(tail[r]) < floor:
+            r -= 1
+        size = None
+        if s < k and r >= 0:
+            t = n - k + r
+            rest = max(map(abs, head[:s] + tail[r + 1:]), default=0.0)
+        else:
+            size = np.abs(b)
+            normal = (size >= floor).tobytes()
+            s, t = normal.find(1), normal.rfind(1)
+            if s < 0:
+                return n, -1
+            rest = max(size[:s].max(initial=0.0), size[t + 1:].max(initial=0.0))
         if self.drop is None:
             self._sum_drops()
         # the rows off [s, t] move x by less than the largest of their |rhs_j|,
         # under 2^-1022 by the share ``rest``; the bound keeps to what they leave
-        rest = max(size[:s].max(initial=0.0), size[t + 1:].max(initial=0.0)) / floor
+        rest /= floor
         reach = self.reach + math.log(t - s + 1) - math.log1p(-rest)
         drop = self.drop
         # The terms at s and t alone bound the maxima below.  Where they keep
         # the end rows by a margin of 1, far over any rounding, so do the
         # maxima, and the window is every row: the Krylov vectors of a centre
         # spike on a half line hold an exact 0 at the centre row, and no more.
-        if ((s == 0 or reach + math.log(size[s]) - drop[s] >= 1.0)
-                and (t == n - 1 or reach + math.log(size[t]) + drop[t] - drop[-1] >= 1.0)):
+        if ((s == 0 or reach + math.log(abs(b[s])) - drop[s] >= 1.0)
+                and (t == n - 1 or reach + math.log(abs(b[t])) + drop[t] - drop[-1] >= 1.0)):
             return 0, n - 1
+        if size is None:
+            size = np.abs(b)
         # in place on the scratch array; entries raised to the floor never raise
         # a maximum, since the terms at s and t bound them
         logs = size[s:t + 1]
@@ -381,7 +414,8 @@ def _step(op: DiffusionOperator, values: np.ndarray, dt: float, scheme: str) -> 
 
 
 def _norm(v: np.ndarray) -> float:
-    # einsum, not BLAS: a threaded BLAS call on an M-vector costs more than it does
+    # einsum, not BLAS: a threaded BLAS call on an M-vector costs more than it
+    # does, and its sum depends on the number of threads
     return math.sqrt(np.einsum("i,i->", v, v))
 
 
@@ -410,51 +444,72 @@ def _krylov_semigroup(op: DiffusionOperator, u0: np.ndarray, t: float,
     sqrt(vol) * u the basis is a Lanczos basis, the rows of one array (32 to
     start), kept orthonormal by classical Gram-Schmidt applied twice (CGS2,
     two matrix-vector products a pass), and H = V^T B V is symmetric
-    tridiagonal with eigenpairs (theta, q) in (0, 1].  A acts on the basis as
-    A_m = (I - H^{-1}) / gamma, so exp(tA)(u0 - h) ~ beta V q
-    exp(t (1 - 1/theta) / gamma) q^T e1; a symmetric eigendecomposition is
-    well conditioned.  Every second vector the result is formed and compared
-    with the previous one; it is accepted once the two agree to ``tol``
-    relative in the sup norm, which the probes read, or at once when the
-    basis spans an invariant subspace.
+    tridiagonal with eigenpairs (theta, q) in (0, 1].  Only its diagonal and
+    sub-diagonal are kept, and LAPACK ``dstev`` takes the eigenpairs from
+    them.  A acts on the basis as A_m = (I - H^{-1}) / gamma, so
+    exp(tA)(u0 - h) ~ beta V q exp(t (1 - 1/theta) / gamma) q^T e1; a
+    symmetric eigendecomposition is well conditioned.  Each new vector w is
+    written into its basis row before it is orthogonalised, so the first
+    Gram-Schmidt product, over that row too, also gives |w|^2, which the
+    invariant-subspace test reads.  Every second vector the result is formed
+    and compared with the previous one; it is accepted once the two agree to
+    ``tol`` relative in the sup norm, which the probes read, or at once when
+    the basis spans an invariant subspace.
+
+    The Gram-Schmidt products run through BLAS, which may split a long
+    product between threads and so round it differently: kernel probes on
+    100001- and 200001-node lines differ bitwise between one and two
+    OpenBLAS threads, with the same printed 10 digits.  On 2001-node lines
+    the probes are bit for bit the same (``tests/test_semigroup.py``).  The
+    norms stay on ``einsum``, off BLAS ``ddot``, whose sums split between
+    threads on long vectors.
     """
     gamma = _SHIFT_FRACTION * t
     steady = _dirichlet_steady_state(op, u0)
-    unscale = 1.0 / np.sqrt(op.volumes)
-    scale = 1.0 / unscale
+    scale, unscale = op._root_volumes
     y0 = scale * (u0 - steady)
     beta = _norm(y0)
     if beta == 0.0:
         return steady
     basis = np.empty((min(_KRYLOV_CAP + 1, _KRYLOV_ROWS), y0.size))
     np.divide(y0, beta, out=basis[0])
-    hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
+    # H's diagonal and sub-diagonal, filled as the basis grows
+    diag = np.empty(_KRYLOV_CAP)
+    sub = np.empty(_KRYLOV_CAP)
     prev = None
     for j in range(_KRYLOV_CAP):
-        w = scale * op.solve_shifted(gamma, unscale * basis[j])
-        before = _norm(w)
         m = j + 1
-        for _ in range(2):
-            # classical Gram-Schmidt, twice: two matrix-vector products a pass
-            dots = basis[:m] @ w
-            hess[:m, j] += dots
-            w -= dots @ basis[:m]
-        rest = hess[m, j] = _norm(w)
-        invariant = rest <= 1e-12 * before     # nothing left but roundoff
+        if m == len(basis):
+            basis = np.concatenate((basis, np.empty_like(basis)))
+        w = basis[m]
+        np.multiply(op.solve_shifted(gamma, unscale * basis[j]), scale, out=w)
+        # classical Gram-Schmidt, twice: two matrix-vector products a pass; the
+        # first product runs over row m, w itself, too, and so gives |w|^2
+        dots = basis[:m + 1] @ w
+        w -= dots[:m] @ basis[:m]
+        again = basis[:m] @ w
+        w -= again @ basis[:m]
+        diag[j] = dots[j] + again[j]
+        rest = sub[j] = _norm(w)
+        invariant = rest <= 1e-12 * math.sqrt(dots[m])     # nothing left but roundoff
         if m % 2 == 0 or invariant:
-            # eigh reads only the lower triangle: the tridiagonal part of H
-            theta, q = np.linalg.eigh(hess[:m, :m])
+            # the wrapper wants at least one sub-diagonal entry, which m = 1 ignores
+            theta, q, info = dstev(diag[:m], sub[:max(m - 1, 1)])
+            if info != 0:
+                raise NumericError(f"tridiagonal eigensolve failed: LAPACK stev info={info}")
             coef = beta * (q @ (np.exp((t / gamma) * (1.0 - 1.0 / theta)) * q[0]))
             out = coef @ basis[:m]
             out *= unscale
             out += steady
-            if invariant or (prev is not None and np.max(np.abs(out - prev))
-                             <= tol * np.max(np.abs(out))):
+            if invariant:
                 return out
+            if prev is not None:
+                # max |out - prev| <= tol max |out|, with no temporaries
+                prev -= out
+                if max(prev.max(), -prev.min()) <= tol * max(out.max(), -out.min()):
+                    return out
             prev = out
-        if m == len(basis):
-            basis = np.concatenate((basis, np.empty_like(basis)))
-        np.divide(w, rest, out=basis[m])
+        w /= rest
     raise NumericError(f"Krylov basis reached {_KRYLOV_CAP} vectors without converging")
 
 
@@ -507,11 +562,18 @@ def _flow(op: DiffusionOperator, v: np.ndarray, t: float, tol: float, scheme: st
 
 
 def kernel_column(op: DiffusionOperator, y_index: int, t: float, tol: float = 1e-6) -> Field:
-    """Evolve a unit-mass discrete delta at node ``y_index``: a kernel probe."""
+    """Evolve a unit-mass discrete delta at node ``y_index``: a kernel probe.
+
+    The node must be free: a Dirichlet node keeps its value, so a spike there
+    would evolve into the Dirichlet steady state, not a kernel.
+    """
     if not 0.0 < t < math.inf:
         raise ConfigError(f"kernel probe needs finite t > 0, got {t}")
     if not 0 <= y_index < op.grid.nodes:
         raise ConfigError(f"node index {y_index} out of range")
+    if y_index not in range(op.grid.nodes)[op.free]:
+        raise ConfigError(f"node index {y_index} is a Dirichlet node; a kernel probe "
+                          "needs a free node")
     spike = np.zeros(op.grid.nodes)
     spike[y_index] = 1.0 / op.volumes[y_index]
     return apply_semigroup(op, Field(op.grid, spike), t, tol=tol)

@@ -375,14 +375,16 @@ class TestLapackLoader:
         src = Path(semigroup.__file__).resolve().parent.parent
         code = (f"import {first}\n"
                 "import degenheat.semigroup as s, scipy.linalg.lapack as lapack\n"
-                "print(s.dpttrf is lapack.dpttrf, s.dpttrs is lapack.dpttrs)")
+                "print(s.dpttrf is lapack.dpttrf, s.dpttrs is lapack.dpttrs,"
+                " s.dstev is lapack.dstev)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True,
                              timeout=60)
-        assert out.stdout.split() == ["True", "True"]
+        assert out.stdout.split() == ["True", "True", "True"]
 
     def test_falls_back_to_public_module(self, monkeypatch, tmp_path):
-        public = (scipy.linalg.lapack.dpttrf, scipy.linalg.lapack.dpttrs)
+        lapack = scipy.linalg.lapack
+        public = (lapack.dpttrf, lapack.dpttrs, lapack.dstev)
         asked = []
 
         class NoSpec:
@@ -454,6 +456,7 @@ def test_solve_shifted_properties(system):
 
 
 _NORMAL = np.finfo(float).tiny   # 2^-1022
+_SMALLEST = math.ulp(0.0)        # 2^-1074
 
 
 @st.composite
@@ -518,6 +521,82 @@ def test_windowed_solve_matches_full_pttrs(system):
     assert np.all(np.abs(full[outside]) < _NORMAL)
     assert np.array_equal(x[_dirichlet(op)], rhs[_dirichlet(op)])
     assert np.max(np.abs(free - full)) <= 4.0 * _NORMAL
+
+
+def _reference_window(factors, b):
+    """``_Factors.window`` as it was before its end-row scan, which finds the
+    support with one mask over every row: the oracle of the scan."""
+    n = b.size
+    floor = factors.floor
+    if not factors.windowed or (abs(b[0]) >= floor and abs(b[-1]) >= floor):
+        return 0, n - 1
+    size = np.abs(b)
+    normal = (size >= floor).tobytes()
+    s, t = normal.find(1), normal.rfind(1)
+    if s < 0:
+        return n, -1
+    if factors.drop is None:
+        factors._sum_drops()
+    rest = max(size[:s].max(initial=0.0), size[t + 1:].max(initial=0.0)) / floor
+    reach = factors.reach + math.log(t - s + 1) - math.log1p(-rest)
+    drop = factors.drop
+    if ((s == 0 or reach + math.log(size[s]) - drop[s] >= 1.0)
+            and (t == n - 1 or reach + math.log(size[t]) + drop[t] - drop[-1] >= 1.0)):
+        return 0, n - 1
+    logs = size[s:t + 1]
+    np.log(np.maximum(logs, floor, out=logs), out=logs)
+    span = drop[s:t + 1]
+    right = reach + float(np.add(logs, span).max())
+    left = reach + float(np.subtract(logs, span, out=logs).max())
+    hi = int(drop.searchsorted(right, side="right")) - 1
+    lo = int(drop.searchsorted(-left, side="left"))
+    return min(lo, s), max(hi, t)
+
+
+@st.composite
+def end_padded_rows(draw):
+    """The factors of a ``shifted_systems`` draw and signed free-row data whose
+    ends, one or both, hold runs of exact zeros, subnormals and values below
+    the window's floor: runs within the end-row scan, runs past it, and data
+    with no entry above the floor at all."""
+    op, c, _, hi = draw(shifted_systems())
+    factors = op._factor(c)
+    n = factors.d.size
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = hi[op.free] * op.volumes[op.free] * rng.choice([-1.0, 1.0], n)
+    # the entries next to a run are often just above the floor, where the
+    # window can be narrower than every row
+    b[rng.random(n) < 0.3] = factors.floor * 10.0 ** rng.uniform(0.0, 30.0)
+    scan = semigroup._END_ROWS
+
+    def run(length):
+        kind = rng.integers(0, 3, length)
+        tiny = np.where(kind == 0, 0.0,
+                        np.where(kind == 1, _SMALLEST * rng.integers(1, 2 ** 52, length),
+                                 factors.floor * rng.random(length)))
+        return tiny * rng.choice([-1.0, 1.0], length)
+
+    ends = draw(st.sampled_from(["head", "tail", "both", "all"]))
+    if ends == "all":
+        b = run(n)
+    if ends in ("head", "both"):
+        k = min(draw(st.integers(1, 2 * scan + 1)), n)
+        b[:k] = run(k)
+    if ends in ("tail", "both"):
+        k = min(draw(st.integers(1, 2 * scan + 1)), n)
+        b[n - k:] = run(k)
+    return factors, b
+
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(end_padded_rows())
+def test_window_matches_the_full_scan(rows):
+    factors, b = rows
+    expected = _reference_window(factors, b.copy())
+    before = b.copy()
+    assert factors.window(b) == expected
+    assert np.array_equal(b, before)
 
 
 def test_window_of_a_huge_shift_is_the_whole_grid():
@@ -913,6 +992,62 @@ def test_criterion_3_probe_solves(monkeypatch):
     assert solves == [18, 18, 20, 20, 20, 20, 20, 20]
 
 
+def test_criterion_4_chain_solves(monkeypatch):
+    # recorded basis sizes of the criterion-4 chains at alpha = 0.5, one list
+    # per rho: the work per decay fit
+    g = line_grid(4000.0, 12001)
+    op = build_operator(g, axis_weight(0.5))
+    count = _count_solves(monkeypatch)
+    chains = []
+    for rho in (0.25, 0.5, 0.75):
+        state, prev, solves = InitialProfile("power_tail", 1.0, rho=rho).realize(g), 0.0, []
+        for t in np.geomspace(4e3, 4.8e4, 12):
+            count[0] = 0
+            state = apply_semigroup(op, state, t - prev, tol=1e-5)
+            prev = t
+            solves.append(count[0])
+        chains.append(solves)
+    tail = [8, 6, 8] + [6] * 8
+    assert chains == [[14] + tail, [16] + tail, [16] + tail]
+
+
+# Hashes every kernel probe of criterion 3 and every state of the decay-probe
+# chain (its CLI defaults) on 2001-node lines.
+_PROBE_DIGEST = """
+import hashlib
+import numpy as np
+from degenheat.grids import Geometry, GridSpec, InitialProfile
+from degenheat.semigroup import apply_semigroup, build_operator, kernel_column
+from degenheat.weight import WeightCase, WeightSpec
+
+weight = WeightSpec(WeightCase.AXIS_POWER, 0.5, 1)
+digest = hashlib.sha256()
+op = build_operator(GridSpec(Geometry.LINE, 40.0, 2001), weight)
+for t in np.geomspace(0.5, 5.0, 8):
+    digest.update(kernel_column(op, 1000, t, tol=1e-6).values.tobytes())
+grid = GridSpec(Geometry.LINE, 120.0, 2001)
+op = build_operator(grid, weight)
+state, prev = InitialProfile("power_tail", 1.0, rho=0.5).realize(grid), 0.0
+for t in np.geomspace(5.0, 80.0, 16):
+    state = apply_semigroup(op, state, t - prev, tol=1e-5)
+    prev = t
+    digest.update(state.values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_probes_do_not_depend_on_the_blas_threads():
+    # The Krylov products run through BLAS, which may split a product between
+    # threads; on these grids the probes' bits must not depend on how many.
+    src = Path(semigroup.__file__).resolve().parent.parent
+    digests = [subprocess.run([sys.executable, "-c", _PROBE_DIGEST], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src),
+                                   "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert digests[0] and digests[0] == digests[1]
+
+
 class TestKernelColumn:
     def test_mass_one(self):
         g = line_grid(25.0, 1001)
@@ -936,6 +1071,18 @@ class TestKernelColumn:
             kernel_column(op, 0, 0.0)
         with pytest.raises(ConfigError):
             kernel_column(op, 99, 1.0)
+        # a spike on a Dirichlet node would evolve into the steady ramp, not a
+        # kernel: both ends of a line, the outer end of a radial grid
+        line = build_operator(line_grid(10.0, 201), axis_weight(0.5))
+        for node in (0, 200):
+            with pytest.raises(ConfigError, match=f"node index {node} is a Dirichlet node"):
+                kernel_column(line, node, 1.0)
+        radial = build_operator(radial_grid(10.0, 101, 2), radial_weight(0.5, 2))
+        with pytest.raises(ConfigError, match="node index 100 is a Dirichlet node"):
+            kernel_column(radial, 100, 1.0)
+        # the nodes next to them, and the reflecting centre, are free
+        for probe_op, node in ((line, 1), (line, 199), (radial, 0), (radial, 99)):
+            assert kernel_column(probe_op, node, 1.0).sup() < 1.0
 
 
 class TestSemigroupDefect:
