@@ -2,13 +2,10 @@
 u_t - div(omega(x) grad u) = sum_i h_i(t) f_i(u)."""
 
 from .errors import ConfigError, NumericError
-from .weight import (ScaleFunction, WeightCase, WeightSpec, doubling_defect,
-                     eval_weight, h_ball, h_ball_inverse)
-from .grids import (Field, Geometry, GridSpec, InitialProfile, constant_field,
-                    gaussian_field, power_tail_field)
-from .semigroup import (DiffusionOperator, apply_semigroup, boundary_leak,
-                        build_operator, kernel_column, semigroup_defect,
-                        smoothing_norm_check)
+from .weight import WeightCase, WeightSpec
+from .grids import Field, Geometry, GridSpec, InitialProfile
+from .semigroup import (DiffusionOperator, apply_semigroup, build_operator,
+                        kernel_column, semigroup_defect)
 from .dynamics import (ComparisonReport, ForcingTerm, IterateReport, Nonlinearity,
                        SimConfig, SimResult, TimeProfile, compare_runs,
                        monotone_iterates, simulate)

@@ -23,14 +23,24 @@ from .semigroup import apply_semigroup, build_operator, kernel_column
 from .weight import WeightCase, WeightSpec
 
 
+def _integer(key: str, value) -> int:
+    """A config's integer field: 1601 and 1601.0 pass, where int() would
+    truncate 41.7 to 41 and read true as 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def parse_weight(obj: dict) -> WeightSpec:
     return WeightSpec(WeightCase(obj["case"]), float(obj["alpha"]),
-                      int(obj.get("dim", 1)))
+                      _integer("dim", obj.get("dim", 1)))
 
 
 def parse_grid(obj: dict) -> GridSpec:
     return GridSpec(Geometry(obj["geometry"]), float(obj["extent"]),
-                    int(obj["nodes"]), int(obj.get("dim", 1)))
+                    _integer("nodes", obj["nodes"]), _integer("dim", obj.get("dim", 1)))
 
 
 def parse_profile(obj: dict) -> TimeProfile:

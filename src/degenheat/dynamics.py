@@ -98,11 +98,6 @@ class TimeProfile:
     def is_zero(self) -> bool:
         return self.value == 0.0
 
-    def __call__(self, t: float) -> float:
-        if t > 0:
-            return self.value * t ** self.exponent
-        return self.value if self.exponent == 0 else 0.0
-
     def primitive(self, t: float) -> float:
         """Closed-form integral over [0, t]; ``math.inf`` past the float range."""
         if t < 0.0:

@@ -126,21 +126,6 @@ class Field:
     def mass(self) -> float:
         return volume_sum(self.values, self.grid.node_volumes())
 
-    def window_mass(self, radius: float) -> float:
-        """Mass restricted to nodes within ``radius`` of the degeneracy center."""
-        if not radius >= 0.0:
-            raise ConfigError(f"window radius must be >= 0, got {radius}")
-        inside = self.grid.radii() <= radius
-        return volume_sum(self.values[inside], self.grid.node_volumes()[inside])
-
-    def lq_norm(self, q: float) -> float:
-        if q == math.inf:
-            return self.sup()
-        if not q >= 1:
-            raise ConfigError(f"Lq norm needs q >= 1, got {q}")
-        w = self.grid.node_volumes()
-        return volume_sum(np.abs(self.values) ** q, w) ** (1.0 / q)
-
 
 @dataclass(frozen=True)
 class InitialProfile:
@@ -190,15 +175,3 @@ class InitialProfile:
         else:
             vals = self.amplitude * (1.0 + r) ** (-self.rho)
         return Field(grid, vals)
-
-
-def gaussian_field(grid: GridSpec, amplitude=1.0, sigma=1.0) -> Field:
-    return InitialProfile("gaussian", amplitude, sigma).realize(grid)
-
-
-def constant_field(grid: GridSpec, value: float) -> Field:
-    return InitialProfile("constant", value).realize(grid)
-
-
-def power_tail_field(grid: GridSpec, rho: float, amplitude=1.0) -> Field:
-    return InitialProfile("power_tail", amplitude, rho=rho).realize(grid)

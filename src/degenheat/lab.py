@@ -380,22 +380,6 @@ def points_to_csv(points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def points_to_json(points) -> list:
-    return [
-        {
-            "axis1": pt.axis_values[0] if pt.axis_values else None,
-            "axis2": pt.axis_values[1] if len(pt.axis_values) > 1 else None,
-            "classification": pt.classification,
-            "t_star": pt.t_star,
-            "horizon": pt.horizon,
-            "index_I": None if pt.index_I is None
-            else ("inf" if math.isinf(pt.index_I) else pt.index_I),
-            "certificate_tau": pt.certificate_tau,
-        }
-        for pt in points
-    ]
-
-
 _CLASS_COLORS = {"BlowUp": "#c0392b", "GlobalLike": "#2d72b8", "Undetermined": "#95a5a6"}
 # SVG layout in pixels: the side of one sweep cell, and the margin around the map
 _CELL = 40

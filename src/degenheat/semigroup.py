@@ -593,30 +593,3 @@ def semigroup_defect(op: DiffusionOperator, u0: Field, t: float, s: float,
     composed = apply_semigroup(op, first, t - s, n_steps=n_steps, scheme=scheme)
     denom = max(direct.sup(), _TINY)
     return float(np.max(np.abs(composed.values - direct.values))) / denom
-
-
-def smoothing_norm_check(op: DiffusionOperator, u0: Field, t: float,
-                         q1: float, q2: float) -> float:
-    """Ratio ||S(t)u0||_{q2} / (t^{-(N/(2-a))(1/q1-1/q2)} ||u0||_{q1}).
-
-    Bounded over a time decade when the L^{q1}->L^{q2} smoothing estimate
-    holds at the discrete level.
-    """
-    if not (1 <= q1 <= q2):
-        raise ConfigError(f"need 1 <= q1 <= q2, got ({q1}, {q2})")
-    if t <= 0.0:
-        raise ConfigError(f"need t > 0, got {t}")
-    evolved = apply_semigroup(op, u0, t, tol=1e-6)
-    inv_q1 = 0.0 if q1 == math.inf else 1.0 / q1
-    inv_q2 = 0.0 if q2 == math.inf else 1.0 / q2
-    n_over = op.weight.dim / op.weight.scaling_exponent
-    rate = t ** (-n_over * (inv_q1 - inv_q2))
-    denom = rate * max(u0.lq_norm(q1), _TINY)
-    return evolved.lq_norm(q2) / denom
-
-
-def boundary_leak(u: Field) -> float:
-    """Largest boundary value relative to the sup norm (domain-truncation monitor)."""
-    vals = np.abs(u.values)
-    edge = vals[-1] if u.grid.geometry is Geometry.RADIAL else max(vals[0], vals[-1])
-    return float(edge / max(vals.max(), _TINY))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import degenheat.semigroup as semigroup
-from degenheat.grids import Geometry, GridSpec
+from degenheat.grids import Field, Geometry, GridSpec, InitialProfile
 from degenheat.weight import WeightCase, WeightSpec
 
 
@@ -23,6 +23,18 @@ def axis_weight(alpha: float, dim: int = 1) -> WeightSpec:
 
 def radial_weight(alpha: float, dim: int = 1) -> WeightSpec:
     return WeightSpec(WeightCase.RADIAL_POWER, alpha, dim)
+
+
+def gaussian_field(grid: GridSpec, amplitude=1.0, sigma=1.0) -> Field:
+    return InitialProfile("gaussian", amplitude, sigma).realize(grid)
+
+
+def constant_field(grid: GridSpec, value: float) -> Field:
+    return InitialProfile("constant", value).realize(grid)
+
+
+def power_tail_field(grid: GridSpec, rho: float, amplitude=1.0) -> Field:
+    return InitialProfile("power_tail", amplitude, rho=rho).realize(grid)
 
 
 @pytest.fixture

@@ -395,6 +395,43 @@ class TestExitCodes:
             cfg = write_json(tmp_path / "sim.json", {**SIM_CONFIG, field: value})
             assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command, fault, field, value", [
+        ("simulate", {"grid": {**SIM_CONFIG["grid"], "nodes": 201.5}}, "nodes", 201.5),
+        ("simulate", {"weight": {**SIM_CONFIG["weight"], "dim": 1.9}}, "dim", 1.9),
+        ("sweep", {"grid": {**SWEEP_CONFIG["grid"], "nodes": 41.7}}, "nodes", 41.7),
+        ("sweep", {"grid": {**SWEEP_CONFIG["grid"], "nodes": True}}, "nodes", True),
+        ("sweep", {"grid": {**SWEEP_CONFIG["grid"], "nodes": float("inf")}}, "nodes",
+         float("inf")),
+        ("sweep", {"grid": {**SWEEP_CONFIG["grid"], "nodes": "5"}}, "nodes", "5"),
+        ("sweep", {"escalation": [{"horizon": 5.0,
+                                   "grid": {**SWEEP_CONFIG["grid"], "nodes": 9.5}}]},
+         "nodes", 9.5),
+        ("sweep", {"weight": {**SWEEP_CONFIG["weight"], "dim": 1.9}}, "dim", 1.9),
+    ])
+    def test_integer_fields_take_only_integers(self, tmp_path, capsys, command, fault,
+                                               field, value):
+        # int() would truncate 41.7 to 41 nodes and read true as 1
+        base = SIM_CONFIG if command == "simulate" else SWEEP_CONFIG
+        cfg = write_json(tmp_path / "bad.json", {**base, **fault})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"config error: {field} must be an integer, got {value!r}\n"
+
+    def test_integral_floats_run_as_integers(self, tmp_path, capsys):
+        # 5.0 nodes is 5 nodes: the same CSV as the integer
+        csvs = []
+        for nodes in (5, 5.0):
+            cfg = write_json(tmp_path / "sweep.json",
+                             {**SWEEP_CONFIG, "grid": {**SWEEP_CONFIG["grid"], "nodes": nodes},
+                              "weight": {**SWEEP_CONFIG["weight"], "dim": 1.0}})
+            out = tmp_path / f"sweep_{nodes}.csv"
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+            csvs.append(out.read_text())
+        assert csvs[0] == csvs[1]
+
     def test_bad_probe_times(self, capfd):
         # checked before any probe runs: no LAPACK message, no rows, the times named
         for times in ("-1,2", "1,1,1", "0.5,1,1,2", "inf", "nan,1"):

@@ -18,7 +18,7 @@ from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Geometry, InitialProfile
 from degenheat.lab import (EscalationLevel, RunSpec, SweepSpec, apply_axis,
                            classify_point, default_escalation, points_to_csv,
-                           points_to_json, run_sweep, sweep_svg)
+                           run_sweep, sweep_svg)
 
 from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
@@ -329,21 +329,19 @@ class TestRunSweep:
         assert run_sweep(one, 64) == run_sweep(one, 1)
         assert started == [2]
 
-    def test_csv_json_roundtrip(self):
+    def test_csv_roundtrip(self):
         points = run_sweep(self._spec(), 1)
         rows = points_to_csv(points).strip().split("\n")[1:]
-        objs = points_to_json(points)
-        assert len(rows) == len(objs)
-        for row, obj in zip(rows, objs):
+        assert len(rows) == len(points)
+        for row, pt in zip(rows, points):
             ax1, ax2, cls, t_star, horizon, index_i, tau = row.split(",")
-            assert float(ax1) == obj["axis1"]
-            assert ax2 == "" and obj["axis2"] is None
-            assert cls == obj["classification"]
+            assert (float(ax1),) == pt.axis_values and ax2 == ""
+            assert cls == pt.classification
             if t_star:
-                assert float(t_star) == pytest.approx(obj["t_star"], rel=1e-9)
+                assert float(t_star) == pytest.approx(pt.t_star, rel=1e-9)
             else:
-                assert obj["t_star"] is None
-            assert float(horizon) == obj["horizon"]
+                assert pt.t_star is None
+            assert float(horizon) == pt.horizon
 
     def test_two_axis_ordering(self):
         spec = SweepSpec(base_run(), (("p", [2.0, 3.0]), ("amplitude", [1.0, 2.0])),
