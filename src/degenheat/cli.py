@@ -33,22 +33,35 @@ def _integer(key: str, value) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def _number(key: str, value) -> float:
+    """A config's number field: 60 passes as 60.0, where float() would also
+    read true as 1.0 and "0.01" as 0.01.  NaN and infinities pass, to the
+    checks of the spec that reads them, and so does an integer past the float
+    range, as the infinity json makes of a float literal such as 1e400."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def parse_weight(obj: dict) -> WeightSpec:
-    return WeightSpec(WeightCase(obj["case"]), float(obj["alpha"]),
+    return WeightSpec(WeightCase(obj["case"]), _number("alpha", obj["alpha"]),
                       _integer("dim", obj.get("dim", 1)))
 
 
 def parse_grid(obj: dict) -> GridSpec:
-    return GridSpec(Geometry(obj["geometry"]), float(obj["extent"]),
+    return GridSpec(Geometry(obj["geometry"]), _number("extent", obj["extent"]),
                     _integer("nodes", obj["nodes"]), _integer("dim", obj.get("dim", 1)))
 
 
 def parse_profile(obj: dict) -> TimeProfile:
     kind = obj["kind"]
     if kind == "power":
-        return TimeProfile.power(float(obj["exponent"]))
+        return TimeProfile.power(_number("exponent", obj["exponent"]))
     if kind == "constant":
-        return TimeProfile.constant(float(obj.get("value", 1.0)))
+        return TimeProfile.constant(_number("value", obj.get("value", 1.0)))
     if kind == "zero":
         return TimeProfile.zero()
     raise ConfigError(f"unknown time profile kind {kind!r}")
@@ -59,13 +72,14 @@ def parse_forcings(items) -> tuple:
     for obj in items:
         nl = obj["nonlinearity"]
         out.append(ForcingTerm(parse_profile(obj["profile"]),
-                               Nonlinearity(nl["kind"], float(nl["exponent"]))))
+                               Nonlinearity(nl["kind"], _number("exponent", nl["exponent"]))))
     return tuple(out)
 
 
 def parse_initial(obj: dict) -> InitialProfile:
-    return InitialProfile(obj["kind"], float(obj.get("amplitude", 1.0)),
-                          float(obj.get("sigma", 1.0)), float(obj.get("rho", 0.5)))
+    return InitialProfile(obj["kind"], _number("amplitude", obj.get("amplitude", 1.0)),
+                          _number("sigma", obj.get("sigma", 1.0)),
+                          _number("rho", obj.get("rho", 0.5)))
 
 
 def parse_run_spec(obj: dict, tol: float = 1e-2) -> RunSpec:
@@ -75,17 +89,24 @@ def parse_run_spec(obj: dict, tol: float = 1e-2) -> RunSpec:
         grid=parse_grid(obj["grid"]),
         forcings=parse_forcings(obj.get("forcings", [])),
         profile=parse_initial(obj["u0"]),
-        blowup_threshold=float(obj.get("blowup_threshold", 1e8)),
-        tol=float(obj.get("tol", tol)),
+        blowup_threshold=_number("blowup_threshold", obj.get("blowup_threshold", 1e8)),
+        tol=_number("tol", obj.get("tol", tol)),
         diffusionless=obj.get("diffusionless", False),
     )
 
 
+def _axis(obj: dict) -> tuple:
+    name, values = obj["name"], obj["values"]
+    if not isinstance(values, list):
+        raise ConfigError(f"axis {name!r} values must be a list, got {values!r}")
+    return name, [_number(f"axis {name!r} value", v) for v in values]
+
+
 def parse_sweep_spec(obj: dict) -> SweepSpec:
-    axes = tuple((ax["name"], list(map(float, ax["values"]))) for ax in obj["axes"])
+    axes = tuple(map(_axis, obj["axes"]))
     if "escalation" in obj:
         escalation = tuple(
-            EscalationLevel(float(lv["horizon"]),
+            EscalationLevel(_number("horizon", lv["horizon"]),
                             parse_grid(lv["grid"]) if "grid" in lv else None)
             for lv in obj["escalation"])
     else:
@@ -103,7 +124,7 @@ def _load(path: str) -> dict:
 
 def cmd_simulate(args) -> int:
     obj = _load(args.config)
-    result = simulate(parse_run_spec(obj, tol=1e-3).config(float(obj["horizon"])))
+    result = simulate(parse_run_spec(obj, tol=1e-3).config(_number("horizon", obj["horizon"])))
     text = result.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -131,7 +152,7 @@ def cmd_sweep(args) -> int:
 def cmd_criteria(args) -> int:
     obj = _load(args.config)
     run = parse_run_spec(obj, tol=1e-3)
-    horizon = float(obj.get("horizon", 100.0))
+    horizon = _number("horizon", obj.get("horizon", 100.0))
     trace = linear_trace(run, horizon, run.grid)
     report = crit.evaluate(trace, list(run.forcings), run.weight)
     witness_t = crit.horizon_witness(trace, run.forcings, horizon)

@@ -45,10 +45,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .grids import Field, GridSpec, volume_sum
-from .semigroup import build_operator, fold, unfold
+from .semigroup import _NORMAL, _TINY, build_operator, fold, unfold
 from .weight import WeightSpec
 
-_TINY = 1e-300
 # Step floor: a step this small is never halved, and runaway growth at it is
 # blow-up.  Past t ~ 1e3 the floor is 8 ulp(t) instead, so the clock still moves.
 _DT_FLOOR = 1e-12
@@ -64,7 +63,6 @@ _PANEL_STEPS = 8
 _HALF_ULP_SHARE = 2.0 ** -56
 # theta never exceeds this: below it, (1 + u) <= 1.001 bounds the log_power terms.
 _SKIP_CAP = 1e-3
-_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -287,7 +285,7 @@ def _source_rows(live, u) -> slice:
         # a share >= 1 has a root >= 1 > _SKIP_CAP; a float power of it may overflow
         if share < 1.0:
             theta = min(theta, share ** (1.0 / (nonlinearity.exponent - 1.0)))
-    if not theta >= _NORMAL_MIN:
+    if not theta >= _NORMAL:
         return slice(None)
     # find and rfind scan the mask's bytes in C for the first and last 0, a moved
     # node; "not <=", so that a NaN node is evaluated, as in the exact sum

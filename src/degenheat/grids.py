@@ -16,7 +16,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .weight import WeightCase, WeightSpec, _sphere_area
+from .weight import WeightCase, WeightSpec
+
+
+def _sphere_area(n: int) -> float:
+    """Surface area of the unit sphere in R^n."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 class Geometry(Enum):

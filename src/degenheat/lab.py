@@ -299,6 +299,8 @@ class SweepSpec:
             if name not in AXIS_NAMES:
                 raise ConfigError(f"unknown sweep axis {name!r}")
             vals = list(values)
+            if not vals:
+                raise ConfigError(f"axis {name!r} needs at least one value")
             if not all(map(math.isfinite, vals)):
                 raise ConfigError(f"axis {name!r} values must be finite")
             if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -430,7 +432,7 @@ def sweep_svg(spec: SweepSpec, points) -> str:
 
 def _axis_boundary(spec: SweepSpec, name1: str, vals1):
     """Pixel x of the analytic critical value on the first axis, if crossed."""
-    if name1 not in ("p", "q") or not vals1:
+    if name1 not in ("p", "q"):
         return None
     _, _, r, s = family_exponents(spec.base.forcings)
     p_star, q_star = fujita_exponents(spec.base.weight.alpha, spec.base.weight.dim, r, s)

@@ -84,7 +84,7 @@ last free row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
@@ -92,8 +92,8 @@ from importlib.util import find_spec, module_from_spec
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .grids import Field, Geometry, GridSpec
-from .weight import WeightCase, WeightSpec, _sphere_area
+from .grids import Field, Geometry, GridSpec, _sphere_area, volume_sum
+from .weight import WeightCase, WeightSpec
 
 _TINY = 1e-300
 # The smallest normal float 2^-1022 and the smallest subnormal 2^-1074; the
@@ -142,42 +142,34 @@ def _load_lapack():
 dpttrf, dpttrs, dstev = _load_lapack()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DiffusionOperator:
     """Finite-volume form of div(omega grad .): node volumes, face conductances.
 
-    The free rows' face sums K_{i-1} + K_i, their V and the K of the faces
-    between them, and min V are kept with the arrays, so a factorisation
-    assembles only its shift's two bands.  Equality and hashing go by
-    identity: each operator owns the factors of its latest shift.
+    ``free`` is the slice of rows that are not Dirichlet rows: all but the
+    outer end radially, all but both ends on a line.  The free rows' face sums
+    K_{i-1} + K_i, their V and the K of the faces between them are kept with
+    the arrays, so a factorisation assembles only its shift's two bands, and
+    so is the window floor max(2^-1022 min V, 2^-1074).  Equality and hashing
+    go by identity: ``_factors`` holds the factors of the latest shift.
     """
 
     grid: GridSpec
     weight: WeightSpec
     volumes: np.ndarray       # V, the grid's node volumes, length M
     conductances: np.ndarray  # K, one per face between nodes i and i+1, length M-1
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
-    _face_sums: np.ndarray = field(init=False, repr=False)
-    _free_volumes: np.ndarray = field(init=False, repr=False)
-    _free_faces: np.ndarray = field(init=False, repr=False)
-    _min_volume: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        k, rows = self.conductances, self.free
+        k = self.conductances
+        self.free = rows = slice(0 if self.grid.geometry is Geometry.RADIAL else 1, -1)
         sums = np.add(k[:-1], k[1:])
         if rows.start == 0:     # K_{-1} = 0 at the reflecting centre
             sums = np.concatenate((k[:1], sums))
-        object.__setattr__(self, "_face_sums", sums)
-        object.__setattr__(self, "_free_volumes", self.volumes[rows])
-        # K[rows] are the faces between free rows
-        object.__setattr__(self, "_free_faces", k[rows])
-        object.__setattr__(self, "_min_volume", float(self._free_volumes.min()))
-
-    @property
-    def free(self) -> slice:
-        """The rows that are not Dirichlet rows: all but the outer end radially,
-        all but both ends on a line."""
-        return slice(0 if self.grid.geometry is Geometry.RADIAL else 1, -1)
+        self._face_sums = sums
+        self._free_volumes = self.volumes[rows]
+        self._free_faces = k[rows]      # the faces between free rows
+        self._floor = max(_NORMAL * float(self._free_volumes.min()), _SMALLEST)
+        self._factors: _Factors | None = None
 
     @cached_property
     def half(self) -> "DiffusionOperator | None":
@@ -218,14 +210,14 @@ class DiffusionOperator:
         """
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
-        factors = self._factors.get(c)
-        if factors is None:
+        factors = self._factors
+        if factors is None or factors.c != c:
             factors = self._factor(c)
         x = rhs * (self.volumes if rhs.ndim == 1 else self.volumes[:, None])
         # x_b = rhs_b, and c K rhs_b moves to the right-hand side of b's free neighbour
         x[-1] = rhs[-1]
         x[-2] += factors.couple_hi * rhs[-1]
-        rows = factors.rows
+        rows = self.free
         if rows.start:
             x[0] = rhs[0]
             x[1] += factors.couple_lo * rhs[0]
@@ -261,10 +253,8 @@ class DiffusionOperator:
         d, e[:m], info = dpttrf(d, e[:m], overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NumericError(f"tridiagonal factorisation failed: LAPACK pttrf info={info}")
-        self._factors.clear()
         k = self.conductances
-        self._factors[c] = factors = _Factors(d, e, c, float(k[0]), float(k[-1]), self.free,
-                                              self._min_volume)
+        self._factors = factors = _Factors(d, e, c, float(k[0]), float(k[-1]), self._floor)
         return factors
 
 
@@ -273,20 +263,18 @@ class _Factors:
 
     ``d`` holds the pivots D and ``e`` the multipliers l_i = L[i+1, i], then
     a spare 0.  ``couple_lo`` and ``couple_hi`` are c K on the faces next to
-    the Dirichlet rows, ``rows`` the free rows.  The window bound's
-    ``reach`` log Q + slack - log 2^-1022 and ``floor`` 2^-1022 min V are
-    computed with the factors; ``drop`` = -P, the negated prefix sums of the
-    module docstring, on the first windowed solve.  c <= 0, or a multiplier
-    that rounds to modulus 1, has no window.
+    the Dirichlet rows.  The window bound's ``reach`` log Q + slack -
+    log 2^-1022 is computed with the factors, and its ``floor`` is the
+    operator's; ``drop`` = -P, the negated prefix sums of the module
+    docstring, on the first windowed solve.  c <= 0, or a multiplier that
+    rounds to modulus 1, has no window.
     """
 
-    __slots__ = ("d", "e", "rows", "couple_lo", "couple_hi", "windowed", "reach", "floor",
-                 "drop")
+    __slots__ = ("d", "e", "c", "couple_lo", "couple_hi", "windowed", "reach", "floor", "drop")
 
     def __init__(self, d: np.ndarray, e: np.ndarray, c: float, k_lo: float, k_hi: float,
-                 rows: slice, min_volume: float):
-        self.d, self.e = d, e
-        self.rows = rows
+                 floor: float):
+        self.d, self.e, self.c = d, e, c
         self.couple_lo, self.couple_hi = c * k_lo, c * k_hi
         # For c > 0 every multiplier lies in [-r, 0], with r < 1 unless it rounds up
         n = d.size
@@ -294,7 +282,7 @@ class _Factors:
         terms = n if r * r >= 1.0 - 1.0 / n else 1.0 / (1.0 - r * r)
         self.windowed = c > 0.0 and r < 1.0
         self.reach = _LOG_SLACK + math.log(terms / float(d.min())) - _LOG_NORMAL
-        self.floor = max(_NORMAL * min_volume, _SMALLEST)
+        self.floor = floor
         self.drop = None
 
     def _sum_drops(self) -> None:
@@ -414,9 +402,7 @@ def _step(op: DiffusionOperator, values: np.ndarray, dt: float, scheme: str) -> 
 
 
 def _norm(v: np.ndarray) -> float:
-    # einsum, not BLAS: a threaded BLAS call on an M-vector costs more than it
-    # does, and its sum depends on the number of threads
-    return math.sqrt(np.einsum("i,i->", v, v))
+    return math.sqrt(volume_sum(v, v))
 
 
 def _dirichlet_steady_state(op: DiffusionOperator, u: np.ndarray) -> np.ndarray:

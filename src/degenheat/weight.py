@@ -8,7 +8,6 @@ keeps the associated heat kernel two-sided bounds valid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,11 +17,6 @@ from .errors import ConfigError
 class WeightCase(Enum):
     AXIS_POWER = "axis_power"
     RADIAL_POWER = "radial_power"
-
-
-def _sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 @dataclass(frozen=True)

@@ -432,6 +432,54 @@ class TestExitCodes:
             csvs.append(out.read_text())
         assert csvs[0] == csvs[1]
 
+    @pytest.mark.parametrize("command, fault, err", [
+        ("simulate", {"tol": "0.01"}, "tol must be a number, got '0.01'"),
+        ("simulate", {"horizon": "5"}, "horizon must be a number, got '5'"),
+        ("sweep", {"grid": {**SWEEP_CONFIG["grid"], "extent": True}},
+         "extent must be a number, got True"),
+        ("sweep", {"u0": {**SWEEP_CONFIG["u0"], "amplitude": True}},
+         "amplitude must be a number, got True"),
+        ("sweep", {"axes": [{"name": "amplitude", "values": [0.5, True]}]},
+         "axis 'amplitude' value must be a number, got True"),
+        ("sweep", {"escalation": [{"horizon": "10"}]}, "horizon must be a number, got '10'"),
+        ("sweep", {"axes": [{"name": "amplitude", "values": "34"}]},
+         "axis 'amplitude' values must be a list, got '34'"),
+        ("sweep", {"axes": [{"name": "amplitude", "values": {"3": 1}}]},
+         "axis 'amplitude' values must be a list, got {'3': 1}"),
+        ("sweep", {"axes": [{"name": "amplitude", "values": []}]},
+         "axis 'amplitude' needs at least one value"),
+        ("criteria", {"horizon": "50"}, "horizon must be a number, got '50'"),
+    ])
+    def test_number_fields_take_only_numbers(self, tmp_path, capsys, command, fault, err):
+        # float() would read true as 1.0 and "0.01" as 0.01, and map(float, ...)
+        # would run a string's digits or a dict's keys as axis values
+        base = SWEEP_CONFIG if command == "sweep" else SIM_CONFIG
+        cfg = write_json(tmp_path / "bad.json", {**base, **fault})
+        out = [] if command == "criteria" else ["--out", str(tmp_path / "out.csv")]
+        assert main([command, "--config", cfg] + out) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+        assert capsys.readouterr() == ("", f"config error: {err}\n")
+
+    def test_integers_past_the_float_range_read_as_infinite(self, tmp_path, capsys):
+        # float() raises OverflowError here, which no config check caught
+        huge = json.dumps(SIM_CONFIG).replace('"extent": 20.0', '"extent": 1' + "0" * 400)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(huge)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "config error: extent must be finite and "
+                                           "positive, got inf\n")
+
+    def test_integral_numbers_run_as_floats(self, tmp_path, capsys):
+        # an extent of 60 is 60.0: the same CSV as the float
+        csvs = []
+        for extent in (60, 60.0):
+            cfg = write_json(tmp_path / "sweep.json",
+                             {**SWEEP_CONFIG, "grid": {**SWEEP_CONFIG["grid"], "extent": extent}})
+            out = tmp_path / f"sweep_{extent}.csv"
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+            csvs.append(out.read_text())
+        assert csvs[0] == csvs[1]
+
     def test_bad_probe_times(self, capfd):
         # checked before any probe runs: no LAPACK message, no rows, the times named
         for times in ("-1,2", "1,1,1", "0.5,1,1,2", "inf", "nan,1"):

@@ -277,11 +277,11 @@ class TestRunSweep:
                          default_escalation((5.0,)))
 
     def test_empty_grid_header_only(self):
-        spec = SweepSpec(base_run(), (("amplitude", []),),
-                         default_escalation((5.0,)))
-        points = run_sweep(spec, 1)
-        assert points == []
-        assert points_to_csv(points) == \
+        # an axis with no values is refused, so no sweep runs an empty grid;
+        # the CSV of no points is its header alone
+        with pytest.raises(ConfigError, match="'amplitude' needs at least one value"):
+            SweepSpec(base_run(), (("amplitude", []),), default_escalation((5.0,)))
+        assert points_to_csv([]) == \
             "axis1,axis2,classification,t_star,horizon,index_I,certificate_tau\n"
 
     def test_amplitude_monotone_blowup(self):
@@ -644,8 +644,8 @@ class TestSweepSvg:
         assert "stroke-dasharray" not in svg
 
     def test_empty_p_axis(self):
-        spec = SweepSpec(base_run(), (("p", []), ("amplitude", [1.0, 2.0])),
-                         default_escalation((5.0,)))
-        svg = sweep_svg(spec, run_sweep(spec, 1))
-        assert svg.startswith("<svg")
-        assert "stroke-dasharray" not in svg
+        # refused before any map is drawn, on either axis of two
+        for axes in ((("p", []), ("amplitude", [1.0, 2.0])),
+                     (("p", [2.0, 3.0]), ("amplitude", []))):
+            with pytest.raises(ConfigError, match="needs at least one value"):
+                SweepSpec(base_run(), axes, default_escalation((5.0,)))

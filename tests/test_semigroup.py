@@ -298,13 +298,13 @@ class TestSolveShifted:
         rhs = gaussian_field(g).values
         # repeated solves at one shift factor once
         first = [op.solve_shifted(0.1, rhs) for _ in range(3)]
-        assert len(calls) == 1 and list(op._factors) == [0.1]
+        assert len(calls) == 1 and op._factors.c == 0.1
         # a new shift replaces the slot, and going back factors again; every
         # result equals a fresh operator's bit for bit
         again = {}
         for c in (0.05, 0.1, 0.2):
             again[c] = op.solve_shifted(c, rhs)
-            assert list(op._factors) == [c]
+            assert op._factors.c == c
             fresh = build_operator(g, axis_weight(0.5))
             assert np.array_equal(again[c], fresh.solve_shifted(c, rhs))
         assert len(calls) == 4 + 3      # this operator's four, the fresh three
@@ -361,7 +361,7 @@ class TestSolveShifted:
         op = build_operator(g, axis_weight(0.0))
         with pytest.raises(NumericError):
             op.solve_shifted(-0.5, np.ones(3))
-        assert not op._factors
+        assert op._factors is None
         # pivot 1/2: (x1 - x0) + (x1 - x2) = 4 (x1 - rhs1) gives x1 = 3
         assert np.array_equal(op.solve_shifted(-0.25, np.array([1.0, 2.0, 1.0])),
                               [1.0, 3.0, 1.0])
@@ -507,7 +507,8 @@ def _full_pttrs(factors, b):
 def test_windowed_solve_matches_full_pttrs(system):
     op, c, rhs = system
     x = op.solve_shifted(c, rhs)
-    factors = op._factors[c]
+    factors = op._factors
+    assert factors.c == c
     b = _free_rhs(op, c, rhs)
     lo, hi = factors.window(b.copy())
     full, info = _full_pttrs(factors, b)
@@ -606,7 +607,8 @@ def test_window_of_a_huge_shift_is_the_whole_grid():
     rhs = np.zeros(200)
     rhs[50] = 1.0
     x = op.solve_shifted(1e14, rhs)
-    factors = op._factors[1e14]
+    factors = op._factors
+    assert factors.c == 1e14
     full, info = _full_pttrs(factors, _free_rhs(op, 1e14, rhs))
     assert info == 0 and np.count_nonzero(full) == 199
     assert np.array_equal(x[op.free], full)
@@ -647,7 +649,8 @@ def test_window_counts_the_rows_it_flushes():
     k = np.flatnonzero(op.solve_shifted(5e-6, rhs))[-1] + 1
     rhs[k] = 0.99 * _NORMAL
     x = op.solve_shifted(5e-6, rhs)
-    full, info = _full_pttrs(op._factors[5e-6], _free_rhs(op, 5e-6, rhs))
+    assert op._factors.c == 5e-6
+    full, info = _full_pttrs(op._factors, _free_rhs(op, 5e-6, rhs))
     assert info == 0 and full[k - 1] >= _NORMAL
     assert x[k] > 0.0
     assert np.all((x[1:-1] != 0.0) | (np.abs(full) < _NORMAL))
@@ -880,7 +883,7 @@ def test_half_is_the_radial_half_operator(extent, half, alpha):
     assert (op.half.grid, op.half.weight) == (radial.grid, radial.weight)
     for name in _OPERATOR_ARRAYS:
         assert np.array_equal(getattr(op.half, name), getattr(radial, name)), name
-    assert op.half._min_volume == radial._min_volume
+    assert op.half._floor == radial._floor
     even = InitialProfile("gaussian", 1.0, extent / 4.0).realize(g).values
     flow_op, rows = semigroup.fold(op, even)
     assert flow_op is op.half and np.array_equal(rows, even[half:])
