@@ -122,15 +122,19 @@ def _load(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_simulate(args) -> int:
     obj = _load(args.config)
     result = simulate(parse_run_spec(obj, tol=1e-3).config(_number("horizon", obj["horizon"])))
-    text = result.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(result.to_json() + "\n", args.out)
     return 0
 
 
@@ -139,12 +143,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep needs --workers >= 1, got {args.workers}")
     spec = parse_sweep_spec(_load(args.config))
     points = run_sweep(spec, worker_count=args.workers)
-    csv_text = points_to_csv(points)
-    with open(args.out, "w") as fh:
-        fh.write(csv_text)
+    _emit(points_to_csv(points), args.out)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(sweep_svg(spec, points))
+        _emit(sweep_svg(spec, points), args.svg)
     print(f"wrote {len(points)} points to {args.out}")
     return 0
 
@@ -213,12 +214,7 @@ def cmd_kernel_probe(args) -> int:
         else:
             slope = ""
         lines.append(f"{t:.10g},{sup:.10g},{mass:.10g},{slope}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .dynamics import ForcingTerm, Nonlinearity
+from .dynamics import ForcingTerm, Nonlinearity, _live_terms
 from .weight import WeightSpec
 
 
@@ -70,12 +70,11 @@ def blowup_certificate(sup_trace, forcings) -> float | None:
     times, sups = _as_trace(sup_trace)
     if times.size == 0:
         raise ConfigError("empty sup trace")
+    live = _live_terms(forcings)
     for tau, s in zip(times, sups):
         if tau <= 0.0 or s <= 0.0:
             continue
-        for term in forcings:
-            if term.profile.is_zero:
-                continue
+        for term in live:
             if osgood_tail(term.nonlinearity, s) <= term.profile.primitive(tau):
                 return float(tau)
     return None
@@ -133,9 +132,7 @@ def _rate_integral(times, sups, forcings, t: float) -> float:
     n = int(np.searchsorted(times, t))          # the panels with t_j < t
     edges = np.append(times[:n], t)
     total = 0.0
-    for term in forcings:
-        if term.profile.is_zero:
-            continue
+    for term in _live_terms(forcings):
         primitives = [term.profile.primitive(x) for x in edges]
         if math.isinf(primitives[-1]):
             return math.inf
@@ -161,9 +158,7 @@ def smallness_index(sup_trace, tail_envelope: DecayEnvelope, forcings,
     total = _rate_integral(times, sups, forcings, t_num)
 
     theta, c_env = tail_envelope.theta, tail_envelope.constant
-    for term in forcings:
-        if term.profile.is_zero:
-            continue
+    for term in _live_terms(forcings):
         for scale, exponent, power_of_s in _tail_exponents(term, theta):
             if exponent >= -1.0:
                 return math.inf
@@ -261,10 +256,9 @@ def growth_exponent(forcings) -> float:
     stays below (1 - (m - 1) I)^(-1/(m - 1)) exactly when (m - 1) I < 1.
     """
     m = 1.0
-    for term in forcings:
-        if not term.profile.is_zero:
-            e = term.nonlinearity.exponent
-            m = max(m, e if term.nonlinearity.kind == "power" else e + 1.0)
+    for term in _live_terms(forcings):
+        e = term.nonlinearity.exponent
+        m = max(m, e if term.nonlinearity.kind == "power" else e + 1.0)
     return m
 
 
@@ -286,8 +280,9 @@ def horizon_witness(sup_trace, forcings, t: float) -> float | None:
 
 def fujita_exponents(alpha: float, dim: int, r: float, s: float):
     """Critical powers p* and q* for the two source families."""
-    _validate_alpha(alpha)
     # "not" tests, so that NaN is rejected too
+    if not 0.0 <= alpha < 2.0:
+        raise ConfigError(f"alpha must lie in [0, 2), got {alpha}")
     if not 1 <= dim < math.inf:
         raise ConfigError(f"dim must be finite and >= 1, got {dim}")
     if not (-1.0 < r < math.inf and -1.0 < s < math.inf):
@@ -306,9 +301,7 @@ def family_exponents(forcings):
     """
     p = q = math.inf
     r = s = 0.0
-    for term in forcings:
-        if term.profile.is_zero:
-            continue
+    for term in _live_terms(forcings):
         if term.nonlinearity.kind == "power":
             p, r = term.nonlinearity.exponent, term.profile.exponent
         else:
@@ -327,11 +320,6 @@ def second_critical_exponent(alpha: float, dim: int, p: float, q: float,
         )
     return max((2.0 - alpha) * (r + 1.0) / (p - 1.0),
                (2.0 - alpha) * (s + 1.0) / (q - 1.0))
-
-
-def _validate_alpha(alpha: float):
-    if not (0.0 <= alpha < 2.0):
-        raise ConfigError(f"alpha must lie in [0, 2), got {alpha}")
 
 
 def critical_mass_growth(times, window_mass, window):
@@ -385,7 +373,7 @@ def evaluate(sup_trace, forcings, weight: WeightSpec) -> CriteriaReport:
 
     p, q, r, s = family_exponents(forcings)
     p_star = q_star = rho_star = None
-    if any(not term.profile.is_zero for term in forcings):
+    if _live_terms(forcings):
         p_star, q_star = fujita_exponents(weight.alpha, weight.dim, r, s)
         try:
             rho_star = second_critical_exponent(weight.alpha, weight.dim, p, q, r, s)

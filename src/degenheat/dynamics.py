@@ -143,7 +143,7 @@ class Nonlinearity:
         """f(u)/u, extended by continuity with value 0 at u = 0."""
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(u > 0.0, self(np.maximum(u, 0.0)) / np.where(u > 0, u, 1.0), 0.0)
+            out = np.where(u > 0.0, self(u) / np.where(u > 0, u, 1.0), 0.0)
         return out
 
 
@@ -151,6 +151,22 @@ class Nonlinearity:
 class ForcingTerm:
     profile: TimeProfile
     nonlinearity: Nonlinearity
+
+
+def _live_terms(forcings) -> list:
+    """The terms whose profile is not identically zero, in order: the one
+    reader of a zero profile.  Its primitive is 0.0 at every t, so neither the
+    march nor the integrability check needs this filter."""
+    return [term for term in forcings if not term.profile.is_zero]
+
+
+def _check_march(tol: float, blowup_threshold: float) -> None:
+    """Raise ConfigError unless a march's ``tol`` and ``blowup_threshold`` are
+    positive; "not" tests, so that NaN is rejected too."""
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    if not blowup_threshold > 0.0:
+        raise ConfigError(f"blowup_threshold must be positive, got {blowup_threshold}")
 
 
 @dataclass
@@ -169,16 +185,10 @@ class SimConfig:
         if not 0.0 < self.horizon < math.inf:
             raise ConfigError(f"horizon must be finite and positive, got {self.horizon}")
         for term in self.forcings:
-            if term.profile.is_zero:
-                continue
             if not math.isfinite(term.profile.primitive(self.horizon)):
                 raise ConfigError(f"source {term.profile} has no finite integral up to "
                                   f"horizon {self.horizon}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if not self.blowup_threshold > 0.0:
-            raise ConfigError(
-                f"blowup_threshold must be positive, got {self.blowup_threshold}")
+        _check_march(self.tol, self.blowup_threshold)
         if self.u0.grid != self.grid:
             raise ConfigError("u0 grid does not match the config grid")
         sup0 = self.u0.sup()
@@ -232,8 +242,6 @@ def _step_weights(forcings, t0, t1) -> list:
     """(w_i, f_i) for each term with w_i = H_i(t1) - H_i(t0) != 0, in order."""
     live = []
     for term in forcings:
-        if term.profile.is_zero:
-            continue
         weight = term.profile.primitive(t1) - term.profile.primitive(t0)
         if weight != 0.0:
             live.append((weight, term.nonlinearity))

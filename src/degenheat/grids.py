@@ -137,7 +137,7 @@ class InitialProfile:
     """Recipe for initial data, realizable on any grid.
 
     Kinds: ``gaussian`` (amplitude, sigma), ``constant`` (amplitude),
-    ``power_tail`` amplitude*(1+|x|)^(-rho).
+    ``power_tail`` amplitude*(1+|x|)^(-rho) with rho >= 0.
     """
 
     kind: str
@@ -156,8 +156,9 @@ class InitialProfile:
                                             and 0.0 < self._two_sigma_sq() < math.inf):
             raise ConfigError(f"sigma must be positive, with 2*sigma**2 a positive "
                               f"finite float, got {self.sigma}")
-        if self.kind == "power_tail" and not math.isfinite(self.rho):
-            raise ConfigError(f"rho must be finite, got {self.rho}")
+        # the paper's data are bounded: (1+|x|)^(-rho) grows when rho < 0
+        if self.kind == "power_tail" and not 0.0 <= self.rho < math.inf:
+            raise ConfigError(f"rho must be finite and >= 0, got {self.rho}")
 
     def _two_sigma_sq(self) -> float:
         """A gaussian's 2 sigma^2, inf where it overflows a float."""

@@ -35,7 +35,7 @@ import numpy as np
 from .criteria import evaluate as evaluate_criteria
 from .criteria import (KernelBound, family_exponents, fujita_exponents,
                        gaussian_kernel_bound, growth_exponent, horizon_witness)
-from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, simulate
+from .dynamics import RUNAWAY_GROWTH, Nonlinearity, SimConfig, _check_march, simulate
 from .errors import ConfigError, NumericError
 from .grids import GridSpec, InitialProfile
 from .weight import WeightSpec
@@ -56,12 +56,7 @@ class RunSpec:
     diffusionless: bool = False
 
     def __post_init__(self):
-        # "not > 0" so that NaN is rejected too
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if not self.blowup_threshold > 0.0:
-            raise ConfigError(
-                f"blowup_threshold must be positive, got {self.blowup_threshold}")
+        _check_march(self.tol, self.blowup_threshold)
         if not isinstance(self.diffusionless, bool):
             raise ConfigError(f"diffusionless must be true or false, got {self.diffusionless!r}")
         self.grid.check_weight(self.weight)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import degenheat.semigroup as semigroup
+from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile
 from degenheat.grids import Field, Geometry, GridSpec, InitialProfile
 from degenheat.weight import WeightCase, WeightSpec
 
@@ -35,6 +36,11 @@ def constant_field(grid: GridSpec, value: float) -> Field:
 
 def power_tail_field(grid: GridSpec, rho: float, amplitude=1.0) -> Field:
     return InitialProfile("power_tail", amplitude, rho=rho).realize(grid)
+
+
+def power_forcing(p: float, r: float = 0.0) -> ForcingTerm:
+    """The source term t^r u^p."""
+    return ForcingTerm(TimeProfile.power(r), Nonlinearity.power(p))
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from degenheat.lab import (EscalationLevel, RunSpec, SweepSpec, classify_point,
 from degenheat.semigroup import (apply_semigroup, build_operator, kernel_column,
                                  semigroup_defect)
 from conftest import (axis_weight, constant_field, gaussian_field, line_grid,
-                      power_tail_field)
+                      power_forcing, power_tail_field)
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -29,10 +29,6 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
     suffix = f"  [{detail}]" if detail else ""
     print(f"CRITERION {number} ({name}): {verdict}{suffix}")
     assert ok, f"criterion {number} ({name}) failed: {detail}"
-
-
-def power_forcing(p: float, r: float = 0.0) -> ForcingTerm:
-    return ForcingTerm(TimeProfile.power(r), Nonlinearity.power(p))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import math
 
 import pytest
 
-from degenheat.cli import main
+from degenheat.cli import main, parse_sweep_spec
 from degenheat.criteria import horizon_witness
-from degenheat.dynamics import (ForcingTerm, Nonlinearity, SimConfig, TimeProfile,
-                                simulate)
+from degenheat.dynamics import SimConfig, simulate
 from degenheat.grids import InitialProfile
-from degenheat.lab import RunSpec, kernel_bound, linear_trace, point_criteria
+from degenheat.lab import (RunSpec, _rungs, default_escalation, kernel_bound, linear_trace,
+                           point_criteria)
 
-from conftest import axis_weight, line_grid
+from conftest import axis_weight, line_grid, power_forcing
 
 
 def write_json(path, obj):
@@ -41,10 +41,6 @@ SWEEP_CONFIG = {
 }
 LOG_FORCING = {"profile": {"kind": "constant", "value": 0.5},
                "nonlinearity": {"kind": "log_power", "exponent": 4.0}}
-
-
-def power_forcing(p: float) -> ForcingTerm:
-    return ForcingTerm(TimeProfile.power(0.0), Nonlinearity.power(p))
 
 
 class TestSimulate:
@@ -86,6 +82,31 @@ class TestSweep:
         assert rows[-1]["classification"] == "BlowUp"
         assert svg.read_text().startswith("<svg")
 
+    def test_zero_profile_term_is_inert(self, tmp_path, capsys):
+        # a one-cell sweep writes the same row with a "zero" profile's term added
+        zero = {"profile": {"kind": "zero"},
+                "nonlinearity": {"kind": "log_power", "exponent": 3.0}}
+        texts = []
+        for forcings in (SWEEP_CONFIG["forcings"], SWEEP_CONFIG["forcings"] + [zero]):
+            obj = {**SWEEP_CONFIG, "forcings": forcings,
+                   "axes": [{"name": "amplitude", "values": [2.0]}]}
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", obj),
+                         "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[1] == texts[0]
+        assert texts[0].splitlines()[1].startswith("2,,BlowUp,")
+
+    def test_default_escalation(self):
+        # with no "escalation" key the rungs run to 10, 100 and 1000, on the
+        # base grid refined once per rung before them
+        obj = {**SWEEP_CONFIG, "grid": {"geometry": "line", "extent": 60.0, "nodes": 121}}
+        del obj["escalation"]
+        spec = parse_sweep_spec(obj)
+        assert spec.escalation == default_escalation()
+        assert [(h, grid.nodes, grid.extent) for h, grid in _rungs(spec.base, spec.escalation)] \
+            == [(10.0, 121, 60.0), (100.0, 241, 60.0), (1000.0, 481, 60.0)]
+
     def test_with_criteria_key_is_ignored(self, tmp_path, capsys):
         # older configs may carry "with_criteria": false; like any unknown key it
         # is ignored, and every cell still fills index_I and certificate_tau
@@ -103,6 +124,20 @@ class TestSweep:
 
 
 class TestCriteria:
+    def test_zero_profile_term_adds_only_its_tail(self, tmp_path, capsys):
+        # a "zero" profile's term changes no row; it only gains its Osgood tail
+        zero = {"profile": {"kind": "zero"},
+                "nonlinearity": {"kind": "power", "exponent": 7.0}}
+        outs = []
+        for forcings in (SIM_CONFIG["forcings"], SIM_CONFIG["forcings"] + [zero]):
+            obj = {**SIM_CONFIG, "horizon": 50.0, "forcings": forcings}
+            assert main(["criteria", "--config", write_json(tmp_path / "crit.json", obj)]) == 0
+            outs.append(capsys.readouterr().out.splitlines())
+        tail, = [line for line in outs[1] if line.startswith("osgood tail power(7) ")]
+        assert float(tail.split()[-1]) > 0.0
+        outs[1].remove(tail)
+        assert outs[1] == outs[0]
+
     def test_prints_report(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "crit.json", {**SIM_CONFIG, "horizon": 50.0})
         assert main(["criteria", "--config", cfg]) == 0
@@ -346,6 +381,8 @@ class TestExitCodes:
         # sigma = 0 divides by zero when each cell realizes its data
         {"u0": {"kind": "gaussian", "sigma": 0.0}},
         {"u0": {"kind": "power_tail", "rho": float("nan")}},
+        # data that grow with |x| are not bounded, as the paper's are
+        {"u0": {"kind": "power_tail", "rho": -1.0}},
     ])
     def test_sweep_wide_config_error(self, tmp_path, fault):
         # a fault shared by every cell exits 2 instead of writing a CSV of errors
@@ -368,6 +405,21 @@ class TestExitCodes:
         _, err = capfd.readouterr()
         assert err == f"config error: sigma must be positive, with 2*sigma**2 a positive " \
                       f"finite float, got {sigma}\n" * 2
+
+    def test_growing_power_tail_is_refused(self, tmp_path, capfd):
+        # (1+|x|)^400 overflows a float: each command exits 2 before realizing
+        # the data, with no numpy warning and no output
+        u0 = {"kind": "power_tail", "amplitude": 0.5, "rho": -400.0}
+        cfg = write_json(tmp_path / "sim.json", {**SIM_CONFIG, "u0": u0})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert main(["criteria", "--config", cfg]) == 2
+        assert main(["decay-probe", "--alpha", "0.5", "--rho", "-400"]) == 2
+        assert main(["decay-probe", "--alpha", "0.5", "--rho", "-0.5"]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "config error: rho must be finite and >= 0, got -400.0\n" * 3 + \
+            "config error: rho must be finite and >= 0, got -0.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
 
     def test_gaussian_spike_runs_quietly(self, tmp_path, capfd):
         # 2 sigma^2 = 2e-320 is still a positive float: the data are a spike at x = 0

@@ -22,12 +22,8 @@ from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Field, InitialProfile
 from degenheat.semigroup import DiffusionOperator, apply_semigroup, build_operator
 
-from conftest import (axis_weight, constant_field, gaussian_field, line_grid, radial_grid,
-                      radial_weight)
-
-
-def power_forcing(p: float, r: float = 0.0) -> ForcingTerm:
-    return ForcingTerm(TimeProfile.power(r), Nonlinearity.power(p))
+from conftest import (axis_weight, constant_field, gaussian_field, line_grid,
+                      power_forcing, radial_grid, radial_weight)
 
 
 class TestTimeProfile:

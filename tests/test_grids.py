@@ -135,7 +135,8 @@ class TestInitialProfile:
                              ("gaussian", {"sigma": math.nan}), ("gaussian", {"sigma": 0.0}),
                              ("gaussian", {"sigma": -1.0}), ("gaussian", {"sigma": math.inf}),
                              ("power_tail", {"rho": math.nan}),
-                             ("power_tail", {"rho": math.inf})):
+                             ("power_tail", {"rho": math.inf}),
+                             ("power_tail", {"rho": -1.0})):
             with pytest.raises(ConfigError):
                 InitialProfile(kind, **kwargs)
         # a parameter the kind does not read is not checked

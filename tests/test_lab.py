@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenheat import dynamics, lab
-from degenheat.criteria import horizon_witness
+from degenheat.criteria import evaluate, horizon_witness, osgood_tail
 from degenheat.dynamics import ForcingTerm, Nonlinearity, TimeProfile, simulate
 from degenheat.errors import ConfigError, NumericError
 from degenheat.grids import Geometry, InitialProfile
 from degenheat.lab import (EscalationLevel, RunSpec, SweepSpec, apply_axis,
-                           classify_point, default_escalation, points_to_csv,
-                           run_sweep, sweep_svg)
+                           classify_point, default_escalation, linear_trace,
+                           points_to_csv, run_sweep, sweep_svg)
 
 from conftest import axis_weight, line_grid, radial_grid, radial_weight
 
@@ -329,6 +329,18 @@ class TestRunSweep:
         assert run_sweep(one, 64) == run_sweep(one, 1)
         assert started == [2]
 
+    def test_numeric_failure_cell_is_undetermined(self):
+        # u^6 of data 1e80 overflows on the first step, far below the threshold:
+        # the rung raises NumericError, and the cell reads Undetermined
+        run = base_run(grid=line_grid(10.0, 41), diffusionless=False,
+                       forcings=(ForcingTerm(TimeProfile.power(0.0), Nonlinearity.power(6.0)),),
+                       profile=InitialProfile("gaussian", 1e80, 2.0), blowup_threshold=1e300)
+        spec = SweepSpec(run, (("amplitude", [1.0]),), (EscalationLevel(1.0),))
+        point, = run_sweep(spec, 1)
+        assert (point.classification, point.t_star, point.horizon) == ("Undetermined", None, 1.0)
+        assert point.reason.startswith("numeric failure: non-finite state at t=0.0 ")
+        assert run_sweep(spec, 2) == [point]
+
     def test_csv_roundtrip(self):
         points = run_sweep(self._spec(), 1)
         rows = points_to_csv(points).strip().split("\n")[1:]
@@ -593,6 +605,71 @@ def test_half_line_march_is_the_line_march(case):
         assert half.final.sup() == pytest.approx(line.final.sup(), rel=1e-10)
 
 
+@st.composite
+def zero_term_runs(draw):
+    """A small line or radial run with diffusion and one live term, a term
+    whose profile has value 0, and a horizon."""
+    alpha = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    nodes, extent = draw(st.integers(3, 20)), draw(st.floats(2.0, 40.0))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        weight, grid = radial_weight(alpha, dim), radial_grid(extent, nodes, dim)
+    else:
+        weight, grid = axis_weight(alpha), line_grid(extent, 2 * nodes + 1)
+    kinds = st.sampled_from(["power", "log_power"])
+    live = ForcingTerm(TimeProfile.power(draw(st.sampled_from([0.0, 0.5]))),
+                       Nonlinearity(draw(kinds), draw(st.floats(1.5, 5.0))))
+    # exponents up to 1000 take the primitive past the float range
+    zero = ForcingTerm(TimeProfile(draw(st.floats(-0.9, 1000.0)), 0.0),
+                       Nonlinearity(draw(kinds), draw(st.floats(1.01, 10.0))))
+    profile = InitialProfile(draw(st.sampled_from(["gaussian", "constant", "power_tail"])),
+                             10.0 ** draw(st.floats(-2.0, 0.5)), draw(st.floats(0.5, 5.0)),
+                             draw(st.floats(0.0, 2.0)))
+    run = base_run(weight=weight, grid=grid, forcings=(live,), profile=profile,
+                   diffusionless=False, tol=1e-2)
+    return run, zero, draw(st.floats(0.5, 20.0))
+
+
+def _settled(call):
+    try:
+        return call()
+    except (ConfigError, NumericError) as exc:
+        return repr(exc)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(zero_term_runs())
+def test_zero_profile_term_is_inert(case):
+    # A term whose profile is identically zero changes no march, no criterion
+    # and no sweep cell; only the Osgood tail table lists it.
+    run, zero, horizon = case
+    with_zero = replace(run, forcings=run.forcings + (zero,))
+    plain, extra = (_settled(lambda r=r: simulate(r.config(horizon))) for r in (run, with_zero))
+    if isinstance(plain, str):
+        assert extra == plain
+    else:
+        assert (extra.status, extra.t_star) == (plain.status, plain.t_star)
+        for name in ("times", "sup_history", "mass_history", "window_mass_history"):
+            assert getattr(extra, name).tobytes() == getattr(plain, name).tobytes()
+
+    trace = linear_trace(run, horizon, run.grid)
+    plain, extra = (_settled(lambda r=r: evaluate(trace, list(r.forcings), r.weight))
+                    for r in (run, with_zero))
+    if isinstance(plain, str):
+        assert extra == plain
+    else:
+        fields = ("smallness_index", "witness", "certificate_tau", "p_star", "q_star",
+                  "rho_star", "verdict", "envelope", "notes")
+        assert [getattr(extra, f) for f in fields] == [getattr(plain, f) for f in fields]
+        z = float(trace[1][-1])
+        key = f"{zero.nonlinearity.kind}({zero.nonlinearity.exponent:g})"
+        assert extra.osgood_tails == (
+            {**plain.osgood_tails, key: osgood_tail(zero.nonlinearity, z)} if z > 0 else {})
+
+    escalation = (EscalationLevel(horizon),)
+    assert classify_point(with_zero, escalation) == classify_point(run, escalation)
+
+
 def test_line_marches_run_on_their_half(monkeypatch):
     # Every march of a line cell reaches lab.simulate on the line its config
     # names, with no mass sums; simulate folds it onto its half.  The CSV is
@@ -635,6 +712,23 @@ class TestSweepSvg:
         assert "#c0392b" in svg  # at least one BlowUp cell
         # p* = 3 lies inside the axis range: dashed analytic boundary drawn
         assert "stroke-dasharray" in svg
+
+    def test_second_axis_rows_and_labels(self):
+        # the second axis runs up the map, bottom row first, labelled on the left
+        spec = SweepSpec(base_run(), (("p", [2.0, 3.0]), ("amplitude", [0.5, 2.0])),
+                         default_escalation((1.0,)))
+        points = run_sweep(spec, 1)
+        assert [pt.classification for pt in points] == \
+            ["Undetermined", "BlowUp", "Undetermined", "BlowUp"]
+        svg = sweep_svg(spec, points)
+        for i, j, color in ((0, 0, "#95a5a6"), (0, 1, "#c0392b"),
+                            (1, 0, "#95a5a6"), (1, 1, "#c0392b")):
+            assert (f'<rect x="{60 + 40 * i}" y="{100 - 40 * j}" width="40" height="40" '
+                    f'fill="{color}" stroke="black"/>') in svg
+        for y, label in ((120.0, "0.5"), (80.0, "2")):
+            assert (f'<text x="30.0" y="{y}" font-size="11" text-anchor="middle">'
+                    f'{label}</text>') in svg
+        assert ">p x amplitude sweep</text>" in svg
 
     def test_no_boundary_outside_range(self):
         run = base_run()
